@@ -3,7 +3,8 @@
 Subcommands: eval | series | lattice | bethe | verify | critical.
 JSON is the machine format (exact rationals as decimal strings inside the
 series payloads); CSV is a lossy convenience view.  Exit codes: 0 success,
-1 domain/config error, 2 identity-check failure, 3 numeric non-convergence.
+1 domain/config/usage error, 2 identity-check failure (including a nonzero
+extraction residual), 3 numeric non-convergence or disagreeing numeric routes.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, bethe, closedform, lattice, relations
 from .bundle import LogSeries
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ExtractionError
 from .params import SpectralParams, couplings
 from .qseries import TruncatedSeries
 
@@ -92,16 +92,9 @@ def _points(args):
 
 
 def cmd_eval(args) -> int:
-    if args.ring != "f64":
-        raise DomainError(
-            "eval computes in f64; use `series`/`lattice` for the exact rings "
-            "and `critical --precision-bits` for high precision"
-        )
     routes = (args.route or "closedform").split(",")
     rows = []
-    pool = ThreadPoolExecutor(max_workers=args.threads)
-
-    def one(sp):
+    for sp in _points(args):
         row = {"q": sp.q, "w": sp.w, "s": sp.s, "u_over_lam": sp.u / sp.lam, "physical": sp.physical}
         for route in routes:
             if route == "closedform":
@@ -119,9 +112,7 @@ def cmd_eval(args) -> int:
                 row["bethe_residual"] = br.residual
             else:
                 raise DomainError(f"unknown route {route!r}")
-        return row
-
-    rows = list(pool.map(one, _points(args)))
+        rows.append(row)
     _emit({"command": "eval", "rows": rows}, args)
     return EXIT_OK
 
@@ -155,12 +146,10 @@ def cmd_series(args) -> int:
 def cmd_lattice(args) -> int:
     order = args.order or 8
     if args.extract:
-        bound = lattice.stabilization_bound(order)
-        sizes = [(bound, bound), (bound, bound + 1), (bound + 1, bound + 1), (bound + 2, bound + 1)]
-        pool = ThreadPoolExecutor(max_workers=args.threads)
-        series = list(pool.map(lambda mn: lattice.series_logZ(lattice.LatticeSpec(*mn), order), sizes))
-        table = dict(zip(sizes, series))
-        table[(bound + 1, bound)] = table[(bound, bound + 1)].subst_s_inv()
+        if args.threads < 1:
+            raise DomainError("--threads must be at least 1")
+        with ThreadPoolExecutor(args.threads) as pool:
+            table = lattice.extraction_table(order, map=pool.map)
         bundle = lattice.extract_free_energies(table, order)
         payload = {
             "command": "lattice",
@@ -253,70 +242,84 @@ def cmd_critical(args) -> int:
     return EXIT_OK
 
 
+FLAGS = {
+    "--q": dict(type=float, nargs="*"),
+    "--s": dict(type=float, nargs="*"),
+    "--u-frac": dict(type=float, nargs="*"),
+    "--M": dict(type=int),
+    "--N": dict(type=int),
+    "--order": dict(type=int),
+    "--route": dict(help="comma list: closedform,bethe"),
+    "--extract": dict(action="store_true"),
+    "--threads": dict(type=int, default=4, help="worker threads for --extract"),
+    "--convergence": dict(action="store_true"),
+    "--eps": dict(type=float),
+    "--precision-bits": dict(type=int),
+    "--out": dict(),
+    "--format": dict(choices=["json", "csv"], default="json"),
+}
+
+# subcommand -> (handler, the flags it reads); every one also takes --out and --format
+SUBCOMMANDS = {
+    "eval": (cmd_eval, ["--q", "--s", "--u-frac", "--N", "--route"]),
+    "series": (cmd_series, ["--order"]),
+    "lattice": (cmd_lattice, ["--M", "--N", "--order", "--extract", "--threads"]),
+    "bethe": (cmd_bethe, ["--q", "--s", "--N", "--convergence"]),
+    "verify": (cmd_verify, ["--order"]),
+    "critical": (cmd_critical, ["--eps", "--precision-bits"]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="potts-sd", description=__doc__)
     p.add_argument("--config", help="JSON config file; flags override its entries")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--q", type=float, nargs="*")
-        sp.add_argument("--s", type=float, nargs="*")
-        sp.add_argument("--u-frac", dest="u_frac", type=float, nargs="*")
-        sp.add_argument("--Q", type=float)
-        sp.add_argument("--N", type=int)
-        sp.add_argument("--M", type=int)
-        sp.add_argument("--order", type=int)
-        sp.add_argument("--ring", choices=["f64", "hp", "rational", "series"], default="f64")
-        sp.add_argument("--precision-bits", dest="precision_bits", type=int)
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("POTTS_SD_THREADS", "4")),
-        )
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-
-    for name, fn in (
-        ("eval", cmd_eval),
-        ("series", cmd_series),
-        ("lattice", cmd_lattice),
-        ("bethe", cmd_bethe),
-        ("verify", cmd_verify),
-        ("critical", cmd_critical),
-    ):
+    for name, (fn, flags) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
-        common(sp)
+        for flag in flags + ["--out", "--format"]:
+            sp.add_argument(flag, **FLAGS[flag])
         sp.set_defaults(func=fn)
-    sub.choices["eval"].add_argument("--route", help="comma list: closedform,bethe")
-    sub.choices["lattice"].add_argument("--extract", action="store_true")
-    sub.choices["bethe"].add_argument("--convergence", action="store_true")
-    sub.choices["verify"].add_argument("--grid", default="default")
-    sub.choices["critical"].add_argument("--eps", type=float)
     return p
+
+
+def subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name -> its parser, for a parser made by ``build_parser``."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _with_config(parser, args, argv):
+    """Parse ``argv`` again with the --config entries as the chosen
+    subcommand's defaults, so flags still beat the file."""
+    try:
+        with open(args.config) as fh:
+            conf = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+    except (OSError, ValueError, AttributeError) as e:
+        raise DomainError(f"config {args.config}: {e}") from e
+    unknown = [k for k in conf if k not in vars(args) or k in ("command", "config", "func")]
+    if unknown:
+        raise DomainError(f"config {args.config}: {args.command} takes no {', '.join(unknown)}")
+    subcommand_parsers(parser)[args.command].set_defaults(**conf)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return EXIT_DOMAIN
-        for k, v in conf.items():
-            k = k.replace("-", "_")
-            if getattr(args, k, None) in (None, parser.get_default(k)):
-                setattr(args, k, v)
     try:
+        args = parser.parse_args(argv)
+        if args.config:
+            args = _with_config(parser, args, argv)
         return args.func(args)
+    except SystemExit as e:  # argparse: --help exits 0, a usage error 2
+        return EXIT_OK if e.code == 0 else EXIT_DOMAIN
     except DomainError as e:
         print(f"domain error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ConvergenceError as e:
-        print(f"convergence error: {e}", file=sys.stderr)
+    except ExtractionError as e:
+        print(f"extraction residual: {e}", file=sys.stderr)
+        return EXIT_IDENTITY
+    except (ConvergenceError, ArithmeticError) as e:
+        print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_CONVERGENCE
 
 

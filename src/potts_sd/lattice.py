@@ -53,7 +53,7 @@ import numpy as np
 from .bundle import FreeEnergyBundle, LogSeries
 from .errors import ConvergenceError, DomainError, ExtractionError, SizeGuardError
 from .params import RationalPoint, SpectralParams, couplings
-from .qseries import LaurentPolyS, TruncatedSeries
+from .qseries import LaurentPolyS, TruncatedSeries, log_geometric_inverse
 
 BRUTE_FORCE_MAX_CONFIGS = 2_100_000
 FK_MAX_EDGES = 24
@@ -439,10 +439,6 @@ def _apply_vertex_poly(vec: dict, i: int, j: int, table: dict, order: int) -> di
     return out
 
 
-def _prune(vec: dict, order: int) -> dict:
-    return {st: amp for st, amp in vec.items() if amp}
-
-
 def _series_z_normalized(spec: LatticeSpec, order: int) -> dict:
     """t^{2MN} Z_6V / (u1^{M(N-1)} u2^{N(M-1)}) as {(tdeg, sdeg): int}.
 
@@ -478,12 +474,12 @@ def _series_z_normalized(spec: LatticeSpec, order: int) -> dict:
         v = out
         for k in range(1, N):
             v = _apply_vertex_poly(v, 2 * k - 1, 2 * k, _T1_GAUGED, order)
-        return _prune(v, order)
+        return v
 
     def t2_row(v):
         for j in range(N):
             v = _apply_vertex_poly(v, 2 * j, 2 * j + 1, _T2_GAUGED, order)
-        return _prune(v, order)
+        return v
 
     vec = t1_row(vec)
     for _ in range(M - 1):
@@ -524,17 +520,10 @@ def series_logZ(spec: LatticeSpec, order: int) -> TruncatedSeries:
         p[sd] = p.get(sd, 0) + v
     zpoly = TruncatedSeries(order, {d: LaurentPolyS(p) for d, p in coeffs.items()})
     # log of the contraction plus the factored unit denominators
-    out = zpoly.log()
-    log_u1 = TruncatedSeries.from_terms(
-        [(Fraction(1, k), 2 * k, k) for k in range(1, order // 2 + 1)], order=order
-    )
-    log_u2 = TruncatedSeries.from_terms(
-        [(Fraction(1, k), 2 * k, -k) for k in range(1, order // 2 + 1)], order=order
-    )
-    log_1pt4 = TruncatedSeries.from_terms(
-        [(Fraction((-1) ** (k + 1), k), 4 * k, 0) for k in range(1, order // 4 + 1)], order=order
-    )
-    return out + M * (N - 1) * log_u1 + N * (M - 1) * log_u2 + M * N * log_1pt4
+    log_u1 = log_geometric_inverse(1, 2, 1, order)
+    log_u2 = log_geometric_inverse(1, 2, -1, order)
+    log_1pt4 = -log_geometric_inverse(-1, 4, 0, order)
+    return zpoly.log() + M * (N - 1) * log_u1 + N * (M - 1) * log_u2 + M * N * log_1pt4
 
 
 def stabilization_bound(order: int) -> int:
@@ -546,6 +535,20 @@ def stabilization_bound(order: int) -> int:
     exactness through T needs 2*min + 4 > T.
     """
     return max(2, (order - 2) // 2)
+
+
+def extraction_table(order: int, map=map) -> dict:
+    """series_logZ on the five lattices ``extract_free_energies`` needs at ``order``.
+
+    With b = stabilization_bound(order), (b,b), (b,b+1), (b+1,b+1) and
+    (b+2,b+1) are contracted through ``map``; (b+1,b) is the s -> 1/s
+    image of (b,b+1).
+    """
+    b = stabilization_bound(order)
+    sizes = [(b, b), (b, b + 1), (b + 1, b + 1), (b + 2, b + 1)]
+    table = dict(zip(sizes, map(lambda mn: series_logZ(LatticeSpec(*mn), order), sizes)))
+    table[(b + 1, b)] = table[(b, b + 1)].subst_s_inv()
+    return table
 
 
 def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:

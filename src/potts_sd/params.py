@@ -268,10 +268,6 @@ class RationalPoint:
         return self.s * self.t**2
 
     @property
-    def sqrt_q(self) -> Fraction:
-        return self.t**2
-
-    @property
     def Q(self) -> Fraction:
         return self.q + 2 + 1 / self.q
 

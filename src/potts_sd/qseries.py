@@ -55,14 +55,6 @@ class LaurentPolyS:
     def is_const(self) -> bool:
         return not self.c or set(self.c) == {0}
 
-    @property
-    def smin(self) -> int:
-        return min(self.c)
-
-    @property
-    def smax(self) -> int:
-        return max(self.c)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPolyS):
             return self.c == other.c
@@ -110,9 +102,6 @@ class LaurentPolyS:
         return LaurentPolyS(out)
 
     __rmul__ = __mul__
-
-    def scale(self, v) -> "LaurentPolyS":
-        return self * v
 
     def subst_s_inv(self) -> "LaurentPolyS":
         """The involution s -> 1/s (negates all exponents)."""
@@ -449,11 +438,6 @@ def log1p_series(a: TruncatedSeries) -> TruncatedSeries:
     if not a.is_zero() and a.min_deg <= 0:
         raise TruncationError("log1p requires strictly positive minimal degree")
     return (TruncatedSeries.one(a.order) + a).log()
-
-
-def exp_series(a: TruncatedSeries) -> TruncatedSeries:
-    """exp(a) for a series ``a`` of strictly positive minimal degree."""
-    return a.exp()
 
 
 def expand_product(factors, order: int = DEFAULT_ORDER) -> TruncatedSeries:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from potts_sd.lattice import LatticeSpec, series_logZ, stabilization_bound
+from potts_sd.lattice import extraction_table
 
 # fixed-seed property testing: runs are reproducible across machines
 settings.register_profile("fixed", derandomize=True, deadline=None)
@@ -16,8 +16,4 @@ def gate_logz_table():
 
     Shared across test modules; this is the expensive piece of the suite.
     """
-    bound = stabilization_bound(GATE_ORDER)
-    sizes = [(bound, bound), (bound, bound + 1), (bound + 1, bound + 1), (bound + 2, bound + 1)]
-    table = {mn: series_logZ(LatticeSpec(*mn), GATE_ORDER) for mn in sizes}
-    table[(bound + 1, bound)] = table[(bound, bound + 1)].subst_s_inv()
-    return table
+    return extraction_table(GATE_ORDER)

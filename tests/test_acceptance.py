@@ -34,12 +34,11 @@ from potts_sd.lattice import (
     dominant_eigenvalue,
     double_row_matrix,
     extract_free_energies,
+    extraction_table,
     fk_partition,
     potts_bruteforce,
     sector_states,
-    series_logZ,
     sixvertex_partition,
-    stabilization_bound,
 )
 from potts_sd.params import SpectralParams, couplings
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries
@@ -99,11 +98,7 @@ def test_criterion_02_nightly_long_run():
     import os
 
     order = int(os.environ.get("POTTS_SD_NIGHTLY_ORDER", "36"))
-    bound = stabilization_bound(order)
-    sizes = [(bound, bound), (bound, bound + 1), (bound + 1, bound + 1), (bound + 2, bound + 1)]
-    table = {mn: series_logZ(LatticeSpec(*mn), order) for mn in sizes}
-    table[(bound + 1, bound)] = table[(bound, bound + 1)].subst_s_inv()
-    bundle = extract_free_energies(table, order)
+    bundle = extract_free_energies(extraction_table(order), order)
     assert bundle.f_b == cf.f_bulk_series(order)
     assert bundle.f_s == cf.f_surface_v_series(order)
     assert bundle.f_sp == cf.f_surface_h_series(order)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from potts_sd import cli
+from potts_sd import cli, closedform, lattice
+from potts_sd.qseries import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -96,8 +97,8 @@ def test_csv_format(capsys):
 
 
 def test_reproducible_output_modulo_timestamp(capsys):
-    _, a = run(capsys, "eval", "--q", "0.2", "--s", "1.3", "--seed", "7")
-    _, b = run(capsys, "eval", "--q", "0.2", "--s", "1.3", "--seed", "7")
+    _, a = run(capsys, "eval", "--q", "0.2", "--s", "1.3")
+    _, b = run(capsys, "eval", "--q", "0.2", "--s", "1.3")
     da, db = json.loads(a), json.loads(b)
     da.pop("timestamp"), db.pop("timestamp")
     assert da == db
@@ -116,6 +117,23 @@ def test_config_file_precedence(tmp_path, capsys):
     assert d["rows"][0]["q"] == 0.3
 
 
+def test_config_file_overrides_flag_defaults(tmp_path, capsys):
+    cfgf = tmp_path / "run.json"
+    cfgf.write_text(json.dumps({"format": "csv"}))
+    code, out = run(capsys, "--config", str(cfgf), "eval", "--q", "0.2", "--s", "1")
+    assert code == 0
+    assert "f_b" in out.splitlines()[0] and not out.startswith("{")
+    # a flag still beats the config entry
+    code, out = run(capsys, "--config", str(cfgf), "eval", "--q", "0.2", "--s", "1", "--format", "json")
+    assert code == 0 and json.loads(out)["config"]["format"] == "json"
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfgf = tmp_path / "run.json"
+    cfgf.write_text(json.dumps({"threads": 2}))
+    assert cli.main(["--config", str(cfgf), "eval"]) == 1
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = cli.main(["series", "--order", "4", "--out", str(target)])
@@ -126,3 +144,77 @@ def test_out_file(tmp_path, capsys):
 
 def test_eval_rejects_unsupported_ring(capsys):
     assert cli.main(["eval", "--q", "0.2", "--ring", "hp"]) == 1
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    options = {
+        name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, sp in cli.subcommand_parsers(cli.build_parser()).items()
+    }
+    io = {"--out", "--format"}
+    assert options == {
+        "eval": {"--q", "--s", "--u-frac", "--N", "--route"} | io,
+        "series": {"--order"} | io,
+        "lattice": {"--M", "--N", "--order", "--extract", "--threads"} | io,
+        "bethe": {"--q", "--s", "--N", "--convergence"} | io,
+        "verify": {"--order"} | io,
+        "critical": {"--eps", "--precision-bits"} | io,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--q", "abc"],
+        ["eval", "--no-such-flag"],
+        ["frobnicate"],
+        ["eval", "--Q", "5"],
+        ["eval", "--seed", "7"],
+        ["eval", "--threads", "2"],
+        ["series", "--ring", "series"],
+        ["verify", "--grid", "default"],
+    ],
+)
+def test_usage_errors_exit_one(argv, capsys):
+    assert cli.main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["lattice", "--help"]) == 0
+
+
+def test_lattice_extract_threads_do_not_change_output(capsys):
+    _, a = run(capsys, "lattice", "--order", "8", "--extract")
+    _, b = run(capsys, "lattice", "--order", "8", "--extract", "--threads", "1")
+    da, db = json.loads(a), json.loads(b)
+    for d in (da, db):
+        d.pop("timestamp"), d.pop("config")
+    assert da == db
+
+
+def test_lattice_extract_rejects_zero_threads(capsys):
+    assert cli.main(["lattice", "--order", "8", "--extract", "--threads", "0"]) == 1
+
+
+def test_extraction_residual_exits_two(monkeypatch, capsys):
+    exact = lattice.series_logZ
+
+    def corrupted(spec, order):
+        out = exact(spec, order)
+        if (spec.M, spec.N) == (5, 4):  # the spare lattice at order 8
+            out = out + TruncatedSeries.term(1, 6, 0, order=order)
+        return out
+
+    monkeypatch.setattr(lattice, "series_logZ", corrupted)
+    assert cli.main(["lattice", "--order", "8", "--extract", "--threads", "1"]) == 2
+    assert "t^6" in capsys.readouterr().err
+
+
+def test_disagreeing_numeric_routes_exit_three(monkeypatch, capsys):
+    def disagree(sp):
+        raise ArithmeticError("rational and hyperbolic coupling routes disagree")
+
+    monkeypatch.setattr(closedform, "free_energies", disagree)
+    assert cli.main(["eval", "--q", "0.2", "--s", "1"]) == 3
+    assert "disagree" in capsys.readouterr().err

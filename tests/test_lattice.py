@@ -16,6 +16,7 @@ from potts_sd.lattice import (
     dominant_eigenvalue,
     double_row_matrix,
     extract_free_energies,
+    extraction_table,
     fk_partition,
     max_eigenvalue,
     potts_bruteforce,
@@ -211,9 +212,8 @@ def test_extraction_enforces_stabilization_bound():
 
 def test_real_extraction_small_order():
     T = 8
-    sizes = [(3, 3), (3, 4), (4, 4), (5, 4)]
-    table = {mn: series_logZ(LatticeSpec(*mn), T) for mn in sizes}
-    table[(4, 3)] = table[(3, 4)].subst_s_inv()
+    table = extraction_table(T)
+    assert set(table) == {(3, 3), (3, 4), (4, 3), (4, 4), (5, 4)}
     bundle = extract_free_energies(table, T)
     assert bundle.f_b == cf.f_bulk_series(T)
     assert bundle.f_s == cf.f_surface_v_series(T)
