@@ -101,7 +101,7 @@ def cmd_eval(args) -> int:
                 b = closedform.free_energies(sp)
                 row.update({"f_b": b.f_b, "f_s": b.f_s, "f_sp": b.f_sp, "f_c": b.f_c})
             elif route == "bethe":
-                N = args.N or 10
+                N = args.N
                 br = bethe.solve(N, sp.q, sp.w)
                 lam2, _ = bethe.eigenvalue(br, sp.q, sp.w)
                 cp = couplings(sp)
@@ -118,7 +118,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_series(args) -> int:
-    order = args.order or 16
+    order = args.order
     bundle = closedform.series_bundle(order)
     rows = []
     for d in range(0, order + 1):
@@ -144,7 +144,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    order = args.order or 8
+    order = args.order
     if args.extract:
         if args.threads < 1:
             raise DomainError("--threads must be at least 1")
@@ -168,8 +168,7 @@ def cmd_lattice(args) -> int:
         }
         _emit(payload, args)
         return EXIT_OK
-    M = args.M or 3
-    N = args.N or 3
+    M, N = args.M, args.N
     spec = lattice.LatticeSpec(M, N)
     t0 = time.time()
     s = lattice.series_logZ(spec, order)
@@ -191,7 +190,7 @@ def cmd_lattice(args) -> int:
 def cmd_bethe(args) -> int:
     q = (args.q or [0.2])[0]
     s = (args.s or [1.0])[0]
-    N = args.N or 8
+    N = args.N
     sp = SpectralParams.from_q_s(q, s)
     br = bethe.solve(N, sp.q, sp.w)
     lam2, lam2b = bethe.eigenvalue(br, sp.q, sp.w)
@@ -214,7 +213,7 @@ def cmd_bethe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    order = args.order or 20
+    order = args.order
     reports = relations.run_default_suite(order=order)
     reports.append(relations.verify_fc_constant(min(order, 12)))
     rows = [r.to_json_dict() for r in reports]
@@ -226,7 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    eps = args.eps or 0.02
+    eps = args.eps
     fc, ratio = closedform.fc_asymptote(eps)
     payload = {
         "command": "critical",
@@ -234,7 +233,7 @@ def cmd_critical(args) -> int:
         "f_c": fc,
         "asymptote": -math.pi / (8 * eps),
         "ratio": ratio,
-        "conjugate_modulus": closedform.conjugate_modulus_report(max(eps, 0.5), prec_bits=args.precision_bits or 256),
+        "conjugate_modulus": closedform.conjugate_modulus_report(max(eps, 0.5), prec_bits=args.precision_bits),
     }
     slope, expected = closedform.singular_decay_fit()
     payload["surface_decay_slope"] = {"fitted": slope, "expected": expected}
@@ -242,31 +241,43 @@ def cmd_critical(args) -> int:
     return EXIT_OK
 
 
+def _positive(kind):
+    def parse(text):
+        v = kind(text)
+        if not 0 < v < math.inf:
+            raise ValueError(text)
+        return v
+
+    parse.__name__ = f"positive {kind.__name__}"  # argparse: "invalid positive int value"
+    return parse
+
+
 FLAGS = {
     "--q": dict(type=float, nargs="*"),
     "--s": dict(type=float, nargs="*"),
     "--u-frac": dict(type=float, nargs="*"),
-    "--M": dict(type=int),
-    "--N": dict(type=int),
-    "--order": dict(type=int),
+    "--M": dict(type=_positive(int)),
+    "--N": dict(type=_positive(int)),
+    "--order": dict(type=_positive(int)),
     "--route": dict(help="comma list: closedform,bethe"),
     "--extract": dict(action="store_true"),
     "--threads": dict(type=int, default=4, help="worker threads for --extract"),
     "--convergence": dict(action="store_true"),
-    "--eps": dict(type=float),
-    "--precision-bits": dict(type=int),
+    "--eps": dict(type=_positive(float)),
+    "--precision-bits": dict(type=_positive(int)),
     "--out": dict(),
     "--format": dict(choices=["json", "csv"], default="json"),
 }
 
-# subcommand -> (handler, the flags it reads); every one also takes --out and --format
+# subcommand -> (handler, the flags it reads, its defaults); every one also
+# takes --out and --format
 SUBCOMMANDS = {
-    "eval": (cmd_eval, ["--q", "--s", "--u-frac", "--N", "--route"]),
-    "series": (cmd_series, ["--order"]),
-    "lattice": (cmd_lattice, ["--M", "--N", "--order", "--extract", "--threads"]),
-    "bethe": (cmd_bethe, ["--q", "--s", "--N", "--convergence"]),
-    "verify": (cmd_verify, ["--order"]),
-    "critical": (cmd_critical, ["--eps", "--precision-bits"]),
+    "eval": (cmd_eval, ["--q", "--s", "--u-frac", "--N", "--route"], dict(N=10)),
+    "series": (cmd_series, ["--order"], dict(order=16)),
+    "lattice": (cmd_lattice, ["--M", "--N", "--order", "--extract", "--threads"], dict(M=3, N=3, order=8)),
+    "bethe": (cmd_bethe, ["--q", "--s", "--N", "--convergence"], dict(N=8)),
+    "verify": (cmd_verify, ["--order"], dict(order=20)),
+    "critical": (cmd_critical, ["--eps", "--precision-bits"], dict(eps=0.02, precision_bits=256)),
 }
 
 
@@ -274,11 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="potts-sd", description=__doc__)
     p.add_argument("--config", help="JSON config file; flags override its entries")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (fn, flags) in SUBCOMMANDS.items():
+    for name, (fn, flags, defaults) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         for flag in flags + ["--out", "--format"]:
             sp.add_argument(flag, **FLAGS[flag])
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=fn, **defaults)
     return p
 
 
@@ -289,21 +300,34 @@ def subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
 
 
 def _with_config(parser, args, argv):
-    """Parse ``argv`` again with the --config entries as the chosen
-    subcommand's defaults, so flags still beat the file."""
+    """Parse ``argv`` again with the --config entries turned into flags just
+    after the subcommand name, so they meet the same types and choices and
+    the user's own flags, coming later, still win."""
     try:
         with open(args.config) as fh:
-            conf = {k.replace("-", "_"): v for k, v in json.load(fh).items()}
+            conf = json.load(fh).items()
     except (OSError, ValueError, AttributeError) as e:
         raise DomainError(f"config {args.config}: {e}") from e
-    unknown = [k for k in conf if k not in vars(args) or k in ("command", "config", "func")]
-    if unknown:
-        raise DomainError(f"config {args.config}: {args.command} takes no {', '.join(unknown)}")
-    subcommand_parsers(parser)[args.command].set_defaults(**conf)
-    return parser.parse_args(argv)
+    takes = SUBCOMMANDS[args.command][1] + ["--out", "--format"]
+    tokens = []
+    for key, value in conf:
+        flag = "--" + key.replace("_", "-")
+        if flag not in takes:
+            raise DomainError(f"config {args.config}: {args.command} takes no {key}")
+        if value is None or value is False:
+            continue
+        tokens.append(flag)
+        if value is not True:
+            tokens.extend(str(v) for v in (value if isinstance(value, list) else [value]))
+    # --config FILE (or --config=FILE) is the only option before the subcommand
+    i = 0
+    while argv[i].startswith("-"):
+        i += 1 if "=" in argv[i] else 2
+    return parser.parse_args(argv[: i + 1] + tokens + argv[i + 1 :])
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -129,6 +129,17 @@ class LaurentPolyS:
         return " + ".join(parts)
 
 
+def _conv(a: dict, b: dict, n: int, weighted: bool) -> LaurentPolyS:
+    """sum_{1<=k<=n} (k if weighted else 1) * a_k * b_{n-k} over two maps
+    t-degree -> LaurentPolyS that store only nonzero coefficients."""
+    acc = LaurentPolyS()
+    for k, ak in a.items():
+        bk = b.get(n - k) if 1 <= k <= n else None
+        if bk is not None:
+            acc = acc + (ak * k if weighted else ak) * bk
+    return acc
+
+
 class TruncatedSeries:
     """Series in t with LaurentPolyS coefficients, exact through ``order``.
 
@@ -290,21 +301,14 @@ class TruncatedSeries:
                 "leading coefficient is not a monomial in s; reciprocal leaves the ring"
             )
         (e0, c0), = lead.c.items()
-        # self = c0 s^e0 t^d0 (1 + u) with u of positive minimal degree
+        # self = c0 s^e0 t^d0 g with g = 1 + O(t); then r_n = -sum_{k>=1} g_k r_{n-k}
         g = self.shift(-d0, -e0, Fraction(1, 1) / c0)
-        rel_order = g.order
-        u = g - 1
-        inv = TruncatedSeries.one(rel_order)
-        pw = TruncatedSeries.one(rel_order)
-        umin = u._effective_min()
-        if umin <= 0:
-            raise TruncationError("reciprocal: normalized series must start at degree 0")
-        k = 1
-        while k * umin <= rel_order:
-            pw = pw * u
-            inv = inv + (pw if k % 2 == 0 else -pw)
-            k += 1
-        return inv.shift(-d0, -e0, Fraction(1, 1) / c0)
+        r = {0: LaurentPolyS.const(1)}
+        for n in range(1, g.order + 1):
+            c = -_conv(g.coeffs, r, n, weighted=False)
+            if not c.is_zero():
+                r[n] = c
+        return TruncatedSeries(g.order, r).shift(-d0, -e0, Fraction(1, 1) / c0)
 
     def __truediv__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
@@ -331,37 +335,25 @@ class TruncatedSeries:
         """log of a series with constant term exactly 1."""
         if self.coeff(0) != LaurentPolyS.const(1) or (self.min_deg is not None and self.min_deg < 0):
             raise TruncationError("log requires constant term 1 and no negative degrees")
-        u = self - 1
-        out = TruncatedSeries.zero(self.order)
-        pw = TruncatedSeries.one(self.order)
-        umin = u._effective_min()
-        if umin == _INF:
-            return out
-        k = 1
-        while k * umin <= self.order:
-            pw = pw * u
-            term = pw * Fraction((-1) ** (k + 1), k)
-            out = out + term
-            k += 1
-        return out
+        # n g_n = n f_n - sum_{k<n} k g_k f_{n-k}
+        g = {}
+        for n in range(1, self.order + 1):
+            c = self.coeff(n) - _conv(g, self.coeffs, n, weighted=True) * Fraction(1, n)
+            if not c.is_zero():
+                g[n] = c
+        return TruncatedSeries(self.order, g)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with strictly positive minimal degree."""
         if not self.is_zero() and self.min_deg <= 0:
             raise TruncationError("exp requires strictly positive minimal degree")
-        out = TruncatedSeries.one(self.order)
-        pw = TruncatedSeries.one(self.order)
-        umin = self._effective_min()
-        if umin == _INF:
-            return out
-        fact = 1
-        k = 1
-        while k * umin <= self.order:
-            pw = pw * self
-            fact *= k
-            out = out + pw * Fraction(1, fact)
-            k += 1
-        return out
+        # n f_n = sum_k k g_k f_{n-k}
+        f = {0: LaurentPolyS.const(1)}
+        for n in range(1, self.order + 1):
+            c = _conv(self.coeffs, f, n, weighted=True) * Fraction(1, n)
+            if not c.is_zero():
+                f[n] = c
+        return TruncatedSeries(self.order, f)
 
     # -- substitutions and evaluation ---------------------------------------
 
@@ -431,13 +423,6 @@ class TruncatedSeries:
 
 
 DEFAULT_ORDER = 36  # t^36 = q^9
-
-
-def log1p_series(a: TruncatedSeries) -> TruncatedSeries:
-    """log(1 + a) for a series ``a`` of strictly positive minimal degree."""
-    if not a.is_zero() and a.min_deg <= 0:
-        raise TruncationError("log1p requires strictly positive minimal degree")
-    return (TruncatedSeries.one(a.order) + a).log()
 
 
 def expand_product(factors, order: int = DEFAULT_ORDER) -> TruncatedSeries:

@@ -243,7 +243,8 @@ def _numeric_defects(sp: SpectralParams) -> dict:
     rhs = cf.exp_minus_f_surface_h(q, w2i) * dli
     out["inversion_surface_h"] = abs(lhs / rhs - 1)
 
-    out["inversion_corner"] = abs(cf.f_corner(q) - cf.f_corner(q))  # function of q alone
+    # f_c depends on q alone, so u -> lam-u leaves it fixed; check its sum against its product
+    out["inversion_corner"] = abs(cf.f_corner(q) - cf.f_corner(q, "product"))
 
     out["rotation_bulk"] = abs(
         cf.f_bulk(sp) - cf.f_bulk(SpectralParams(q, math.sqrt(w2r)))
@@ -343,9 +344,10 @@ def verify_free_energy_relations_series(order: int = 24):
     diff = lhs - rhs
     rep("inversion_surface_h", diff.truncate(min(diff.order, order - 8)))
 
-    # inversion, corner: f_c depends on q alone (s-free series)
+    # inversion, corner: f_c depends on q alone (s-free series); the Lambert
+    # sum must equal minus the log of the inverted product
     fc = cf.f_corner_series(order)
-    rep("inversion_corner", fc - fc, {"s_free": fc.s_free()})
+    rep("inversion_corner", fc - cf.f_corner_series(order, "product"), {"s_free": fc.s_free()})
 
     fb = cf.f_bulk_series(order)
     fs = cf.f_surface_v_series(order)

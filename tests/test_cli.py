@@ -128,6 +128,29 @@ def test_config_file_overrides_flag_defaults(tmp_path, capsys):
     assert code == 0 and json.loads(out)["config"]["format"] == "json"
 
 
+def test_config_scalar_for_a_list_flag(tmp_path, capsys):
+    cfgf = tmp_path / "run.json"
+    cfgf.write_text(json.dumps({"q": 0.25}))
+    code, out = run(capsys, "--config", str(cfgf), "eval")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["q"] == 0.25
+
+
+@pytest.mark.parametrize(
+    "entries, argv",
+    [
+        ({"format": "xml"}, ["series", "--order", "2"]),
+        ({"order": "abc"}, ["series"]),
+        ({"order": 0}, ["verify"]),
+    ],
+)
+def test_config_entries_meet_flag_types_and_choices(tmp_path, capsys, entries, argv):
+    cfgf = tmp_path / "run.json"
+    cfgf.write_text(json.dumps(entries))
+    assert cli.main(["--config", str(cfgf), *argv]) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfgf = tmp_path / "run.json"
     cfgf.write_text(json.dumps({"threads": 2}))
@@ -173,11 +196,27 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         ["eval", "--threads", "2"],
         ["series", "--ring", "series"],
         ["verify", "--grid", "default"],
+        ["lattice", "--M", "0"],
+        ["bethe", "--N", "0"],
+        ["verify", "--order", "0"],
+        ["series", "--order", "-3"],
+        ["critical", "--eps", "0"],
+        ["critical", "--eps", "nan"],
+        ["critical", "--precision-bits", "0"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
     assert cli.main(argv) == 1
     assert "usage:" in capsys.readouterr().err
+
+
+def test_config_lists_effective_defaults(capsys):
+    _, out = run(capsys, "critical", "--eps", "0.05")
+    cfg = json.loads(out)["config"]
+    assert (cfg["eps"], cfg["precision_bits"]) == (0.05, 256)
+    _, out = run(capsys, "lattice", "--M", "2", "--order", "4")
+    cfg = json.loads(out)["config"]
+    assert (cfg["M"], cfg["N"], cfg["order"]) == (2, 3, 4)
 
 
 def test_help_exits_zero(capsys):

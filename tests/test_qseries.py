@@ -12,7 +12,7 @@ from potts_sd.qseries import (
     expand_product,
     geometric_inverse,
     lambert_sum,
-    log1p_series,
+    log_geometric_inverse,
 )
 
 ORDER = 20
@@ -86,14 +86,68 @@ def test_mul_commutative(a, b):
 @settings(max_examples=40, deadline=None)
 @given(positive_series_strategy)
 def test_exp_log_round_trip(a):
-    assert log1p_series(a.exp() - 1) == a.truncate(min(a.order, ORDER))
+    one = TruncatedSeries.one(ORDER)
+    assert (one + (a.exp() - 1)).log() == a.truncate(min(a.order, ORDER))
 
 
 @settings(max_examples=40, deadline=None)
 @given(positive_series_strategy)
 def test_log_exp_round_trip(a):
     one = TruncatedSeries.one(ORDER)
-    assert log1p_series(a).exp() == one + a
+    assert (one + a).log().exp() == one + a
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_series_strategy, positive_series_strategy)
+def test_exp_is_additive_to_multiplicative(a, b):
+    assert (a + b).exp() == a.exp() * b.exp()
+
+
+# lead c * s^e * t^d (a monomial at a negative, zero or positive degree) plus a tail
+unit_lead_series_strategy = st.builds(
+    lambda c, d, e, tail: TruncatedSeries.from_terms(
+        [(c, d, e)] + [(v, d + 1 + k, sd) for v, k, sd in tail], order=ORDER
+    ),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2)]),
+    st.integers(-5, 5),
+    st.integers(-3, 3),
+    st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(0, ORDER), st.integers(-3, 3)),
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_lead_series_strategy)
+def test_reciprocal_inverts(x):
+    r = x.reciprocal()
+    assert r.order == x.order - 2 * x.min_deg
+    assert x * r == TruncatedSeries.one(x.order - 2 * x.min_deg)
+
+
+@pytest.mark.parametrize("c", [1, -1, 3, Fraction(-2, 5)])
+@pytest.mark.parametrize("sdeg, tdeg", [(0, 1), (1, 2), (-2, 4), (3, 16)])
+def test_reciprocal_and_log_match_geometric_oracles(c, sdeg, tdeg):
+    for order in (1, 7, 24, 48):
+        x = TruncatedSeries.one(order) - TruncatedSeries.term(c, tdeg, sdeg, order=order)
+        r, g = x.reciprocal(), x.log()
+        assert (r.order, g.order) == (order, order)
+        assert r.to_json() == geometric_inverse(c, tdeg, sdeg, order).to_json()
+        assert g.to_json() == (-log_geometric_inverse(c, tdeg, sdeg, order)).to_json()
+
+
+def test_kernel_result_orders():
+    # exp and log keep the input's order; reciprocal moves it by twice the lead degree
+    a = TruncatedSeries.from_terms([(1, 3, 1), (2, 5, 0)], order=11)
+    assert a.exp().order == 11
+    assert (TruncatedSeries.one(11) + a).log().order == 11
+    assert TruncatedSeries.zero(9).exp() == TruncatedSeries.one(9)
+    assert TruncatedSeries.zero(9).exp().order == 9
+    assert TruncatedSeries.one(9).log().is_zero() and TruncatedSeries.one(9).log().order == 9
+    assert (a + 1).reciprocal().order == 11
+    assert a.reciprocal().order == 11 - 6
+    assert TruncatedSeries.from_terms([(2, -2, 1), (1, 0, 0)], order=11).reciprocal().order == 15
 
 
 @settings(max_examples=40, deadline=None)

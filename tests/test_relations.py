@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from potts_sd import closedform as cf
+from potts_sd import cli, closedform as cf
 from potts_sd import relations
 from potts_sd.lattice import max_eigenvalue, potts_transfer_V
 from potts_sd.params import SpectralParams, couplings, xi
+from potts_sd.qseries import TruncatedSeries
 
 
 def test_matrix_inversion_exact():
@@ -82,6 +83,27 @@ def test_series_relations_catch_breakage():
     good = cf.f_surface_h_series(12)
     bad = good + cf.f_corner_series(12)  # corner series is s-free, nonzero
     assert not (bad.subst_s_inv() - cf.f_surface_v_series(12)).is_zero()
+
+
+def test_corner_inversion_check_fails_on_a_wrong_product_form(monkeypatch, capsys):
+    exact_series, exact_numeric = cf.f_corner_series, cf.f_corner
+
+    def off_by_t8(order, form="sum"):
+        out = exact_series(order, form)
+        return out + TruncatedSeries.term(1, 8, 0, order=order) if form == "product" else out
+
+    def off_by_1e9(q, form="sum"):
+        return exact_numeric(q, form) + (1e-9 if form == "product" else 0.0)
+
+    monkeypatch.setattr(cf, "f_corner_series", off_by_t8)
+    monkeypatch.setattr(cf, "f_corner", off_by_1e9)
+    for reports in (
+        relations.verify_free_energy_relations_series(12),
+        relations.verify_free_energy_relations_numeric(),
+    ):
+        failed = [r.identity for r in reports if not r.passed]
+        assert failed == ["inversion_corner"]
+    assert cli.main(["verify", "--order", "12"]) == 2
 
 
 def test_fc_constant_report(gate_logz_table):
