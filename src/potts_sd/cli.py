@@ -76,23 +76,20 @@ def _series_payload(s) -> dict:
 
 
 def _points(args):
-    qs = args.q if args.q else [0.2]
-    ss = args.s if args.s else [1.0]
-    ufracs = args.u_frac if args.u_frac else []
     pts = []
-    for q in qs:
-        if ufracs:
-            for f in ufracs:
+    for q in args.q:
+        if args.u_frac:
+            for f in args.u_frac:
                 lam = -math.log(q) / 2
                 pts.append(SpectralParams(q, math.exp(-2 * f * lam)))
         else:
-            for s in ss:
+            for s in args.s:
                 pts.append(SpectralParams.from_q_s(q, s))
     return pts
 
 
 def cmd_eval(args) -> int:
-    routes = (args.route or "closedform").split(",")
+    routes = args.route.split(",")
     rows = []
     for sp in _points(args):
         row = {"q": sp.q, "w": sp.w, "s": sp.s, "u_over_lam": sp.u / sp.lam, "physical": sp.physical}
@@ -159,12 +156,7 @@ def cmd_lattice(args) -> int:
             "f_s": _series_payload(bundle.f_s),
             "f_sp": _series_payload(bundle.f_sp),
             "f_c": _series_payload(bundle.f_c),
-            "matches_closed_form": {
-                "f_b": bundle.f_b == closedform.f_bulk_series(order),
-                "f_s": bundle.f_s == closedform.f_surface_v_series(order),
-                "f_sp": bundle.f_sp == closedform.f_surface_h_series(order),
-                "f_c": bundle.f_c == closedform.f_corner_series(order),
-            },
+            "matches_closed_form": relations.closed_form_matches(bundle, order),
         }
         _emit(payload, args)
         return EXIT_OK
@@ -188,8 +180,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_bethe(args) -> int:
-    q = (args.q or [0.2])[0]
-    s = (args.s or [1.0])[0]
+    q = args.q[0]
+    s = args.s[0]
     N = args.N
     sp = SpectralParams.from_q_s(q, s)
     br = bethe.solve(N, sp.q, sp.w)
@@ -252,14 +244,23 @@ def _positive(kind):
     return parse
 
 
+def _route_list(text):
+    if not all(text.split(",")):
+        raise ValueError(text)
+    return text
+
+
+_route_list.__name__ = "route list"  # argparse: "invalid route list value"
+
+
 FLAGS = {
-    "--q": dict(type=float, nargs="*"),
-    "--s": dict(type=float, nargs="*"),
-    "--u-frac": dict(type=float, nargs="*"),
+    "--q": dict(type=float, nargs="+"),
+    "--s": dict(type=float, nargs="+"),
+    "--u-frac": dict(type=float, nargs="+"),
     "--M": dict(type=_positive(int)),
     "--N": dict(type=_positive(int)),
     "--order": dict(type=_positive(int)),
-    "--route": dict(help="comma list: closedform,bethe"),
+    "--route": dict(type=_route_list, help="comma list: closedform,bethe"),
     "--extract": dict(action="store_true"),
     "--threads": dict(type=int, default=4, help="worker threads for --extract"),
     "--convergence": dict(action="store_true"),
@@ -272,10 +273,10 @@ FLAGS = {
 # subcommand -> (handler, the flags it reads, its defaults); every one also
 # takes --out and --format
 SUBCOMMANDS = {
-    "eval": (cmd_eval, ["--q", "--s", "--u-frac", "--N", "--route"], dict(N=10)),
+    "eval": (cmd_eval, ["--q", "--s", "--u-frac", "--N", "--route"], dict(q=[0.2], s=[1.0], N=10, route="closedform")),
     "series": (cmd_series, ["--order"], dict(order=16)),
     "lattice": (cmd_lattice, ["--M", "--N", "--order", "--extract", "--threads"], dict(M=3, N=3, order=8)),
-    "bethe": (cmd_bethe, ["--q", "--s", "--N", "--convergence"], dict(N=8)),
+    "bethe": (cmd_bethe, ["--q", "--s", "--N", "--convergence"], dict(q=[0.2], s=[1.0], N=8)),
     "verify": (cmd_verify, ["--order"], dict(order=20)),
     "critical": (cmd_critical, ["--eps", "--precision-bits"], dict(eps=0.02, precision_bits=256)),
 }

@@ -43,7 +43,6 @@ which makes truncation at order T exact (see ``_series_z_normalized``).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -526,136 +525,85 @@ def series_logZ(spec: LatticeSpec, order: int) -> TruncatedSeries:
     return zpoly.log() + M * (N - 1) * log_u1 + N * (M - 1) * log_u2 + M * N * log_1pt4
 
 
-def stabilization_bound(order: int) -> int:
-    """Smallest min(M, N) for which order-T coefficients are trusted.
-
-    Finite-size corrections to the bulk/surface/corner decomposition enter
-    at t-order 2*min(M,N) + 4 (measured against the closed forms, and
-    re-verified on every extraction by the spare-lattice residual), so
-    exactness through T needs 2*min + 4 > T.
-    """
-    return max(2, (order - 2) // 2)
-
-
 def extraction_table(order: int, map=map) -> dict:
-    """series_logZ on the five lattices ``extract_free_energies`` needs at ``order``.
+    """G(m, n) = series_logZ on every rectangle ``extract_free_energies`` needs.
 
-    With b = stabilization_bound(order), (b,b), (b,b+1), (b+1,b+1) and
-    (b+2,b+1) are contracted through ``map``; (b+1,b) is the s -> 1/s
-    image of (b,b+1).
+    With K = order//2 + 2 the table holds all m, n >= 1 with m + n <= K + 1;
+    the last diagonal is the spare one.  Only (1, 2) and the cells with
+    m >= n >= 2 are contracted, through ``map``, so no contraction is wider
+    than min(m, n).  (n, m) is the s -> 1/s image of (m, n), G(1, 1) =
+    log(q Q) = 2 log(1 + t^4), and one row is a free chain, whose G(1, n) is
+    linear in n.
     """
-    b = stabilization_bound(order)
-    sizes = [(b, b), (b, b + 1), (b + 1, b + 1), (b + 2, b + 1)]
-    table = dict(zip(sizes, map(lambda mn: series_logZ(LatticeSpec(*mn), order), sizes)))
-    table[(b + 1, b)] = table[(b, b + 1)].subst_s_inv()
+    K = order // 2 + 2
+    cells = [(1, 2)] + [(m, n) for n in range(2, (K + 1) // 2 + 1) for m in range(n, K + 2 - n)]
+    table = dict(zip(cells, map(lambda mn: series_logZ(LatticeSpec(*mn), order), cells)))
+    g11 = -2 * log_geometric_inverse(-1, 4, 0, order)
+    step = table[(1, 2)] - g11
+    table.update({(1, n): g11 + (n - 1) * step for n in (1, *range(3, K + 1))})
+    for m, n in list(table):
+        if (n, m) not in table:
+            table[(n, m)] = table[(m, n)].subst_s_inv()
     return table
 
 
+_D2 = (1, -2, 1)  # second-difference stencil
+
+
+def _cluster_weights(m: int, n: int) -> dict:
+    """phi(m, n) = sum_{i,j} c_i c_j G(m-i, n-j) as {(m', n'): c_i c_j}, G = 0 off the quadrant."""
+    return {(m - i, n - j): ci * cj for i, ci in enumerate(_D2) for j, cj in enumerate(_D2) if i < m and j < n}
+
+
+def _weighted_sum(table: dict, weights: dict, order: int) -> TruncatedSeries:
+    return sum((w * table[cell] for cell, w in weights.items() if w), TruncatedSeries.zero(order))
+
+
 def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
-    """Solve log Z = -MN f_b - M f_s - N f_sp - f_c coefficient by coefficient.
+    """The four free energies by the finite-lattice method (de Neef & Enting).
 
-    ``table`` maps (M, N) -> series_logZ output.  Four sizes feed an exact
-    linear solve; every remaining size must be reproduced identically
-    through ``order`` (the finite-lattice stabilization check), else an
-    ExtractionError carries the first failing t-order.
+    ``table`` maps (M, N) -> G(M, N) = series_logZ, as ``extraction_table``
+    builds it.  With cluster terms phi (``_cluster_weights``),
+    log Z(M, N) = sum_{m<=M, n<=N} (M-m+1)(N-n+1) phi(m, n), so
+    f_b = -sum phi, f_s = -sum (1-n) phi, f'_s = -sum (1-m) phi and
+    f_c = -sum (1-m)(1-n) phi.  phi(m, n) starts at t^{2(m+n)-4}, so the
+    sums over m + n <= K = order//2 + 2 are exact through ``order``, and
+    every phi on the spare diagonal m + n = K + 1 must vanish through
+    ``order``, else an ExtractionError carries the lowest failing t-order.
     """
-    pairs = sorted(table)
-    if len(pairs) < 5:
-        raise DomainError("need at least 5 lattice sizes")
-    bound = stabilization_bound(order)
-    for (M, N) in pairs:
-        if min(M, N) < bound:
-            raise DomainError(
-                f"lattice {(M, N)} below stabilization bound min(M,N) >= {bound} for order {order}"
-            )
+    K = order // 2 + 2
+    rectangles = [(m, n) for m in range(1, K) for n in range(1, K + 1 - m)]
+    spare = [(m, K + 1 - m) for m in range(1, K + 1)]
+    missing = [mn for mn in rectangles + spare if mn not in table]
+    if missing:
+        raise DomainError(f"order {order} needs every rectangle with m + n <= {K + 1}; missing {missing}")
 
-    def design_row(M, N):
-        return [Fraction(-M * N), Fraction(-M), Fraction(-N), Fraction(-1)]
-
-    solve_pairs = None
-    for combo in itertools.combinations(pairs, 4):
-        mat = [design_row(M, N) for (M, N) in combo]
-        if _det4(mat) != 0:
-            solve_pairs = list(combo)
-            break
-    if solve_pairs is None:
-        raise DomainError("no invertible set of four lattice sizes in the table")
-    inv = _inv4([design_row(M, N) for (M, N) in solve_pairs])
-    check_pairs = [p for p in pairs if p not in solve_pairs]
-
-    fb = {}
-    fs = {}
-    fsp = {}
-    fc = {}
-    for d in range(0, order + 1):
-        rhs = [table[p].coeff(d) for p in solve_pairs]
-        sol = []
-        for r in range(4):
-            acc = LaurentPolyS()
-            for c in range(4):
-                if inv[r][c]:
-                    acc = acc + rhs[c] * inv[r][c]
-            sol.append(acc)
-        if not sol[0].is_zero():
-            fb[d] = sol[0]
-        if not sol[1].is_zero():
-            fs[d] = sol[1]
-        if not sol[2].is_zero():
-            fsp[d] = sol[2]
-        if not sol[3].is_zero():
-            fc[d] = sol[3]
-        for (M, N) in check_pairs:
-            pred = (
-                sol[0] * Fraction(-M * N)
-                + sol[1] * Fraction(-M)
-                + sol[2] * Fraction(-N)
-                + sol[3] * Fraction(-1)
-            )
-            if pred != table[(M, N)].coeff(d):
-                raise ExtractionError(
-                    f"stabilization residual nonzero at t^{d} on lattice {(M, N)}",
-                    first_failing_order=d,
-                )
-
-    mk = lambda c: TruncatedSeries(order, c)
-    return FreeEnergyBundle(
-        f_b=LogSeries(Fraction(1), mk(fb)),
-        f_s=mk(fs),
-        f_sp=mk(fsp),
-        f_c=mk(fc),
-        route="lattice",
-        meta={"solve_pairs": solve_pairs, "check_pairs": check_pairs, "order": order},
-    )
-
-
-def _det4(m):
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    failing = []
+    for mn in spare:
+        phi = _weighted_sum(table, _cluster_weights(*mn), order)
+        if not phi.is_zero():
+            failing.append((phi.min_deg, mn))
+    if failing:
+        d, mn = min(failing)
+        raise ExtractionError(
+            f"spare-diagonal residual phi{mn} nonzero at t^{d}", first_failing_order=d
         )
 
-    total = 0
-    for c in range(4):
-        minor = [[m[r][cc] for cc in range(4) if cc != c] for r in range(1, 4)]
-        total += (-1) ** c * m[0][c] * det3(minor)
-    return total
+    def energy(weight):
+        folded: dict = {}
+        for m, n in rectangles:
+            for cell, c in _cluster_weights(m, n).items():
+                folded[cell] = folded.get(cell, 0) - weight(m, n) * c
+        return _weighted_sum(table, folded, order)
 
-
-def _inv4(m):
-    n = 4
-    aug = [[Fraction(m[r][c]) for c in range(n)] + [Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return FreeEnergyBundle(
+        f_b=LogSeries(Fraction(1), energy(lambda m, n: 1)),
+        f_s=energy(lambda m, n: 1 - n),
+        f_sp=energy(lambda m, n: 1 - m),
+        f_c=energy(lambda m, n: (1 - m) * (1 - n)),
+        route="lattice",
+        meta={"rectangles": rectangles, "spare_diagonal": spare, "order": order},
+    )
 
 
 # ----------------------------------------------------------------------------

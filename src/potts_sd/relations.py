@@ -359,23 +359,30 @@ def verify_free_energy_relations_series(order: int = 24):
     return reports
 
 
+def closed_form_matches(bundle, order: int) -> dict:
+    """Free-energy name -> whether ``bundle`` equals the closed form through ``order``."""
+    ref = cf.series_bundle(order)
+    return {name: getattr(bundle, name) == getattr(ref, name) for name in ("f_b", "f_s", "f_sp", "f_c")}
+
+
 def verify_fc_constant(order: int = 16, table=None) -> IdentityReport:
-    """Every lattice-extracted corner coefficient is s-free and matches the
-    q-only closed form."""
+    """The lattice route against the closed forms: all four extracted free
+    energies match, and the extracted corner term is s-free."""
     if table is None:
         table = extraction_table(order)
     bundle = extract_free_energies(table, order)
-    fc = bundle.f_c
-    sfree = fc.s_free()
-    match = fc == cf.f_corner_series(order)
+    sfree = bundle.f_c.s_free()
+    matches = closed_form_matches(bundle, order)
+    match = all(matches.values())
+    passed = sfree and match
     return IdentityReport(
         identity="corner_constant",
         points=[{"order": order, "sizes": sorted(table)}],
-        max_defect=0.0 if (sfree and match) else 1.0,
+        max_defect=0.0 if passed else 1.0,
         tol=0.0,
-        passed=sfree and match,
+        passed=passed,
         ring="series",
-        details={"s_free": sfree, "matches_closed_form": match},
+        details={"s_free": sfree, "matches_closed_form": match, **matches},
     )
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from potts_sd import closedform as cf
+from potts_sd import cli, closedform as cf, lattice
 from potts_sd.errors import DomainError, ExtractionError, SizeGuardError
 from potts_sd.lattice import (
     LatticeSpec,
@@ -25,10 +25,11 @@ from potts_sd.lattice import (
     sector_states,
     series_logZ,
     sixvertex_equivalent_potts,
-    stabilization_bound,
 )
 from potts_sd.params import RationalPoint, SpectralParams, couplings, delta
 from potts_sd.qseries import TruncatedSeries
+
+GATE_ORDER = 16
 
 
 def test_bruteforce_free_field():
@@ -165,60 +166,108 @@ def test_series_logz_matches_numeric_evaluation():
     assert val == pytest.approx(expected, abs=1e-10)
 
 
+def rectangles(K):
+    """Every (m, n) with m, n >= 1 and m + n <= K."""
+    return {(m, n) for m in range(1, K) for n in range(1, K + 1 - m)}
+
+
+def ansatz_table(order):
+    """G(m, n) = -mn f_b - m f_s - n f'_s - f_c from the closed forms, on every
+    rectangle the extraction reads at ``order``."""
+    b = cf.series_bundle(order)
+    return {
+        (m, n): -(m * n) * b.f_b.series - m * b.f_s - n * b.f_sp - b.f_c
+        for (m, n) in rectangles(order // 2 + 3)
+    }
+
+
+def cluster_term(table, m, n):
+    """phi(m, n): the double second difference of G, with G = 0 off the quadrant."""
+    c = (1, -2, 1)
+    return sum(
+        (c[i] * c[j] * table[(m - i, n - j)] for i in range(3) for j in range(3) if i < m and j < n),
+        TruncatedSeries.zero(table[(m, n)].order),
+    )
+
+
 def test_extraction_synthetic_round_trip():
-    # compose log Z from a known bundle and recover it exactly
+    # compose log Z from the closed-form bundle on every rectangle and
+    # recover the bundle exactly
     T = 8
-    fb = cf.f_bulk_series(T).series
-    fs = cf.f_surface_v_series(T)
-    fsp = cf.f_surface_h_series(T)
-    fc = cf.f_corner_series(T)
-    table = {}
-    for (M, N) in [(3, 3), (3, 4), (4, 3), (4, 4), (5, 4), (5, 5)]:
-        table[(M, N)] = (
-            fb * Fraction(-M * N) + fs * Fraction(-M) + fsp * Fraction(-N) + fc * Fraction(-1)
-        )
-    bundle = extract_free_energies(table, T)
-    assert bundle.f_b.series == fb
-    assert bundle.f_s == fs
-    assert bundle.f_sp == fsp
-    assert bundle.f_c == fc
+    bundle = extract_free_energies(ansatz_table(T), T)
+    assert bundle.f_b == cf.f_bulk_series(T)
+    assert bundle.f_s == cf.f_surface_v_series(T)
+    assert bundle.f_sp == cf.f_surface_h_series(T)
+    assert bundle.f_c == cf.f_corner_series(T)
 
 
 def test_extraction_detects_nonstabilized_input():
     T = 8
-    fb = cf.f_bulk_series(T).series
-    fs = cf.f_surface_v_series(T)
-    fsp = cf.f_surface_h_series(T)
-    fc = cf.f_corner_series(T)
-    table = {}
-    for (M, N) in [(3, 3), (3, 4), (4, 3), (4, 4), (5, 5)]:
-        table[(M, N)] = (
-            fb * Fraction(-M * N) + fs * Fraction(-M) + fsp * Fraction(-N) + fc * Fraction(-1)
-        )
-    # corrupt the spare lattice at one order
-    table[(5, 5)] = table[(5, 5)] + TruncatedSeries.term(1, 6, 0, order=T)
+    table = ansatz_table(T)
+    # corrupt one spare-diagonal rectangle (m + n = T/2 + 3) at one order
+    table[(4, 3)] = table[(4, 3)] + TruncatedSeries.term(1, 6, 0, order=T)
     with pytest.raises(ExtractionError) as e:
         extract_free_energies(table, T)
     assert e.value.first_failing_order == 6
 
 
 def test_extraction_enforces_stabilization_bound():
+    # the table must reach the spare diagonal m + n = T/2 + 3
     T = 8
-    assert stabilization_bound(T) == 3
-    table = {mn: TruncatedSeries.zero(T) for mn in [(2, 3), (3, 3), (3, 4), (4, 4), (4, 5)]}
+    table = ansatz_table(T)
+    extract_free_energies(table, T)
+    del table[(5, 2)]
     with pytest.raises(DomainError):
         extract_free_energies(table, T)
 
 
 def test_real_extraction_small_order():
     T = 8
-    table = extraction_table(T)
-    assert set(table) == {(3, 3), (3, 4), (4, 3), (4, 4), (5, 4)}
+    contracted = []
+
+    def recording_map(fn, cells):
+        contracted.extend(cells)
+        return map(fn, cells)
+
+    table = extraction_table(T, map=recording_map)
+    assert set(table) == rectangles(7)
+    # (1, 2) and m >= n >= 2 only: no contraction is wider than T/4 + 1 = 3
+    assert sorted(contracted) == [(1, 2), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
     bundle = extract_free_energies(table, T)
+    assert set(bundle.meta["rectangles"]) == rectangles(6)
+    assert set(bundle.meta["spare_diagonal"]) == rectangles(7) - rectangles(6)
     assert bundle.f_b == cf.f_bulk_series(T)
     assert bundle.f_s == cf.f_surface_v_series(T)
     assert bundle.f_sp == cf.f_surface_h_series(T)
     assert bundle.f_c == cf.f_corner_series(T)
+
+
+def test_extraction_detects_a_faulty_kernel_weight(monkeypatch):
+    # hop right in T1 rows: s - t^4 instead of s - t^2
+    monkeypatch.setitem(lattice._T1_GAUGED, "35", ((1, 0, 1), (-1, 4, 0)))
+    with pytest.raises(ExtractionError) as e:
+        extract_free_energies(extraction_table(8), 8)
+    assert 0 < e.value.first_failing_order <= 8
+    assert cli.main(["lattice", "--order", "8", "--extract"]) == 2
+
+
+def test_builder_shortcuts_equal_direct_contractions():
+    T = 12
+    assert series_logZ(LatticeSpec(3, 5), T) == series_logZ(LatticeSpec(5, 3), T).subst_s_inv()
+    table = extraction_table(T)
+    for n in range(2, 9):
+        assert table[(1, n)] == series_logZ(LatticeSpec(1, n), T)
+
+
+def test_cluster_terms_on_the_gate_table(gate_logz_table):
+    T = GATE_ORDER
+    K = T // 2 + 2
+    for m, n in rectangles(K + 1):
+        phi = cluster_term(gate_logz_table, m, n)
+        if m == 1 and n >= 3 or n == 1 and m >= 3:
+            assert phi.is_zero(), (m, n)
+        elif m >= 2 and n >= 2:
+            assert phi.is_zero() or phi.min_deg >= 2 * (m + n) - 4, (m, n)
 
 
 def test_t2_eigenvector_all_ones():

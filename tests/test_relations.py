@@ -6,7 +6,7 @@ import pytest
 
 from potts_sd import cli, closedform as cf
 from potts_sd import relations
-from potts_sd.lattice import max_eigenvalue, potts_transfer_V
+from potts_sd.lattice import extraction_table, max_eigenvalue, potts_transfer_V
 from potts_sd.params import SpectralParams, couplings, xi
 from potts_sd.qseries import TruncatedSeries
 
@@ -110,6 +110,30 @@ def test_fc_constant_report(gate_logz_table):
     rep = relations.verify_fc_constant(16, table=gate_logz_table)
     assert rep.passed
     assert rep.details["s_free"] and rep.details["matches_closed_form"]
+
+
+@pytest.mark.parametrize("energy", ["f_b", "f_s", "f_sp", "f_c"])
+def test_lattice_row_checks_each_free_energy(monkeypatch, capsys, energy):
+    # shift one free energy by t^10 s in every G(m, n) = -mn f_b - m f_s - n f'_s - f_c;
+    # the spare diagonal still vanishes, so only the closed-form comparison catches it
+    T = 12
+    weight = {"f_b": lambda m, n: m * n, "f_s": lambda m, n: m, "f_sp": lambda m, n: n, "f_c": lambda m, n: 1}
+    delta = TruncatedSeries.term(1, 10, 1, order=T)
+    table = {(m, n): g - weight[energy](m, n) * delta for (m, n), g in extraction_table(T).items()}
+    rep = relations.verify_fc_constant(T, table=table)
+    assert not rep.passed and not rep.details["matches_closed_form"]
+    assert [k for k in weight if not rep.details[k]] == [energy]
+    monkeypatch.setattr(relations, "extraction_table", lambda order: table)
+    assert cli.main(["verify", "--order", "12"]) == 2
+
+
+def test_verify_exits_two_on_one_perturbed_rectangle(monkeypatch, capsys):
+    T = 12
+    table = extraction_table(T)
+    table[(4, 4)] = table[(4, 4)] + TruncatedSeries.term(1, 10, 1, order=T)
+    monkeypatch.setattr(relations, "extraction_table", lambda order: table)
+    assert cli.main(["verify", "--order", "12"]) == 2
+    assert "t^10" in capsys.readouterr().err
 
 
 def test_default_grid_shape():
