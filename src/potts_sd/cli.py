@@ -180,10 +180,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_bethe(args) -> int:
-    q = args.q[0]
-    s = args.s[0]
     N = args.N
-    sp = SpectralParams.from_q_s(q, s)
+    sp = SpectralParams.from_q_s(args.q, args.s)
     br = bethe.solve(N, sp.q, sp.w)
     lam2, lam2b = bethe.eigenvalue(br, sp.q, sp.w)
     payload = {
@@ -276,10 +274,13 @@ SUBCOMMANDS = {
     "eval": (cmd_eval, ["--q", "--s", "--u-frac", "--N", "--route"], dict(q=[0.2], s=[1.0], N=10, route="closedform")),
     "series": (cmd_series, ["--order"], dict(order=16)),
     "lattice": (cmd_lattice, ["--M", "--N", "--order", "--extract", "--threads"], dict(M=3, N=3, order=8)),
-    "bethe": (cmd_bethe, ["--q", "--s", "--N", "--convergence"], dict(q=[0.2], s=[1.0], N=8)),
+    "bethe": (cmd_bethe, ["--q", "--s", "--N", "--convergence"], dict(q=0.2, s=1.0, N=8)),
     "verify": (cmd_verify, ["--order"], dict(order=20)),
     "critical": (cmd_critical, ["--eps", "--precision-bits"], dict(eps=0.02, precision_bits=256)),
 }
+
+# bethe solves at one point: its --q and --s take exactly one value
+ONE_VALUE = {"bethe": ("--q", "--s")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, flags, defaults) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         for flag in flags + ["--out", "--format"]:
-            sp.add_argument(flag, **FLAGS[flag])
+            one = {"nargs": None} if flag in ONE_VALUE.get(name, ()) else {}
+            sp.add_argument(flag, **{**FLAGS[flag], **one})
         sp.set_defaults(func=fn, **defaults)
     return p
 

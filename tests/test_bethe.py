@@ -10,6 +10,42 @@ from hypothesis import given, settings, strategies as st
 from potts_sd import bethe
 from potts_sd.errors import DomainError
 from potts_sd.lattice import dominant_eigenvalue, double_row_matrix
+from potts_sd.params import SpectralParams
+
+
+def phi_reference(z, q, w):
+    """The log-form defect Phi_j, one cmath.log per factor and per pair."""
+    N = len(z)
+    out = np.empty(N, dtype=complex)
+    for j in range(N):
+        zj = z[j]
+        val = -(2 * N + 2) * cmath.log(zj) + 2j * math.pi * (j + 1)
+        val += 2 * N * (
+            cmath.log(1 - w * zj)
+            + cmath.log(1 - q * zj / w)
+            - cmath.log(1 - w / zj)
+            - cmath.log(1 - q / (w * zj))
+        )
+        for m in range(N):
+            if m == j:
+                continue
+            zm = z[m]
+            val -= (
+                cmath.log(1 - q * zj * zm)
+                + cmath.log(1 - q * zj / zm)
+                - cmath.log(1 - q * zm / zj)
+                - cmath.log(1 - q / (zj * zm))
+            )
+        out[j] = val
+    return out
+
+
+def random_root_set(N, seed):
+    """N points of the upper half plane with |z| in [0.6, 1.4], and (q, w)
+    small enough that no factor of Phi comes near its log's branch cut."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(0.6, 1.4, N) * np.exp(1j * rng.uniform(0.1, math.pi - 0.1, N))
+    return z, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.3, 0.8))
 
 
 def test_initial_roots_small_cases():
@@ -145,3 +181,34 @@ def test_surface_convergence_exponential_regime():
     assert all(a > b for a, b in zip(devs, devs[1:]))
     assert tab.decay_rate < 0.5
     assert devs[-1] < 1e-6
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 16])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log_residual_matches_scalar_reference(N, seed):
+    z, q, w = random_root_set(N, seed)
+    assert np.max(np.abs(bethe._log_residual_vec(z, q, w) - phi_reference(z, q, w))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 16])
+def test_jacobian_matches_central_differences(N):
+    # Phi is holomorphic in each root, so a real step gives d Phi / d z_m
+    z, q, w = random_root_set(N, 10 + N)
+    h = 1e-5
+    fd = np.empty((N, N), dtype=complex)
+    for m in range(N):
+        e = np.zeros(N)
+        e[m] = h
+        fd[:, m] = (phi_reference(z + e, q, w) - phi_reference(z - e, q, w)) / (2 * h)
+    J = bethe._jacobian(z, q, w)
+    assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
+
+
+@pytest.mark.parametrize("q,s,N", [(0.2, 1.0, 16), (0.3, 1.0, 12)])
+def test_every_continuation_step_solves_its_own_equations(q, s, N):
+    # root j carries branch integer k_j = -j along the whole path: a step
+    # that permuted the roots would leave residuals of 2 pi multiples
+    sp = SpectralParams.from_q_s(q, s)
+    br = bethe.solve(N, sp.q, sp.w)
+    tol = bethe.HomotopySchedule().newton_tol
+    assert max(r for _, r in br.trace) <= tol

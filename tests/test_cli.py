@@ -69,6 +69,8 @@ def test_bethe_subcommand(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["roots"]["residual"] <= 1e-12
+    assert d["roots"]["newton_iterations"] >= len(d["roots"]["trace"])
+    assert d["roots"]["halvings"] >= 0
     a = complex(*d["eigenvalue_product_form"])
     b = complex(*d["eigenvalue_r_form"])
     assert abs(a - b) <= 1e-11 * abs(a)
@@ -209,6 +211,8 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         ["eval", "--route", ""],
         ["bethe", "--q"],
         ["bethe", "--s"],
+        ["bethe", "--q", "0.1", "0.3", "--N", "4"],
+        ["bethe", "--s", "1", "2"],
     ],
 )
 def test_usage_errors_exit_one(argv, capsys):
