@@ -110,8 +110,8 @@ def _jacobian(z: np.ndarray, q: float, w: float) -> np.ndarray:
     J = (gP - gR) / z
     diag = gP + gR
     np.fill_diagonal(diag, 0)
-    y = np.array([w * z, q * z / w, w / z, q / (w * z)])
-    d = -(2 * N + 2) - 2 * N * (y / (1 - y)).sum(axis=0) + diag.sum(axis=1)
+    b = np.array([w * z, q * z / w, w / z, q / (w * z)])
+    d = -(2 * N + 2) - 2 * N * (b / (1 - b)).sum(axis=0) + diag.sum(axis=1)
     np.fill_diagonal(J, d / z)
     return J
 
