@@ -561,45 +561,16 @@ def derive_from_inversion(order: int = DEFAULT_ORDER, n_max: int | None = None) 
 
 @dataclass(frozen=True)
 class CriticalParams:
-    """Trig/critical parameterization: mu, v for Q < 4; eps for the Q -> 4 side.
+    """Trig parameterization of the Q < 4 side: Q = 4 cos(mu)^2."""
 
-    Q = 4 cos(mu)^2 when mu is real; q = exp(-2 pi eps) and its conjugate
-    q' = exp(-2 pi / eps) satisfy log(q) log(q') = 4 pi^2.
-    """
-
-    mu: float | None = None
-    v: float | None = None
-    eps: float | None = None
+    mu: float
+    v: float
 
     @classmethod
     def for_surface(cls, mu: float, v: float) -> "CriticalParams":
         if not 0 < v < mu < math.pi / 2:
             raise DomainError("surface integral requires 0 < v < mu < pi/2")
         return cls(mu=mu, v=v)
-
-    @classmethod
-    def from_eps(cls, eps: float) -> "CriticalParams":
-        if eps <= 0:
-            raise DomainError("eps must be positive")
-        return cls(eps=eps)
-
-    @property
-    def Q(self) -> float:
-        if self.mu is None:
-            raise DomainError("Q from mu requires mu")
-        return 4 * math.cos(self.mu) ** 2
-
-    @property
-    def q(self) -> float:
-        if self.eps is None:
-            raise DomainError("q from eps requires eps")
-        return math.exp(-2 * math.pi * self.eps)
-
-    @property
-    def qprime(self) -> float:
-        if self.eps is None:
-            raise DomainError("q' from eps requires eps")
-        return math.exp(-2 * math.pi / self.eps)
 
 
 def ob_surface_integrand(y: float, mu: float, v: float) -> float:
@@ -625,8 +596,6 @@ def ob_surface_integral(cp: CriticalParams, rel_nodes: int = 1) -> float:
     from scipy.integrate import quad
 
     mu, v = cp.mu, cp.v
-    if mu is None or v is None:
-        raise DomainError("surface integral needs mu and v")
     decay = 4 * mu - 2 * v
     ycut = max(80.0 / decay, 40.0)
     val, err = quad(
@@ -646,9 +615,6 @@ def ob_surface_integral(cp: CriticalParams, rel_nodes: int = 1) -> float:
 
 @dataclass
 class ContinuationDiagnostics:
-    first_sum: float
-    closed_form: float
-    defect: float
     correction_magnitude: float
     correction_complex: complex | None
 
@@ -658,17 +624,14 @@ def fs_continuation_check(
 ) -> ContinuationDiagnostics:
     """Diagnostics for the small-lam singular structure of f_s.
 
-    The regular part of the continuation is the same Lambert sum as the
-    closed form (their difference is identically zero and is reported as a
-    numeric defect).  The singular part decays like exp(-pi^2/(2 lam)); its
-    term-by-term magnitude uses |i + (-1)^((n-1)/2)| = sqrt(2), and the
-    complex-valued form is only produced behind the feature flag.
+    The regular part of the continuation is the closed-form Lambert sum
+    itself (``f_surface_v(sp, form="sum")``), so only the singular part is
+    computed here.  It decays like exp(-pi^2/(2 lam)); its term-by-term
+    magnitude uses |i + (-1)^((n-1)/2)| = sqrt(2), and the complex-valued
+    form is only produced behind the feature flag.
     """
     if not 0 < u < lam / 2:
         raise DomainError("requires 0 < u < lam/2")
-    sp = SpectralParams.from_lam_u(lam, u)
-    first = f_surface_v(sp, form="sum")
-    closed = f_surface_v(sp, form="sum")
     mag_terms = []
     cplx = 0j if include_complex_correction else None
     n = 1
@@ -684,9 +647,6 @@ def fs_continuation_check(
             break
         n += 2
     return ContinuationDiagnostics(
-        first_sum=first,
-        closed_form=closed,
-        defect=abs(first - closed),
         correction_magnitude=math.fsum(mag_terms),
         correction_complex=cplx,
     )

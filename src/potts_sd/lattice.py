@@ -44,7 +44,7 @@ which makes truncation at order T exact (see ``_series_z_normalized``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -192,7 +192,6 @@ def sector_states(N: int):
 class SixVertexWeights:
     """Scalar weights of one parameter point in some coefficient ring."""
 
-    N: int
     w_odd: tuple  # T1 internal weight set (K1 rows)
     w_even: tuple  # T2 internal weight set (K2 rows)
     b_down: object  # boundary weight for (down, up) pairs: e^{lam/2}
@@ -231,7 +230,6 @@ class SixVertexWeights:
             elam = (rQ + 1j * math.sqrt(4 - Q)) / 2
             half = cmath.sqrt(elam)
         return cls(
-            N=0,
             w_odd=(1, 1, x1, x1, 1 + x1 * elam, 1 + x1 / elam),
             w_even=(x2, x2, 1, 1, x2 + elam, x2 + 1 / elam),
             b_down=half,
@@ -244,7 +242,7 @@ class SixVertexWeights:
         ielam = 1 / elam
         w_odd = (1, 1, x1, x1, 1 + x1 * elam, 1 + x1 * ielam)
         w_even = (x2, x2, 1, 1, x2 + elam, x2 + ielam)
-        return cls(N=0, w_odd=w_odd, w_even=w_even, b_down=ehalf, b_up=1 / ehalf)
+        return cls(w_odd=w_odd, w_even=w_even, b_down=ehalf, b_up=1 / ehalf)
 
     @classmethod
     def homogeneous(cls, q, x, elam):
@@ -252,7 +250,7 @@ class SixVertexWeights:
         ielam = 1 / elam
         w = (1, 1, x, x, 1 + x * elam, 1 + x * ielam)
         half = math.sqrt(elam)
-        return cls(N=0, w_odd=w, w_even=w, b_down=half, b_up=1 / half)
+        return cls(w_odd=w, w_even=w, b_down=half, b_up=1 / half)
 
 
 def _apply_vertex(vec: dict, i: int, j: int, w: tuple) -> dict:
@@ -610,62 +608,31 @@ def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
 # spin-basis transfer matrices (the combined operator route)
 # ----------------------------------------------------------------------------
 
-POTTS_DENSE_MAX = 3 * 10**5
+TRANSFER_MAX_DIM = 4096
 
 
-@dataclass
-class TransferOperator:
-    """Linear map on the Q^N spin row space, applied site-structured.
-
-    kind 'V' is exp(K2)-symmetrized: V = T2^{1/2} T1 T2^{1/2}; 'T1' and
-    'T2' are the bare row factors.  Complex entries appear only at
-    coupling-inverted points, where exp(K2) < 0.
-    """
-
-    N: int
-    Q: int
-    kind: str
-    t1_diag: np.ndarray | None
-    site: np.ndarray | None  # Q x Q single-site factor for T2-type maps
-    site_is_sqrt: bool = False
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return self.Q**self.N
-
-    def _apply_site_all(self, v: np.ndarray) -> np.ndarray:
-        Q, N = self.Q, self.N
-        w = v.reshape((Q,) * N)
-        for axis in range(N):
-            w = np.tensordot(self.site, w, axes=([1], [axis]))
-            w = np.moveaxis(w, 0, axis)
-        return w.reshape(-1)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "T1":
-            return self.t1_diag * v
-        if self.kind == "T2":
-            return self._apply_site_all(v)
-        out = self._apply_site_all(v)
-        out = self.t1_diag * out
-        return self._apply_site_all(out)
-
-    def to_dense(self) -> np.ndarray:
-        if self.dim > 4096:
-            raise SizeGuardError("dense form limited to dimension 4096")
-        eye = np.eye(self.dim, dtype=complex if np.iscomplexobj(self.site) or (
-            self.t1_diag is not None and np.iscomplexobj(self.t1_diag)) else float)
-        cols = [self.apply(eye[:, k]) for k in range(self.dim)]
-        return np.stack(cols, axis=1)
+def _spin_dim(N: int, Q: int) -> int:
+    """Q^N, the size of the spin-row space, guarded before any allocation."""
+    dim = Q**N
+    if dim > TRANSFER_MAX_DIM:
+        raise SizeGuardError(f"Q^N = {dim} exceeds the dense transfer-matrix guard {TRANSFER_MAX_DIM}")
+    return dim
 
 
 def _t1_diagonal(N: int, Q: int, eK1: float) -> np.ndarray:
-    diag = np.ones(Q**N)
-    states = np.arange(Q**N)
+    states = np.arange(_spin_dim(N, Q))
     digits = (states[:, None] // (Q ** np.arange(N))[None, :]) % Q
     eq = (digits[:, :-1] == digits[:, 1:]).sum(axis=1)
     return np.asarray(eK1, dtype=float) ** eq if eK1 > 0 else (eK1 + 0j) ** eq
+
+
+def _kron_power(site: np.ndarray, N: int) -> np.ndarray:
+    """site (x) ... (x) site, N factors: a site-local map on every spin of the row."""
+    _spin_dim(N, len(site))
+    out = site
+    for _ in range(N - 1):
+        out = np.kron(out, site)
+    return out
 
 
 def _site_matrix(Q: int, eK2) -> np.ndarray:
@@ -694,61 +661,35 @@ def _site_sqrt(Q: int, eK2, allow_complex: bool = False) -> np.ndarray:
     return s1 * (I - J) + s2 * J
 
 
-def potts_transfer_V(N: int, Q: int, eK1, eK2, *, allow_complex: bool = False) -> TransferOperator:
-    """V = T2^{1/2} T1 T2^{1/2} on the Q^N spin space (site-structured apply)."""
-    if Q**N > POTTS_DENSE_MAX:
-        raise SizeGuardError(f"Q^N = {Q**N} exceeds the operator guard")
-    return TransferOperator(
-        N=N,
-        Q=Q,
-        kind="V",
-        t1_diag=_t1_diagonal(N, Q, eK1),
-        site=_site_sqrt(Q, eK2, allow_complex),
-        site_is_sqrt=True,
-        meta={"eK1": eK1, "eK2": eK2},
-    )
+def potts_transfer_V(N: int, Q: int, eK1, eK2, *, allow_complex: bool = False) -> np.ndarray:
+    """V = T2^{1/2} T1 T2^{1/2} on the Q^N spin rows.
+
+    Complex entries appear only at coupling-inverted points, where
+    exp(K2) < 0 (pass ``allow_complex``).
+    """
+    S = _kron_power(_site_sqrt(Q, eK2, allow_complex), N)
+    return S @ (_t1_diagonal(N, Q, eK1)[:, None] * S)
 
 
-def potts_transfer_T1(N: int, Q: int, eK1) -> TransferOperator:
-    return TransferOperator(N=N, Q=Q, kind="T1", t1_diag=_t1_diagonal(N, Q, eK1), site=None)
+def potts_transfer_T1(N: int, Q: int, eK1) -> np.ndarray:
+    """The diagonal K1 row factor: exp(K1 * equal horizontal pairs)."""
+    return np.diag(_t1_diagonal(N, Q, eK1))
 
 
-def potts_transfer_T2(N: int, Q: int, eK2) -> TransferOperator:
-    return TransferOperator(N=N, Q=Q, kind="T2", t1_diag=None, site=_site_matrix(Q, eK2))
+def potts_transfer_T2(N: int, Q: int, eK2) -> np.ndarray:
+    """The K2 row factor: the site matrix (exp(K2) on the diagonal, 1 off it) on every spin."""
+    return _kron_power(_site_matrix(Q, eK2), N)
 
 
-def max_eigenvalue(op: TransferOperator, tol: float = 1e-12, max_iter: int = 20000):
-    """Dominant eigenpair: dense symmetric solve when small, else power iteration."""
-    dim = op.dim
-    if dim <= 2048:
-        dense = op.to_dense()
-        if np.iscomplexobj(dense):
-            vals, vecs = np.linalg.eig(dense)
-            k = int(np.argmax(np.abs(vals)))
-            val, vec = vals[k], vecs[:, k]
-        else:
-            vals, vecs = np.linalg.eigh((dense + dense.T) / 2)
-            k = int(np.argmax(vals))
-            val, vec = vals[k], vecs[:, k]
-        resid = np.linalg.norm(op.apply(vec) - val * vec) / max(abs(val), 1e-300)
-        if resid > 1e-10:
-            raise ConvergenceError(f"dense eigenpair residual {resid}")
-        return val, vec
-    v = np.ones(dim) / math.sqrt(dim)
-    lam_old = 0.0
-    for it in range(max_iter):
-        w = op.apply(v)
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            raise ConvergenceError("power iteration hit the zero vector")
-        v = w / nw
-        if it > 2 and abs(lam - lam_old) <= tol * abs(lam):
-            resid = np.linalg.norm(op.apply(v) - lam * v) / abs(lam)
-            if resid <= 1e-10:
-                return lam, v
-        lam_old = lam
-    raise ConvergenceError("power iteration did not converge")
+def max_eigenvalue(mat: np.ndarray):
+    """Dominant eigenpair of a real symmetric transfer matrix."""
+    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
+    k = int(np.argmax(vals))
+    val, vec = vals[k], vecs[:, k]
+    resid = np.linalg.norm(mat @ vec - val * vec) / max(abs(val), 1e-300)
+    if resid > 1e-10:
+        raise ConvergenceError(f"dense eigenpair residual {resid}")
+    return val, vec
 
 
 # ----------------------------------------------------------------------------

@@ -27,42 +27,6 @@ POLE_RTOL = 1e-10  # relative distance below which named pole errors fire
 CROSS_CHECK_RTOL = 1e-12
 
 
-def _is_mpf(x) -> bool:
-    return type(x).__module__.startswith("mpmath")
-
-
-def _log(x):
-    if _is_mpf(x):
-        import mpmath
-
-        return mpmath.log(x)
-    return math.log(x)
-
-
-def _sinh(x):
-    if _is_mpf(x):
-        import mpmath
-
-        return mpmath.sinh(x)
-    return math.sinh(x)
-
-
-def _cosh(x):
-    if _is_mpf(x):
-        import mpmath
-
-        return mpmath.cosh(x)
-    return math.cosh(x)
-
-
-def _sqrt(x):
-    if _is_mpf(x):
-        import mpmath
-
-        return mpmath.sqrt(x)
-    return math.sqrt(x)
-
-
 @dataclass(frozen=True)
 class SpectralParams:
     """The point (q, w) together with its derived views."""
@@ -82,11 +46,11 @@ class SpectralParams:
 
     @property
     def lam(self):
-        return -_log(self.q) / 2
+        return -math.log(self.q) / 2
 
     @property
     def u(self):
-        return -_log(self.w) / 2
+        return -math.log(self.w) / 2
 
     @property
     def t(self):
@@ -94,7 +58,7 @@ class SpectralParams:
 
     @property
     def s(self):
-        return self.w2 / _sqrt(self.q)
+        return self.w2 / math.sqrt(self.q)
 
     @property
     def Q(self):
@@ -113,14 +77,13 @@ class SpectralParams:
         """Anisotropy form: w**2 = s * q**(1/2)."""
         if s <= 0:
             raise DomainError(f"s must be positive, got {s}")
-        return cls(q, _sqrt(s * _sqrt(q)))
+        return cls(q, math.sqrt(s * math.sqrt(q)))
 
     @classmethod
     def from_lam_u(cls, lam, u) -> "SpectralParams":
         if lam <= 0:
             raise DomainError(f"lam must be positive, got {lam}")
-        e = math.exp if not _is_mpf(lam) else __import__("mpmath").exp
-        return cls(e(-2 * lam), e(-2 * u))
+        return cls(math.exp(-2 * lam), math.exp(-2 * u))
 
 
 @dataclass(frozen=True)
@@ -136,13 +99,13 @@ class CouplingParams:
     def K1(self):
         if self.eK1 <= 0:
             raise DomainError("K1 undefined: exp(K1) <= 0 outside the physical strip")
-        return _log(self.eK1)
+        return math.log(self.eK1)
 
     @property
     def K2(self):
         if self.eK2 <= 0:
             raise DomainError("K2 undefined: exp(K2) <= 0 outside the physical strip")
-        return _log(self.eK2)
+        return math.log(self.eK2)
 
 
 def _check_pole(value, pole_at, name: str):
@@ -165,7 +128,7 @@ def couplings(sp: SpectralParams, cross_check: bool = True) -> CouplingParams:
     eK1 = (w2 / q) * (1 - q * q / w2) / (1 - w2)
     eK2 = (1 / w2) * (1 - q * w2) / (1 - q / w2)
     if cross_check:
-        lam, u = float(sp.lam), float(sp.u)
+        lam, u = sp.lam, sp.u
         margin = min(abs(w2 - q) / q, abs(1 - w2))
         tol = CROSS_CHECK_RTOL + 1e-15 / max(float(margin), 1e-15)
         h1 = math.sinh(2 * lam - 2 * u) / math.sinh(2 * u)
@@ -174,7 +137,7 @@ def couplings(sp: SpectralParams, cross_check: bool = True) -> CouplingParams:
             1.0, abs(eK2)
         ):
             raise ArithmeticError("rational and hyperbolic coupling routes disagree")
-    x = (w2 - q) / (_sqrt(q) * (1 - w2))
+    x = (w2 - q) / (math.sqrt(q) * (1 - w2))
     return CouplingParams(Q=sp.Q, x=x, eK1=eK1, eK2=eK2)
 
 
@@ -188,12 +151,11 @@ def dual_couplings(K1, K2, Q, swap_rows: bool = True):
     and the self-dual point swaps the couplings, (K1, K2) -> (K2, K1).
     Either form is an involution.
     """
-    e = math.exp if not _is_mpf(K1) else __import__("mpmath").exp
-    eK1, eK2 = e(K1), e(K2)
+    eK1, eK2 = math.exp(K1), math.exp(K2)
     if eK1 <= 1 or eK2 <= 1:
         raise DomainError("dual couplings require exp(K) > 1 on both bonds")
-    d1 = _log((eK1 + Q - 1) / (eK1 - 1))
-    d2 = _log((eK2 + Q - 1) / (eK2 - 1))
+    d1 = math.log((eK1 + Q - 1) / (eK1 - 1))
+    d2 = math.log((eK2 + Q - 1) / (eK2 - 1))
     if swap_rows:
         return d2, d1
     return d1, d2
@@ -218,7 +180,7 @@ def delta(sp: SpectralParams, cross_check: bool = True):
     val = eK2 + sp.Q - 1
     if cross_check:
         lam, u = sp.lam, sp.u
-        hyp = 2 * _cosh(lam) * _sinh(2 * lam - 2 * u) / _sinh(lam - 2 * u)
+        hyp = 2 * math.cosh(lam) * math.sinh(2 * lam - 2 * u) / math.sinh(lam - 2 * u)
         if abs(hyp - val) > CROSS_CHECK_RTOL * max(1.0, abs(val)):
             raise ArithmeticError("Delta routes disagree beyond 1e-12")
     return val
@@ -231,7 +193,7 @@ def inversion_image(sp: SpectralParams) -> SpectralParams:
 
 def rotation_image(sp: SpectralParams) -> SpectralParams:
     """u -> lam/2 - u, i.e. w -> sqrt(q)/w (and s -> 1/s)."""
-    return SpectralParams(sp.q, _sqrt(sp.q) / sp.w)
+    return SpectralParams(sp.q, math.sqrt(sp.q) / sp.w)
 
 
 def solve_q_from_Q(Q):
@@ -239,7 +201,7 @@ def solve_q_from_Q(Q):
     if Q <= 4:
         raise DomainError(f"Q must exceed 4, got {Q}")
     b = Q - 2
-    return (b - _sqrt(b * b - 4)) / 2
+    return (b - math.sqrt(b * b - 4)) / 2
 
 
 @dataclass(frozen=True)

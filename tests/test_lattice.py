@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from potts_sd import cli, closedform as cf, lattice
-from potts_sd.errors import DomainError, ExtractionError, SizeGuardError
+from potts_sd.errors import ConvergenceError, DomainError, ExtractionError, SizeGuardError
 from potts_sd.lattice import (
     LatticeSpec,
     SixVertexWeights,
@@ -20,6 +20,7 @@ from potts_sd.lattice import (
     fk_partition,
     max_eigenvalue,
     potts_bruteforce,
+    potts_transfer_T1,
     potts_transfer_T2,
     potts_transfer_V,
     sector_states,
@@ -277,7 +278,7 @@ def test_t2_eigenvector_all_ones():
     eK2 = 1.7
     t2 = potts_transfer_T2(N, Q, eK2)
     ones = np.ones(Q**N)
-    out = t2.apply(ones)
+    out = t2 @ ones
     assert np.allclose(out, (eK2 + Q - 1) ** N * ones, rtol=1e-12)
     # and delta() is that combination at a (q, w)-consistent Q
     sp = SpectralParams(0.2, 0.6)
@@ -289,22 +290,25 @@ def test_transfer_V_N1_is_T2():
     Q = 3
     sp = SpectralParams(0.2, 0.6)
     cp = couplings(sp)
-    v = potts_transfer_V(1, Q, cp.eK1, cp.eK2).to_dense()
-    t2 = potts_transfer_T2(1, Q, cp.eK2).to_dense()
+    v = potts_transfer_V(1, Q, cp.eK1, cp.eK2)
+    t2 = potts_transfer_T2(1, Q, cp.eK2)
     assert np.allclose(v, t2, rtol=1e-12)
 
 
 def test_transfer_V_hand_check_Q2_N2():
-    # V = S T1 S with S = (B^{1/2})^{x2}, B = [[e,1],[1,e]]
+    # V = S T1 S with S = (B^{1/2})^{x2}, B = [[e,1],[1,e]] at Q = 2 (and
+    # its Q = 3 analogue)
     eK1, eK2 = 1.8, 1.5
-    v = potts_transfer_V(2, 2, eK1, eK2).to_dense()
-    b = np.array([[eK2, 1.0], [1.0, eK2]])
-    vals, vecs = np.linalg.eigh(b)
-    bs = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
-    S = np.kron(bs, bs)
-    # spin rows 00,10,01,11 in base-Q little-endian order; T1 weight e^{K1 [s0=s1]}
-    t1 = np.diag([eK1, 1.0, 1.0, eK1])
-    assert np.allclose(v, S @ t1 @ S, atol=1e-12)
+    for Q in (2, 3):
+        v = potts_transfer_V(2, Q, eK1, eK2)
+        b = np.ones((Q, Q)) + (eK2 - 1) * np.eye(Q)
+        vals, vecs = np.linalg.eigh(b)
+        bs = vecs @ np.diag(np.sqrt(vals)) @ vecs.T
+        S = np.kron(bs, bs)
+        # spin rows s0 + Q*s1 (00,10,01,11 at Q = 2) in base-Q little-endian
+        # order; T1 weight e^{K1 [s0=s1]}
+        t1 = np.diag([eK1 if s0 == s1 else 1.0 for s1 in range(Q) for s0 in range(Q)])
+        assert np.allclose(v, S @ t1 @ S, atol=1e-12)
 
 
 def test_V_at_zero_coupling():
@@ -322,6 +326,22 @@ def test_max_eigenvalue_T2_rank_structure():
     assert val == pytest.approx((cp.eK2 + Q - 1) ** N, rel=1e-12)
     v = vec / vec[0]
     assert np.allclose(v, np.ones(Q**N), atol=1e-10)
+
+
+def test_transfer_matrices_guard_the_spin_dimension():
+    # 3^8 = 6561 spin rows exceed the dense guard of 4096
+    with pytest.raises(SizeGuardError):
+        potts_transfer_T2(8, 3, 1.5)
+    with pytest.raises(SizeGuardError):
+        potts_transfer_V(8, 3, 1.8, 1.5)
+    with pytest.raises(SizeGuardError):
+        potts_transfer_T1(8, 3, 1.8)
+
+
+def test_max_eigenvalue_rejects_a_non_symmetric_matrix():
+    # the symmetric solve's eigenpair misses [[1,1],[0,2]]; the residual says so
+    with pytest.raises(ConvergenceError):
+        max_eigenvalue(np.array([[1.0, 1.0], [0.0, 2.0]]))
 
 
 def test_transfer_V_not_positive_definite_rejected():
