@@ -23,7 +23,7 @@ brute-force lattices):
 
   T2 rows appear M-1 times, alternating with T1.  They carry the K2 set
       (x2, x2, 1, 1, x2 + e^lam, x2 + e^-lam)
-  on N vertices coupling pairs (2j, 2j+1)... shifted: pairs (0,1), (2,3), ...
+  on N vertices coupling the pairs (2j, 2j+1) for j = 0..N-1.
 
   Per vertex, writing the down-bits of the (left, right) edges below and
   above, the six configurations map
@@ -38,7 +38,8 @@ Pair layout: T2 rows couple (0,1),(2,3),...,(2N-2,2N-1); T1 rows couple
 
 The exact series route contracts in a gauge where every local weight has
 nonnegative t-degree and the dominant configuration carries exactly t^0,
-which makes truncation at order T exact (see ``_series_z_normalized``).
+which makes truncation at order T exact; there the boundaries and the
+edge-0 pass-through are vertex tables too (see ``_series_z_normalized``).
 """
 
 from __future__ import annotations
@@ -356,15 +357,23 @@ def apply_row(vec: dict, N: int, weights: SixVertexWeights, kind: str) -> dict:
 # ----------------------------------------------------------------------------
 #
 # Gauged integer-polynomial weights.  Amplitudes are dicts
-# {(tdeg, sdeg): int}; every local move has nonnegative t-degree, the
-# dominant configuration (down arrows on even bit positions) picks up
-# exactly degree 0, so dropping any term of degree > T is exact.  The
-# factored-out unit denominators are restored once at the end:
+# {(tdeg, sdeg): int} keyed by 2N-bit states.  A table maps each vertex
+# move, named by its weights in the module docstring ("00" w1, "11" w2,
+# "35" w3, "46" w4, "5" w5, "6" w6), to (coeff, tdeg, sdeg) monomials; a
+# move the table lacks has weight 0.  The contraction is one fold of
+# ``_apply_vertex_poly`` over (i, j, table) moves, boundaries included,
+# from the dominant state (down arrows on the even bits) at amplitude 1:
+# ``_BOTTOM`` on each pair keeps (down, up) at 1 and hops to (up, down) at
+# t^2, and ``_TOP`` maps both back onto (down, up) at 1 and drops 00 and 11,
+# leaving the dominant state's amplitude.  The edge-0 pass-through of a T1
+# row (t^2 when up; edge 2N-1 passes at 1) is folded into the pair-(0, 1)
+# vertex just before the row (``_pass_through``).  Every move has
+# nonnegative t-degree and the dominant configuration picks up exactly
+# degree 0, so dropping any term of degree > T is exact.  The factored-out
+# unit denominators are restored once at the end:
 #
 #   t^{2MN} Z_6V = (contraction) * u1^{M(N-1)} * u2^{N(M-1)},
 #   u1 = 1/(1 - s t^2),  u2 = 1/(1 - t^2/s).
-#
-# Weight tables: entries are tuples of (coeff, tdeg, sdeg) monomials.
 
 _T1_GAUGED = {
     "00": ((1, 2, 0), (-1, 4, 1)),  # t^2 (1 - s t^2)
@@ -376,12 +385,19 @@ _T1_GAUGED = {
 }
 _T2_GAUGED = {
     "00": ((1, 0, -1), (-1, 2, 0)),  # 1/s - t^2
-    "11": ((1, 2, -1), (-1, 4, 0)),  # t^2/s - t^4... times: t^2 (1/s - t^2)
+    "11": ((1, 2, -1), (-1, 4, 0)),  # t^2 (1/s - t^2)
     "35": ((1, 2, 0), (-1, 4, -1)),  # hop right: t^2 (1 - t^2/s)
     "46": ((1, 0, 0), (-1, 2, -1)),  # hop left: 1 - t^2/s
     "5": ((1, 0, 0), (-1, 4, 0)),  # stay (1,0): 1 - t^4
     "6": ((1, 0, -1), (-1, 4, -1)),  # stay (0,1): (1 - t^4)/s
 }
+_BOTTOM = {"5": ((1, 0, 0),), "35": ((1, 2, 0),)}  # (down, up): 1, hop to (up, down): t^2
+_TOP = {"5": ((1, 0, 0),), "46": ((1, 0, 0),)}  # (down, up) and (up, down) -> (down, up): 1
+
+
+def _pass_through(table: dict) -> dict:
+    """``table`` times the T1 edge-0 weight: t^2 on every move that leaves the left edge up."""
+    return {k: tuple((c, dt + 2, ds) for c, dt, ds in v) if k in ("00", "35", "6") else v for k, v in table.items()}
 
 
 def _poly_mul_add(dst: dict, src: dict, mono, order: int):
@@ -412,14 +428,7 @@ def _apply_vertex_poly(vec: dict, i: int, j: int, table: dict, order: int) -> di
         if not dst:
             del out[state]
 
-    t00, t11, t35, t46, t5, t6 = (
-        table["00"],
-        table["11"],
-        table["35"],
-        table["46"],
-        table["5"],
-        table["6"],
-    )
+    t00, t11, t35, t46, t5, t6 = (table.get(k, ()) for k in ("00", "11", "35", "46", "5", "6"))
     for state, amp in vec.items():
         a = state & bi
         b = state & bj
@@ -439,67 +448,27 @@ def _apply_vertex_poly(vec: dict, i: int, j: int, table: dict, order: int) -> di
 def _series_z_normalized(spec: LatticeSpec, order: int) -> dict:
     """t^{2MN} Z_6V / (u1^{M(N-1)} u2^{N(M-1)}) as {(tdeg, sdeg): int}.
 
-    T1 pass-through gauge: edge 0 keeps weight 1 when down and t^2 when up;
-    edge 2N-1 keeps weight 1 either way.  Boundary pairs carry 1 for
-    (down, up) and t^2 for (up, down) at the bottom, and 1 at the top.
+    One fold of ``_apply_vertex_poly``: the bottom boundary, T1 (T2 T1)^(M-1)
+    and the top boundary, each a row of vertex tables.  The pair-(0, 1)
+    vertex before each T1 row carries that row's edge-0 pass-through.
     """
     M, N = spec.M, spec.N
 
-    # bottom boundary
-    vec: dict = {0: {(0, 0): 1}}
-    for j in range(N):
-        nxt = {}
-        for state, amp in vec.items():
-            nxt[state | (1 << (2 * j))] = dict(amp)
-            up = {}
-            _poly_mul_add(up, amp, (1, 2, 0), order)
-            if up:
-                nxt[state | (1 << (2 * j + 1))] = up
-        vec = nxt
+    def pairs(first, rest):
+        return [(0, 1, first)] + [(2 * j, 2 * j + 1, rest) for j in range(1, N)]
 
-    def t1_row(v):
-        # pass-through at edge 0: weight t^2 when edge 0 is up
-        out = {}
-        for state, amp in v.items():
-            if state & 1:
-                out[state] = dict(amp)
-            else:
-                dst = {}
-                _poly_mul_add(dst, amp, (1, 2, 0), order)
-                if dst:
-                    out[state] = dst
-        v = out
-        for k in range(1, N):
-            v = _apply_vertex_poly(v, 2 * k - 1, 2 * k, _T1_GAUGED, order)
-        return v
-
-    def t2_row(v):
-        for j in range(N):
-            v = _apply_vertex_poly(v, 2 * j, 2 * j + 1, _T2_GAUGED, order)
-        return v
-
-    vec = t1_row(vec)
-    for _ in range(M - 1):
-        vec = t2_row(vec)
-        vec = t1_row(vec)
-
-    # top boundary: weight 1 per pair, one down arrow per pair enforced
-    total: dict = {}
-    for state, amp in vec.items():
-        ok = True
-        for j in range(N):
-            pair = (state >> (2 * j)) & 3
-            if pair not in (1, 2):
-                ok = False
-                break
-        if ok:
-            for key, v in amp.items():
-                nv = total.get(key, 0) + v
-                if nv:
-                    total[key] = nv
-                else:
-                    del total[key]
-    return total
+    t1 = [(2 * k - 1, 2 * k, _T1_GAUGED) for k in range(1, N)]
+    moves = (
+        pairs(_pass_through(_BOTTOM), _BOTTOM)
+        + t1
+        + (M - 1) * (pairs(_pass_through(_T2_GAUGED), _T2_GAUGED) + t1)
+        + pairs(_TOP, _TOP)
+    )
+    dominant = sum(1 << (2 * j) for j in range(N))
+    vec: dict = {dominant: {(0, 0): 1}}
+    for i, j, table in moves:
+        vec = _apply_vertex_poly(vec, i, j, table, order)
+    return vec.get(dominant, {})
 
 
 def series_logZ(spec: LatticeSpec, order: int) -> TruncatedSeries:

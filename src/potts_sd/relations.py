@@ -45,7 +45,7 @@ from .lattice import (
     max_eigenvalue,
     series_logZ,  # noqa: F401  (an alias perfbench/selftest.py checks the tracer wraps)
 )
-from .params import SpectralParams, couplings, delta, xi
+from .params import SpectralParams, couplings, delta, inversion_image, solve_q_from_Q, xi
 
 NUMERIC_TOL = 1e-11
 
@@ -106,14 +106,22 @@ def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None 
 
     Exact (Fraction couplings -> zero defect demanded) or float.  When an
     ``sp`` consistent with Q is supplied, xi's hyperbolic product form is
-    cross-checked against the algebraic (e^{K2}-route) value.
+    cross-checked against the algebraic (e^{K2}-route) value, and the
+    algebraic inverted couplings must equal ``couplings(inversion_image(sp))``
+    to NUMERIC_TOL; without that, T1(u)T1(lam-u) = 1 holds by construction.
     """
     exact = isinstance(eK1, Fraction) and isinstance(eK2, Fraction)
     eK1i, eK2i, xival = _dual_values(Q, eK1, eK2)
+    details = {"xi": xival}
+    image_ok = True
     if sp is not None:
         xh = xi(sp)
         if abs(xh - xival) > 1e-11 * max(1.0, abs(xival)):
             raise DomainError("sp inconsistent with the supplied couplings")
+        cpi = couplings(inversion_image(sp))
+        image = max(abs(a - b) / max(1.0, abs(a)) for a, b in ((eK1i, cpi.eK1), (eK2i, cpi.eK2)))
+        details["inversion_image_defect"] = float(image)
+        image_ok = image <= NUMERIC_TOL
 
     if exact:
         defects = []
@@ -139,15 +147,14 @@ def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None 
                 target = xival if a == b else Fraction(0)
                 defects.append(abs(acc - target))
         md = max(defects)
-        passed = md == 0
         return IdentityReport(
             identity="transfer_inversion",
             points=[{"Q": str(Q), "eK1": str(eK1), "eK2": str(eK2)}],
             max_defect=float(md),
             tol=0.0,
-            passed=passed,
+            passed=md == 0 and image_ok,
             ring="rational",
-            details={"xi": xival},
+            details=details,
         )
     t1 = potts_transfer_T1(N, Q, float(eK1))
     t1i = potts_transfer_T1(N, Q, float(eK1i))
@@ -161,9 +168,9 @@ def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None 
         points=[{"Q": Q, "eK1": eK1, "eK2": eK2}],
         max_defect=md,
         tol=NUMERIC_TOL,
-        passed=md <= NUMERIC_TOL,
+        passed=md <= NUMERIC_TOL and image_ok,
         ring="float",
-        details={"xi": xival},
+        details=details,
     )
 
 
@@ -244,15 +251,11 @@ def _numeric_defects(sp: SpectralParams) -> dict:
     # f_c depends on q alone, so u -> lam-u leaves it fixed; check its sum against its product
     out["inversion_corner"] = abs(cf.f_corner(q) - cf.f_corner(q, "product"))
 
-    out["rotation_bulk"] = abs(
-        cf.f_bulk(sp) - cf.f_bulk(SpectralParams(q, math.sqrt(w2r)))
-    ) / max(abs(cf.f_bulk(sp)), 1e-300)
-    out["rotation_surface_sv"] = abs(
-        cf.f_surface_v(sp) - cf.f_surface_h(SpectralParams(q, math.sqrt(w2r)))
-    ) / max(abs(cf.f_surface_v(sp)), 1e-300)
-    out["rotation_surface_hs"] = abs(
-        cf.f_surface_h(sp) - cf.f_surface_v(SpectralParams(q, math.sqrt(w2r)))
-    ) / max(abs(cf.f_surface_h(sp)), 1e-300)
+    rot = SpectralParams(q, math.sqrt(w2r))
+    fb, fs, fsp = cf.f_bulk(sp), cf.f_surface_v(sp), cf.f_surface_h(sp)
+    out["rotation_bulk"] = abs(fb - cf.f_bulk(rot)) / max(abs(fb), 1e-300)
+    out["rotation_surface_sv"] = abs(fs - cf.f_surface_h(rot)) / max(abs(fs), 1e-300)
+    out["rotation_surface_hs"] = abs(fsp - cf.f_surface_v(rot)) / max(abs(fsp), 1e-300)
     out["rotation_corner"] = 0.0
     return out
 
@@ -389,10 +392,12 @@ def run_default_suite(order: int = 20):
     reports = []
     reports.append(verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
     reports.append(verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)))
-    sp = _sp_from(0.2, 0.3)
+    # a self-dual point at integer Q, so sp and the spin matrices agree
+    Q = 5
+    sp = _sp_from(solve_q_from_Q(Q), 0.3)
     cp = couplings(sp)
-    reports.append(verify_matrix_inversion(3, 3, cp.eK1, cp.eK2))
-    reports.append(verify_VV(2, 3, cp.eK1, cp.eK2))
+    reports.append(verify_matrix_inversion(3, Q, cp.eK1, cp.eK2, sp=sp))
+    reports.append(verify_VV(2, Q, cp.eK1, cp.eK2))
     reports.extend(verify_free_energy_relations_numeric())
     reports.extend(verify_free_energy_relations_series(order))
     return reports

@@ -167,6 +167,18 @@ def test_series_logz_matches_numeric_evaluation():
     assert val == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("M, N", [(m, n) for m in range(1, 4) for n in range(2, 5)])
+def test_series_contraction_equals_exact_rational_oracle(M, N):
+    # at its top degree the normalised contraction is an exact polynomial;
+    # evaluate it at a rational point against the generic six-vertex contraction
+    spec = LatticeSpec(M, N)
+    raw = lattice._series_z_normalized(spec, 4 * spec.n_edges + 2 * (M + N))
+    t, s = Fraction(1, 3), Fraction(2, 5)
+    z6, _ = sixvertex_equivalent_potts(spec, RationalPoint(t, s))
+    expected = t ** (2 * M * N) * z6 * (1 - s * t * t) ** (M * (N - 1)) * (1 - t * t / s) ** (N * (M - 1))
+    assert sum(c * t**td * s**sd for (td, sd), c in raw.items()) == expected
+
+
 def rectangles(K):
     """Every (m, n) with m, n >= 1 and m + n <= K."""
     return {(m, n) for m in range(1, K) for n in range(1, K + 1 - m)}

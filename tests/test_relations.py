@@ -7,7 +7,7 @@ import pytest
 from potts_sd import cli, closedform as cf
 from potts_sd import relations
 from potts_sd.lattice import extraction_table, max_eigenvalue, potts_transfer_V
-from potts_sd.params import SpectralParams, couplings, xi
+from potts_sd.params import SpectralParams, couplings, rotation_image, xi
 from potts_sd.qseries import TruncatedSeries
 
 
@@ -35,6 +35,18 @@ def test_matrix_inversion_rejects_inconsistent_sp():
     sp = SpectralParams(0.2, 0.6)
     with pytest.raises(Exception):
         relations.verify_matrix_inversion(2, 3, 1.5, 1.4, sp=sp)
+
+
+def test_transfer_inversion_row_checks_the_inversion_image(monkeypatch, capsys):
+    # e^{K1(lam-u)} = 1/e^{K1(u)} by construction, so T1(u)T1(lam-u) = 1 alone
+    # cannot fail; the float row must also match the couplings at lam - u
+    row = next(r for r in relations.run_default_suite(8) if r.identity == "transfer_inversion" and r.ring == "float")
+    assert row.passed and row.points[0]["Q"] == 5
+    assert row.details["inversion_image_defect"] <= 1e-11
+    monkeypatch.setattr(relations, "inversion_image", rotation_image)
+    failed = [(r.identity, r.ring) for r in relations.run_default_suite(8) if not r.passed]
+    assert failed == [("transfer_inversion", "float")]
+    assert cli.main(["verify", "--order", "8"]) == 2
 
 
 def test_vv_exact():
