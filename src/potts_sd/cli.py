@@ -163,7 +163,7 @@ def cmd_lattice(args) -> int:
     M, N = args.M, args.N
     spec = lattice.LatticeSpec(M, N)
     t0 = time.time()
-    s = lattice.series_logZ(spec, order)
+    s = lattice.series_logZ(spec, order)[-1]
     _emit(
         {
             "command": "lattice",

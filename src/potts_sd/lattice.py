@@ -445,12 +445,15 @@ def _apply_vertex_poly(vec: dict, i: int, j: int, table: dict, order: int) -> di
     return out
 
 
-def _series_z_normalized(spec: LatticeSpec, order: int) -> dict:
-    """t^{2MN} Z_6V / (u1^{M(N-1)} u2^{N(M-1)}) as {(tdeg, sdeg): int}.
+def _series_z_normalized(spec: LatticeSpec, order: int) -> list:
+    """[t^{2mN} Z_6V / (u1^{m(N-1)} u2^{N(m-1)}) for m = 1..M], each {(tdeg, sdeg): int}.
 
-    One fold of ``_apply_vertex_poly``: the bottom boundary, T1 (T2 T1)^(M-1)
-    and the top boundary, each a row of vertex tables.  The pair-(0, 1)
-    vertex before each T1 row carries that row's edge-0 pass-through.
+    One fold of ``_apply_vertex_poly`` over the bottom boundary and T1
+    (T2 T1)^(M-1), each a row of vertex tables; the pair-(0, 1) vertex
+    before each T1 row carries that row's edge-0 pass-through.  After the
+    m-th T1 row the top boundary row is folded onto that row's vector
+    (``_apply_vertex_poly`` builds new dicts, so the sweep goes on from it
+    intact), leaving the height-m contraction in the dominant state.
     """
     M, N = spec.M, spec.N
 
@@ -458,53 +461,63 @@ def _series_z_normalized(spec: LatticeSpec, order: int) -> dict:
         return [(0, 1, first)] + [(2 * j, 2 * j + 1, rest) for j in range(1, N)]
 
     t1 = [(2 * k - 1, 2 * k, _T1_GAUGED) for k in range(1, N)]
-    moves = (
-        pairs(_pass_through(_BOTTOM), _BOTTOM)
-        + t1
-        + (M - 1) * (pairs(_pass_through(_T2_GAUGED), _T2_GAUGED) + t1)
-        + pairs(_TOP, _TOP)
-    )
+    t2_t1 = pairs(_pass_through(_T2_GAUGED), _T2_GAUGED) + t1
+    rows = [pairs(_pass_through(_BOTTOM), _BOTTOM) + t1] + (M - 1) * [t2_t1]
     dominant = sum(1 << (2 * j) for j in range(N))
     vec: dict = {dominant: {(0, 0): 1}}
-    for i, j, table in moves:
-        vec = _apply_vertex_poly(vec, i, j, table, order)
-    return vec.get(dominant, {})
+    heights = []
+    for row in rows:
+        # rebind vec per vertex, so no row-start vector stays alive
+        for i, j, table in row:
+            vec = _apply_vertex_poly(vec, i, j, table, order)
+        top = vec
+        for i, j, table in pairs(_TOP, _TOP):
+            top = _apply_vertex_poly(top, i, j, table, order)
+        heights.append(top.get(dominant, {}))
+    return heights
 
 
-def series_logZ(spec: LatticeSpec, order: int) -> TruncatedSeries:
-    """log(q^{MN} Z_P) as an exact TruncatedSeries (constant term 0).
+def series_logZ(spec: LatticeSpec, order: int) -> list:
+    """[log(q^{mN} Z_P) on m rows by N columns for m = 1..M], exact TruncatedSeries
+    (constant term 0), all from one sweep of ``_series_z_normalized``.
 
-    The ground-state factor q^{-MN} (minimal t-degree of Z_P) is the only
+    The ground-state factor q^{-mN} (minimal t-degree of Z_P) is the only
     non-series part of log Z_P and is factored out exactly:
-    log Z_P = -MN log q + series_logZ.
+    log Z_P = -mN log q + series_logZ(spec, order)[m - 1].
     """
-    M, N = spec.M, spec.N
-    raw = _series_z_normalized(spec, order)
-    coeffs: dict = {}
-    for (td, sd), v in raw.items():
-        p = coeffs.setdefault(td, {})
-        p[sd] = p.get(sd, 0) + v
-    zpoly = TruncatedSeries(order, {d: LaurentPolyS(p) for d, p in coeffs.items()})
-    # log of the contraction plus the factored unit denominators
+    N = spec.N
     log_u1 = log_geometric_inverse(1, 2, 1, order)
     log_u2 = log_geometric_inverse(1, 2, -1, order)
     log_1pt4 = -log_geometric_inverse(-1, 4, 0, order)
-    return zpoly.log() + M * (N - 1) * log_u1 + N * (M - 1) * log_u2 + M * N * log_1pt4
+    out = []
+    for m, raw in enumerate(_series_z_normalized(spec, order), 1):
+        coeffs: dict = {}
+        for (td, sd), v in raw.items():
+            p = coeffs.setdefault(td, {})
+            p[sd] = p.get(sd, 0) + v
+        zpoly = TruncatedSeries(order, {d: LaurentPolyS(p) for d, p in coeffs.items()})
+        # log of the contraction plus the factored unit denominators
+        out.append(zpoly.log() + m * (N - 1) * log_u1 + N * (m - 1) * log_u2 + m * N * log_1pt4)
+    return out
 
 
 def extraction_table(order: int, map=map) -> dict:
     """G(m, n) = series_logZ on every rectangle ``extract_free_energies`` needs.
 
     With K = order//2 + 2 the table holds all m, n >= 1 with m + n <= K + 1;
-    the last diagonal is the spare one.  Only (1, 2) and the cells with
-    m >= n >= 2 are contracted, through ``map``, so no contraction is wider
-    than min(m, n).  (n, m) is the s -> 1/s image of (m, n), G(1, 1) =
+    the last diagonal is the spare one.  One sweep per width n = 2 ..
+    (K+1)//2, on ``LatticeSpec(K + 1 - n, n)`` through ``map``, gives every
+    height; (1, 2) and the cells with m >= n are kept, so no contraction is
+    wider than min(m, n).  (n, m) is the s -> 1/s image of (m, n), G(1, 1) =
     log(q Q) = 2 log(1 + t^4), and one row is a free chain, whose G(1, n) is
     linear in n.
     """
     K = order // 2 + 2
-    cells = [(1, 2)] + [(m, n) for n in range(2, (K + 1) // 2 + 1) for m in range(n, K + 2 - n)]
-    table = dict(zip(cells, map(lambda mn: series_logZ(LatticeSpec(*mn), order), cells)))
+    specs = [LatticeSpec(K + 1 - n, n) for n in range(2, (K + 1) // 2 + 1)]
+    table = {}
+    for spec, column in zip(specs, map(lambda spec: series_logZ(spec, order), specs)):
+        n = spec.N
+        table.update({(m, n): g for m, g in enumerate(column, 1) if m >= n or (m, n) == (1, 2)})
     g11 = -2 * log_geometric_inverse(-1, 4, 0, order)
     step = table[(1, 2)] - g11
     table.update({(1, n): g11 + (n - 1) * step for n in (1, *range(3, K + 1))})

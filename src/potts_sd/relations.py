@@ -101,26 +101,34 @@ def _dual_values(Q, eK1, eK2):
     return eK1i, eK2i, x
 
 
+def _inversion_image_defect(sp: SpectralParams, eK1i, eK2i, xival) -> float:
+    """Relative distance of the algebraic inverted couplings from ``couplings(inversion_image(sp))``.
+
+    xi's hyperbolic product form is first cross-checked against the
+    algebraic (e^{K2}-route) value, so ``sp`` must be consistent with Q.
+    """
+    if abs(xi(sp) - xival) > 1e-11 * max(1.0, abs(xival)):
+        raise DomainError("sp inconsistent with the supplied couplings")
+    cpi = couplings(inversion_image(sp))
+    return float(max(abs(a - b) / max(1.0, abs(a)) for a, b in ((eK1i, cpi.eK1), (eK2i, cpi.eK2))))
+
+
 def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> IdentityReport:
     """T1(u)T1(lam-u) = 1 and T2(u)T2(lam-u) = xi^N 1.
 
     Exact (Fraction couplings -> zero defect demanded) or float.  When an
-    ``sp`` consistent with Q is supplied, xi's hyperbolic product form is
-    cross-checked against the algebraic (e^{K2}-route) value, and the
-    algebraic inverted couplings must equal ``couplings(inversion_image(sp))``
-    to NUMERIC_TOL; without that, T1(u)T1(lam-u) = 1 holds by construction.
+    ``sp`` consistent with Q is supplied, the algebraic inverted couplings
+    must equal ``couplings(inversion_image(sp))`` to NUMERIC_TOL
+    (``_inversion_image_defect``); without that, T1(u)T1(lam-u) = 1 holds
+    by construction.
     """
     exact = isinstance(eK1, Fraction) and isinstance(eK2, Fraction)
     eK1i, eK2i, xival = _dual_values(Q, eK1, eK2)
     details = {"xi": xival}
     image_ok = True
     if sp is not None:
-        xh = xi(sp)
-        if abs(xh - xival) > 1e-11 * max(1.0, abs(xival)):
-            raise DomainError("sp inconsistent with the supplied couplings")
-        cpi = couplings(inversion_image(sp))
-        image = max(abs(a - b) / max(1.0, abs(a)) for a, b in ((eK1i, cpi.eK1), (eK2i, cpi.eK2)))
-        details["inversion_image_defect"] = float(image)
+        image = _inversion_image_defect(sp, eK1i, eK2i, xival)
+        details["inversion_image_defect"] = image
         image_ok = image <= NUMERIC_TOL
 
     if exact:
@@ -174,7 +182,7 @@ def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None 
     )
 
 
-def verify_VV(N: int, Q: int, eK1, eK2) -> IdentityReport:
+def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> IdentityReport:
     """V(u)V(lam-u) = xi^N 1, plus the paired-eigenvalue corollary.
 
     Exact mode (Fraction inputs) verifies the square-root-free equivalent:
@@ -183,11 +191,13 @@ def verify_VV(N: int, Q: int, eK1, eK2) -> IdentityReport:
     T2(u)^{1/2} T2(lam-u)^{1/2} the scalar (i sqrt(-xi))^N (principal
     branches; sign conditions asserted), from which the product collapses
     to xi^N algebraically.  Float mode multiplies the complex matrices.
+    As in ``verify_matrix_inversion``, an ``sp`` consistent with Q makes the
+    inverted couplings meet ``couplings(inversion_image(sp))``.
     """
     exact = isinstance(eK1, Fraction) and isinstance(eK2, Fraction)
     eK1i, eK2i, xival = _dual_values(Q, eK1, eK2)
     if exact:
-        base = verify_matrix_inversion(N, Q, eK1, eK2)
+        base = verify_matrix_inversion(N, Q, eK1, eK2, sp=sp)
         duu = (eK2 + Q - 1) * (eK2i + Q - 1) - xival
         dee = (eK2 - 1) * (eK2i - 1) - xival
         sign_ok = (eK2 + Q - 1) > 0 and (eK2i + Q - 1) < 0 and (eK2 - 1) > 0 and (eK2i - 1) < 0
@@ -214,6 +224,10 @@ def verify_VV(N: int, Q: int, eK1, eK2) -> IdentityReport:
     corr = abs(val * lam_inv - xival**N) / abs(xival) ** N
     passed = md <= NUMERIC_TOL and corr <= 1e-10
     sign_ok = (xival**N > 0) == (N % 2 == 0)
+    details = {"eigen_corollary_defect": float(corr), "xi_sign_alternates": sign_ok}
+    if sp is not None:
+        details["inversion_image_defect"] = _inversion_image_defect(sp, eK1i, eK2i, xival)
+        passed = passed and details["inversion_image_defect"] <= NUMERIC_TOL
     return IdentityReport(
         identity="combined_transfer_inversion",
         points=[{"Q": Q, "eK1": eK1, "eK2": eK2}],
@@ -221,7 +235,7 @@ def verify_VV(N: int, Q: int, eK1, eK2) -> IdentityReport:
         tol=NUMERIC_TOL,
         passed=passed and sign_ok,
         ring="float",
-        details={"eigen_corollary_defect": float(corr), "xi_sign_alternates": sign_ok},
+        details=details,
     )
 
 
@@ -397,7 +411,7 @@ def run_default_suite(order: int = 20):
     sp = _sp_from(solve_q_from_Q(Q), 0.3)
     cp = couplings(sp)
     reports.append(verify_matrix_inversion(3, Q, cp.eK1, cp.eK2, sp=sp))
-    reports.append(verify_VV(2, Q, cp.eK1, cp.eK2))
+    reports.append(verify_VV(2, Q, cp.eK1, cp.eK2, sp=sp))
     reports.extend(verify_free_energy_relations_numeric())
     reports.extend(verify_free_energy_relations_series(order))
     return reports

@@ -133,6 +133,44 @@ def test_sector_preserved_under_full_contraction():
         assert all(bin(s).count("1") == N for s in vec)
 
 
+def reference_z_normalized(spec, order):
+    """The single-rectangle fold: bottom, T1 (T2 T1)^(M-1), then top, in one
+    move list, reading the dominant state once at height M."""
+    M, N = spec.M, spec.N
+
+    def pairs(first, rest):
+        return [(0, 1, first)] + [(2 * j, 2 * j + 1, rest) for j in range(1, N)]
+
+    t1 = [(2 * k - 1, 2 * k, lattice._T1_GAUGED) for k in range(1, N)]
+    t2 = lattice._T2_GAUGED
+    moves = (
+        pairs(lattice._pass_through(lattice._BOTTOM), lattice._BOTTOM)
+        + t1
+        + (M - 1) * (pairs(lattice._pass_through(t2), t2) + t1)
+        + pairs(lattice._TOP, lattice._TOP)
+    )
+    dominant = sum(1 << (2 * j) for j in range(N))
+    vec = {dominant: {(0, 0): 1}}
+    for i, j, table in moves:
+        vec = lattice._apply_vertex_poly(vec, i, j, table, order)
+    return vec.get(dominant, {})
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_sweep_heights_equal_single_rectangle_folds(n):
+    # every height of the width-n sweep against its own fold from scratch;
+    # the widths 2..5 cover every rectangle the t^16 gate table contracts
+    sweep = lattice._series_z_normalized(LatticeSpec(GATE_ORDER // 2 + 3 - n, n), GATE_ORDER)
+    assert len(sweep) == GATE_ORDER // 2 + 3 - n
+    for m, raw in enumerate(sweep, 1):
+        assert raw == reference_z_normalized(LatticeSpec(m, n), GATE_ORDER), (m, n)
+
+
+@pytest.mark.parametrize("M, N", [(6, 6), (9, 5)])
+def test_sweep_top_equals_single_rectangle_fold_at_t20(M, N):
+    assert lattice._series_z_normalized(LatticeSpec(M, N), 20)[-1] == reference_z_normalized(LatticeSpec(M, N), 20)
+
+
 def test_series_logz_1x2_oracle():
     # log(q^2 Z_P) with Z_P = Q e^{K1} + Q(Q-1), expanded symbolically
     T = 16
@@ -144,14 +182,15 @@ def test_series_logz_1x2_oracle():
     q2 = term(1, 8, 0)
     zp = q2 * Q * sqrtQ * x1 + q2 * Q * Q
     assert zp.coeff(0) == 1
-    assert series_logZ(LatticeSpec(1, 2), T) == zp.log()
+    assert series_logZ(LatticeSpec(1, 2), T) == [zp.log()]
 
 
 def test_series_logz_transpose_covariance():
     T = 10
     a = series_logZ(LatticeSpec(3, 4), T)
     b = series_logZ(LatticeSpec(4, 3), T)
-    assert a.subst_s_inv() == b
+    assert a[-1].subst_s_inv() == b[-1]
+    assert a[1].subst_s_inv() == series_logZ(LatticeSpec(4, 2), T)[-1]
 
 
 def test_series_logz_matches_numeric_evaluation():
@@ -160,7 +199,7 @@ def test_series_logz_matches_numeric_evaluation():
     T = 28
     pt = RationalPoint(Fraction(1, 5), Fraction(1, 1))
     spec = LatticeSpec(3, 3)
-    s = series_logZ(spec, T)
+    s = series_logZ(spec, T)[-1]
     val = float(s.eval(pt.t, pt.s))
     _, zp = sixvertex_equivalent_potts(spec, pt)
     expected = math.log(float(pt.q) ** 9 * float(zp))
@@ -170,13 +209,16 @@ def test_series_logz_matches_numeric_evaluation():
 @pytest.mark.parametrize("M, N", [(m, n) for m in range(1, 4) for n in range(2, 5)])
 def test_series_contraction_equals_exact_rational_oracle(M, N):
     # at its top degree the normalised contraction is an exact polynomial;
-    # evaluate it at a rational point against the generic six-vertex contraction
+    # evaluate every height of one sweep at a rational point against the
+    # generic six-vertex contraction
     spec = LatticeSpec(M, N)
-    raw = lattice._series_z_normalized(spec, 4 * spec.n_edges + 2 * (M + N))
+    sweep = lattice._series_z_normalized(spec, 4 * spec.n_edges + 2 * (M + N))
+    assert len(sweep) == M
     t, s = Fraction(1, 3), Fraction(2, 5)
-    z6, _ = sixvertex_equivalent_potts(spec, RationalPoint(t, s))
-    expected = t ** (2 * M * N) * z6 * (1 - s * t * t) ** (M * (N - 1)) * (1 - t * t / s) ** (N * (M - 1))
-    assert sum(c * t**td * s**sd for (td, sd), c in raw.items()) == expected
+    for m, raw in enumerate(sweep, 1):
+        z6, _ = sixvertex_equivalent_potts(LatticeSpec(m, N), RationalPoint(t, s))
+        expected = t ** (2 * m * N) * z6 * (1 - s * t * t) ** (m * (N - 1)) * (1 - t * t / s) ** (N * (m - 1))
+        assert sum(c * t**td * s**sd for (td, sd), c in raw.items()) == expected, m
 
 
 def rectangles(K):
@@ -236,16 +278,17 @@ def test_extraction_enforces_stabilization_bound():
 
 def test_real_extraction_small_order():
     T = 8
-    contracted = []
+    swept = []
 
-    def recording_map(fn, cells):
-        contracted.extend(cells)
-        return map(fn, cells)
+    def recording_map(fn, specs):
+        swept.extend(specs)
+        return map(fn, specs)
 
     table = extraction_table(T, map=recording_map)
     assert set(table) == rectangles(7)
-    # (1, 2) and m >= n >= 2 only: no contraction is wider than T/4 + 1 = 3
-    assert sorted(contracted) == [(1, 2), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]
+    # one sweep per width, reaching the spare diagonal m + n = T/2 + 3: no
+    # contraction is wider than T/4 + 1 = 3
+    assert swept == [LatticeSpec(5, 2), LatticeSpec(4, 3)]
     bundle = extract_free_energies(table, T)
     assert set(bundle.meta["rectangles"]) == rectangles(6)
     assert set(bundle.meta["spare_diagonal"]) == rectangles(7) - rectangles(6)
@@ -266,10 +309,10 @@ def test_extraction_detects_a_faulty_kernel_weight(monkeypatch):
 
 def test_builder_shortcuts_equal_direct_contractions():
     T = 12
-    assert series_logZ(LatticeSpec(3, 5), T) == series_logZ(LatticeSpec(5, 3), T).subst_s_inv()
+    assert series_logZ(LatticeSpec(3, 5), T)[-1] == series_logZ(LatticeSpec(5, 3), T)[-1].subst_s_inv()
     table = extraction_table(T)
     for n in range(2, 9):
-        assert table[(1, n)] == series_logZ(LatticeSpec(1, n), T)
+        assert table[(1, n)] == series_logZ(LatticeSpec(1, n), T)[-1]
 
 
 def test_cluster_terms_on_the_gate_table(gate_logz_table):

@@ -38,14 +38,17 @@ def test_matrix_inversion_rejects_inconsistent_sp():
 
 
 def test_transfer_inversion_row_checks_the_inversion_image(monkeypatch, capsys):
-    # e^{K1(lam-u)} = 1/e^{K1(u)} by construction, so T1(u)T1(lam-u) = 1 alone
-    # cannot fail; the float row must also match the couplings at lam - u
-    row = next(r for r in relations.run_default_suite(8) if r.identity == "transfer_inversion" and r.ring == "float")
-    assert row.passed and row.points[0]["Q"] == 5
-    assert row.details["inversion_image_defect"] <= 1e-11
+    # e^{K1(lam-u)} = 1/e^{K1(u)} by construction, so T1(u)T1(lam-u) = 1 and
+    # V(u)V(lam-u) = xi^N 1 alone cannot fail; both float rows must also match
+    # the couplings at lam - u
+    rows = [r for r in relations.run_default_suite(8) if r.ring == "float" and "transfer_inversion" in r.identity]
+    assert [r.identity for r in rows] == ["transfer_inversion", "combined_transfer_inversion"]
+    for row in rows:
+        assert row.passed and row.points[0]["Q"] == 5
+        assert row.details["inversion_image_defect"] <= 1e-11
     monkeypatch.setattr(relations, "inversion_image", rotation_image)
     failed = [(r.identity, r.ring) for r in relations.run_default_suite(8) if not r.passed]
-    assert failed == [("transfer_inversion", "float")]
+    assert failed == [("transfer_inversion", "float"), ("combined_transfer_inversion", "float")]
     assert cli.main(["verify", "--order", "8"]) == 2
 
 
