@@ -35,6 +35,14 @@ from .params import SpectralParams
 
 RESIDUAL_TOL = 1e-12
 COLLISION_TOL = 1e-8
+# continuation schedule: t starts at T_START and grows by STEP_RATIO per
+# step; each failed step halves the ratio's excess over 1, at most
+# MAX_HALVINGS times; each point takes at most MAX_NEWTON Newton steps
+T_START = 0.04
+STEP_RATIO = 1.2
+NEWTON_TOL = 1e-13
+MAX_NEWTON = 60
+MAX_HALVINGS = 40
 
 
 @dataclass
@@ -49,15 +57,6 @@ class BetheRoots:
     trace: list = field(default_factory=list)
     newton_iterations: int = 0  # Newton steps on the accepted continuation path
     halvings: int = 0  # rejected continuation steps, each halving the step ratio
-
-
-@dataclass
-class HomotopySchedule:
-    t_start: float = 0.04
-    ratio: float = 1.2
-    newton_tol: float = 1e-13
-    max_newton: int = 60
-    max_halvings: int = 40
 
 
 def initial_roots(N: int) -> np.ndarray:
@@ -130,13 +129,13 @@ def _check_invariants(z: np.ndarray):
         raise ContinuationError("root met an inverse pair")
 
 
-def _newton(z: np.ndarray, q: float, w: float, tol: float, max_iter: int) -> tuple[np.ndarray, float, int]:
+def _newton(z: np.ndarray, q: float, w: float) -> tuple[np.ndarray, float, int]:
     """Damped Newton on the log form from ``z``: the solved set, its
     residual max |Phi_j| and the number of Newton steps taken."""
-    for steps in range(max_iter):
+    for steps in range(MAX_NEWTON):
         F = _log_residual_vec(z, q, w)
         res = float(np.max(np.abs(F)))
-        if res < tol:
+        if res < NEWTON_TOL:
             return z, res, steps
         step = np.linalg.solve(_jacobian(z, q, w), F)
         # trust region: cap the relative step and stay in the half plane
@@ -152,7 +151,7 @@ def _newton(z: np.ndarray, q: float, w: float, tol: float, max_iter: int) -> tup
     raise ConvergenceError("Newton iteration did not converge")
 
 
-def solve(N: int, q: float, w: float, schedule: HomotopySchedule | None = None) -> BetheRoots:
+def solve(N: int, q: float, w: float) -> BetheRoots:
     """Continue the roots from the (q, w) -> 0 configuration to (q, w).
 
     The path fixes s = w^2/sqrt(q) and ramps t = q^{1/4} geometrically;
@@ -160,30 +159,28 @@ def solve(N: int, q: float, w: float, schedule: HomotopySchedule | None = None) 
     its branch integer along the path, so no step re-matches the roots.
     The solved set is canonical: sorted by argument, residual <= 1e-12.
     """
-    if schedule is None:
-        schedule = HomotopySchedule()
     sp = SpectralParams(q, w)
     s = sp.s
     t_target = sp.t
-    t = min(schedule.t_start, t_target)
+    t = min(T_START, t_target)
 
     def point(tv):
         return tv**4, math.sqrt(s * tv * tv)
 
-    z, res, iterations = _newton(initial_roots(N), *point(t), schedule.newton_tol, schedule.max_newton)
+    z, res, iterations = _newton(initial_roots(N), *point(t))
     _check_invariants(z)
     trace = [(t, res)]
 
     halvings = 0
-    ratio = schedule.ratio
+    ratio = STEP_RATIO
     while t < t_target:
         t_next = min(t * ratio, t_target)
         try:
-            zn, res, steps = _newton(z, *point(t_next), schedule.newton_tol, schedule.max_newton)
+            zn, res, steps = _newton(z, *point(t_next))
             _check_invariants(zn)
         except (ConvergenceError, ContinuationError):
             halvings += 1
-            if halvings > schedule.max_halvings:
+            if halvings > MAX_HALVINGS:
                 raise ContinuationError("continuation step underflow", trace)
             ratio = 1 + (ratio - 1) / 2
             continue
@@ -242,7 +239,7 @@ class SurfaceConvergenceTable:
     extrapolated_power: float | None
 
 
-def surface_convergence(Nmax: int, q: float, w: float, schedule: HomotopySchedule | None = None) -> SurfaceConvergenceTable:
+def surface_convergence(Nmax: int, q: float, w: float) -> SurfaceConvergenceTable:
     """Finite-N surface free energy from the solved eigenvalue.
 
     f_s^(N) = -N f_b - (N/2) log Q + N log x - log L2 converges to the
@@ -265,7 +262,7 @@ def surface_convergence(Nmax: int, q: float, w: float, schedule: HomotopySchedul
 
     rows = []
     for N in range(2, Nmax + 1):
-        br = solve(N, q, w, schedule)
+        br = solve(N, q, w)
         lam2, lam2b = eigenvalue(br, q, w)
         if abs(lam2 - lam2b) > 1e-12 * abs(lam2):
             raise ConvergenceError("eigenvalue representations disagree")

@@ -56,7 +56,7 @@ class _Undetermined:
 UNDETERMINED = _Undetermined()
 
 
-def _certified_sum(term_fn, ratios, max_terms=_MAX_TERMS):
+def _certified_sum(term_fn, ratios):
     """Sum term_fn(n) for n >= 1 with a geometric tail certificate.
 
     ``ratios`` lists (amplitude, r) pairs such that |term(m)| <=
@@ -70,7 +70,7 @@ def _certified_sum(term_fn, ratios, max_terms=_MAX_TERMS):
     terms = []
     partial = 0.0
     n = 1
-    while n <= max_terms:
+    while n <= _MAX_TERMS:
         t = term_fn(n)
         terms.append(t)
         partial += t
@@ -556,84 +556,20 @@ def derive_from_inversion(order: int = DEFAULT_ORDER, n_max: int | None = None) 
 
 
 # ----------------------------------------------------------------------------
-# critical region (Q -> 4+) and the Q < 4 surface integral
+# critical region (Q -> 4+)
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriticalParams:
-    """Trig parameterization of the Q < 4 side: Q = 4 cos(mu)^2."""
-
-    mu: float
-    v: float
-
-    @classmethod
-    def for_surface(cls, mu: float, v: float) -> "CriticalParams":
-        if not 0 < v < mu < math.pi / 2:
-            raise DomainError("surface integral requires 0 < v < mu < pi/2")
-        return cls(mu=mu, v=v)
-
-
-def ob_surface_integrand(y: float, mu: float, v: float) -> float:
-    """Integrand of the Q < 4 surface free energy (even in y, finite at 0)."""
-    if abs(y) < 1e-8:
-        return 2 * v * (math.pi - 2 * mu) / math.pi
-    b1 = 2 * math.sinh(2 * v * y) / y
-    b2 = (
-        math.sinh((math.pi - 2 * mu) * y)
-        * math.cosh((math.pi - mu) * y)
-        * math.cosh(mu * y)
-        / (math.sinh(2 * math.pi * y) * math.cosh(2 * mu * y))
-    )
-    return b1 * b2
-
-
-def ob_surface_integral(cp: CriticalParams, rel_nodes: int = 1) -> float:
-    """Surface free energy for Q < 4 via quadrature of the half-line integral.
-
-    ``rel_nodes`` scales the subdivision limit so callers can check
-    stability under node doubling.
-    """
-    from scipy.integrate import quad
-
-    mu, v = cp.mu, cp.v
-    decay = 4 * mu - 2 * v
-    ycut = max(80.0 / decay, 40.0)
-    val, err = quad(
-        ob_surface_integrand,
-        0.0,
-        ycut,
-        args=(mu, v),
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200 * rel_nodes,
-    )
-    integral = 2 * val  # even integrand: full line = twice the half line
-    if err > 1e-10:
-        raise ConvergenceError(f"quadrature error estimate {err} exceeds 1e-10")
-    return math.log(math.sin((mu + v) / 2) / math.sin((mu - v) / 2)) - integral
-
-
-@dataclass
-class ContinuationDiagnostics:
-    correction_magnitude: float
-    correction_complex: complex | None
-
-
-def fs_continuation_check(
-    lam: float, u: float, include_complex_correction: bool = False
-) -> ContinuationDiagnostics:
-    """Diagnostics for the small-lam singular structure of f_s.
+def fs_continuation_check(lam: float, u: float) -> float:
+    """Magnitude of the small-lam singular part of f_s.
 
     The regular part of the continuation is the closed-form Lambert sum
     itself (``f_surface_v(sp, form="sum")``), so only the singular part is
     computed here.  It decays like exp(-pi^2/(2 lam)); its term-by-term
-    magnitude uses |i + (-1)^((n-1)/2)| = sqrt(2), and the complex-valued
-    form is only produced behind the feature flag.
+    magnitude uses |i + (-1)^((n-1)/2)| = sqrt(2).
     """
     if not 0 < u < lam / 2:
         raise DomainError("requires 0 < u < lam/2")
     mag_terms = []
-    cplx = 0j if include_complex_correction else None
     n = 1
     while True:
         e = math.exp(-math.pi**2 * n / (2 * lam))
@@ -641,32 +577,23 @@ def fs_continuation_check(
             break
         amp = 4 * math.sinh(math.pi * n * (lam - 2 * u) / (2 * lam)) * e / (n * (1 - e))
         mag_terms.append(math.sqrt(2.0) * abs(amp))
-        if include_complex_correction:
-            cplx += (1j + (-1) ** ((n - 1) // 2)) * amp
         if n > 3 and mag_terms[-1] < 1e-18 * sum(mag_terms):
             break
         n += 2
-    return ContinuationDiagnostics(
-        correction_magnitude=math.fsum(mag_terms),
-        correction_complex=cplx,
-    )
+    return math.fsum(mag_terms)
 
 
-def singular_decay_fit(lams=None, u_frac: float = 0.25):
+def singular_decay_fit():
     """Fit log |singular part| against 1/lam; the slope should be -pi^2/2.
 
-    Fixing u = u_frac * lam makes the sinh prefactor lam-independent, so the
-    fit isolates the exponential decay rate.
+    Fixing u = lam/4 makes the sinh prefactor lam-independent, so the fit
+    isolates the exponential decay rate.
     """
     import numpy as np
 
-    if lams is None:
-        lams = [0.35 + 0.05 * i for i in range(8)]
-    xs, ys = [], []
-    for lam in lams:
-        d = fs_continuation_check(lam, u_frac * lam)
-        xs.append(1.0 / lam)
-        ys.append(math.log(d.correction_magnitude))
+    lams = [0.35 + 0.05 * i for i in range(8)]
+    xs = [1.0 / lam for lam in lams]
+    ys = [math.log(fs_continuation_check(lam, 0.25 * lam)) for lam in lams]
     slope, _ = np.polyfit(np.asarray(xs), np.asarray(ys), 1)
     return float(slope), -math.pi**2 / 2
 

@@ -246,7 +246,7 @@ class SixVertexWeights:
         return cls(w_odd=w_odd, w_even=w_even, b_down=ehalf, b_up=1 / ehalf)
 
     @classmethod
-    def homogeneous(cls, q, x, elam):
+    def homogeneous(cls, x, elam):
         """Both row types carry the K1 weight set (the Bethe-solvable model)."""
         ielam = 1 / elam
         w = (1, 1, x, x, 1 + x * elam, 1 + x * ielam)
@@ -506,14 +506,14 @@ def extraction_table(order: int, map=map) -> dict:
 
     With K = order//2 + 2 the table holds all m, n >= 1 with m + n <= K + 1;
     the last diagonal is the spare one.  One sweep per width n = 2 ..
-    (K+1)//2, on ``LatticeSpec(K + 1 - n, n)`` through ``map``, gives every
-    height; (1, 2) and the cells with m >= n are kept, so no contraction is
-    wider than min(m, n).  (n, m) is the s -> 1/s image of (m, n), G(1, 1) =
-    log(q Q) = 2 log(1 + t^4), and one row is a free chain, whose G(1, n) is
-    linear in n.
+    max(2, (K+1)//2), on ``LatticeSpec(K + 1 - n, n)`` through ``map``,
+    gives every height; (1, 2) and the cells with m >= n are kept, so no
+    contraction is wider than min(m, n).  (n, m) is the s -> 1/s image of
+    (m, n), G(1, 1) = log(q Q) = 2 log(1 + t^4), and one row is a free
+    chain, whose G(1, n) is linear in n.
     """
     K = order // 2 + 2
-    specs = [LatticeSpec(K + 1 - n, n) for n in range(2, (K + 1) // 2 + 1)]
+    specs = [LatticeSpec(K + 1 - n, n) for n in range(2, max(2, (K + 1) // 2) + 1)]
     table = {}
     for spec, column in zip(specs, map(lambda spec: series_logZ(spec, order), specs)):
         n = spec.N
@@ -686,7 +686,7 @@ def double_row_matrix(N: int, q: float, w: float):
     """
     sp = SpectralParams(q, w)
     cp = couplings(sp)
-    weights = SixVertexWeights.homogeneous(q, cp.x, 1 / math.sqrt(q))
+    weights = SixVertexWeights.homogeneous(cp.x, 1 / math.sqrt(q))
     states = sector_states(N)
     index = {s: k for k, s in enumerate(states)}
     dim = len(states)

@@ -114,7 +114,7 @@ def _check_pole(value, pole_at, name: str):
         raise PoleError(name)
 
 
-def couplings(sp: SpectralParams, cross_check: bool = True) -> CouplingParams:
+def couplings(sp: SpectralParams) -> CouplingParams:
     """exp(K1) = (w^2/q)(1-q^2/w^2)/(1-w^2), exp(K2) = (1/w^2)(1-q w^2)/(1-q/w^2).
 
     Raises PoleError near w^2 = 1 (K1 pole) and w^2 = q (K2 pole).  The
@@ -127,16 +127,13 @@ def couplings(sp: SpectralParams, cross_check: bool = True) -> CouplingParams:
     _check_pole(w2, q, "w2=q")
     eK1 = (w2 / q) * (1 - q * q / w2) / (1 - w2)
     eK2 = (1 / w2) * (1 - q * w2) / (1 - q / w2)
-    if cross_check:
-        lam, u = sp.lam, sp.u
-        margin = min(abs(w2 - q) / q, abs(1 - w2))
-        tol = CROSS_CHECK_RTOL + 1e-15 / max(float(margin), 1e-15)
-        h1 = math.sinh(2 * lam - 2 * u) / math.sinh(2 * u)
-        h2 = math.sinh(lam + 2 * u) / math.sinh(lam - 2 * u)
-        if abs(h1 - eK1) > tol * max(1.0, abs(eK1)) or abs(h2 - eK2) > tol * max(
-            1.0, abs(eK2)
-        ):
-            raise ArithmeticError("rational and hyperbolic coupling routes disagree")
+    lam, u = sp.lam, sp.u
+    margin = min(abs(w2 - q) / q, abs(1 - w2))
+    tol = CROSS_CHECK_RTOL + 1e-15 / max(float(margin), 1e-15)
+    h1 = math.sinh(2 * lam - 2 * u) / math.sinh(2 * u)
+    h2 = math.sinh(lam + 2 * u) / math.sinh(lam - 2 * u)
+    if abs(h1 - eK1) > tol * max(1.0, abs(eK1)) or abs(h2 - eK2) > tol * max(1.0, abs(eK2)):
+        raise ArithmeticError("rational and hyperbolic coupling routes disagree")
     x = (w2 - q) / (math.sqrt(q) * (1 - w2))
     return CouplingParams(Q=sp.Q, x=x, eK1=eK1, eK2=eK2)
 
@@ -172,17 +169,16 @@ def xi(sp: SpectralParams):
     return -sp.Q * (1 - w2) * (w2 - q * q) / (w2 - q) ** 2
 
 
-def delta(sp: SpectralParams, cross_check: bool = True):
+def delta(sp: SpectralParams):
     """Delta = exp(K2) + Q - 1 = 2 cosh(lam) sinh(2lam-2u)/sinh(lam-2u)."""
     q, w2 = sp.q, sp.w2
     _check_pole(w2, q, "u=lam/2")
     eK2 = (1 / w2) * (1 - q * w2) / (1 - q / w2)
     val = eK2 + sp.Q - 1
-    if cross_check:
-        lam, u = sp.lam, sp.u
-        hyp = 2 * math.cosh(lam) * math.sinh(2 * lam - 2 * u) / math.sinh(lam - 2 * u)
-        if abs(hyp - val) > CROSS_CHECK_RTOL * max(1.0, abs(val)):
-            raise ArithmeticError("Delta routes disagree beyond 1e-12")
+    lam, u = sp.lam, sp.u
+    hyp = 2 * math.cosh(lam) * math.sinh(2 * lam - 2 * u) / math.sinh(lam - 2 * u)
+    if abs(hyp - val) > CROSS_CHECK_RTOL * max(1.0, abs(val)):
+        raise ArithmeticError("Delta routes disagree beyond 1e-12")
     return val
 
 

@@ -72,13 +72,13 @@ class IdentityReport:
         }
 
 
-def default_grid(seed: int = 20160704, n_random: int = 5):
-    """5x5 grid in (q, u/lam) over [0.05,0.35] x [0.1,0.45] plus seeded extras."""
+def default_grid():
+    """5x5 grid in (q, u/lam) over [0.05,0.35] x [0.1,0.45] plus five seeded extras."""
     qs = [0.05 + 0.075 * i for i in range(5)]
     fr = [0.10 + 0.0875 * i for i in range(5)]
     pts = [(q, f) for q in qs for f in fr]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    rng = np.random.default_rng(20160704)
+    for _ in range(5):
         pts.append((float(rng.uniform(0.05, 0.35)), float(rng.uniform(0.10, 0.45))))
     return pts
 
@@ -286,13 +286,11 @@ IDENTITY_IDS = [
 ]
 
 
-def verify_free_energy_relations_numeric(points=None, tol: float = NUMERIC_TOL):
-    """All eight relations on a grid of (q, u/lam) points; exponentiated forms."""
-    if points is None:
-        points = default_grid()
+def verify_free_energy_relations_numeric():
+    """All eight relations on the ``default_grid`` of (q, u/lam) points; exponentiated forms."""
     worst = {k: 0.0 for k in IDENTITY_IDS}
     used = []
-    for (q, ufrac) in points:
+    for (q, ufrac) in default_grid():
         sp = _sp_from(q, ufrac)
         try:
             d = _numeric_defects(sp)
@@ -306,8 +304,8 @@ def verify_free_energy_relations_numeric(points=None, tol: float = NUMERIC_TOL):
             identity=k,
             points=used,
             max_defect=worst[k],
-            tol=tol,
-            passed=worst[k] <= tol,
+            tol=NUMERIC_TOL,
+            passed=worst[k] <= NUMERIC_TOL,
             ring="float",
         )
         for k in IDENTITY_IDS

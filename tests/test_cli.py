@@ -1,8 +1,14 @@
 """CLI surface: subcommands, exit codes, output formats, reproducibility."""
 
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import potts_sd
 
 from potts_sd import cli, closedform, lattice
 from potts_sd.qseries import TruncatedSeries
@@ -51,10 +57,13 @@ def test_series_emits_exact_payload(capsys):
 
 
 def test_lattice_extract(capsys):
-    code, out = run(capsys, "lattice", "--order", "8", "--extract")
-    assert code == 0
-    d = json.loads(out)
-    assert all(d["matches_closed_form"].values())
+    # order 1 needs the width-2 sweep even though (K + 1)//2 = 1
+    for order in ("1", "8"):
+        code, out = run(capsys, "lattice", "--order", order, "--extract")
+        assert code == 0
+        d = json.loads(out)
+        assert len(d["matches_closed_form"]) == 4
+        assert all(d["matches_closed_form"].values())
 
 
 def test_lattice_single(capsys):
@@ -77,10 +86,11 @@ def test_bethe_subcommand(capsys):
 
 
 def test_verify_exit_zero_when_all_pass(capsys):
-    code, out = run(capsys, "verify", "--order", "12")
-    assert code == 0
-    d = json.loads(out)
-    assert d["all_passed"] is True
+    for order in ("1", "12"):
+        code, out = run(capsys, "verify", "--order", order)
+        assert code == 0
+        d = json.loads(out)
+        assert d["all_passed"] is True
 
 
 def test_critical_subcommand(capsys):
@@ -267,3 +277,30 @@ def test_disagreeing_numeric_routes_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(closedform, "free_energies", disagree)
     assert cli.main(["eval", "--q", "0.2", "--s", "1"]) == 3
     assert "disagree" in capsys.readouterr().err
+
+
+def test_no_command_needs_scipy():
+    # a fresh interpreter in which ``import scipy`` fails imports every
+    # module and runs the critical and verify commands
+    script = textwrap.dedent(
+        """
+        import importlib, pkgutil, sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError("scipy is blocked")
+
+        sys.meta_path.insert(0, NoScipy())
+        import potts_sd
+        from potts_sd import cli
+
+        for m in pkgutil.iter_modules(potts_sd.__path__):
+            importlib.import_module(f"potts_sd.{m.name}")
+        assert cli.main(["critical", "--eps", "0.05"]) == 0
+        assert cli.main(["verify", "--order", "8"]) == 0
+        """
+    )
+    src = str(Path(potts_sd.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
