@@ -92,6 +92,8 @@ def cmd_eval(args) -> int:
     routes = args.route.split(",")
     rows = []
     for sp in _points(args):
+        # a point on a coupling pole (w2=1, w2=q) is named before any route's sums run into it
+        cp = couplings(sp)
         row = {"q": sp.q, "w": sp.w, "s": sp.s, "u_over_lam": sp.u / sp.lam, "physical": sp.physical}
         for route in routes:
             if route == "closedform":
@@ -101,7 +103,6 @@ def cmd_eval(args) -> int:
                 N = args.N
                 br = bethe.solve(N, sp.q, sp.w)
                 lam2, _ = bethe.eigenvalue(br, sp.q, sp.w)
-                cp = couplings(sp)
                 fb = closedform.f_bulk(sp)
                 row["f_s_bethe_N%d" % N] = (
                     -N * fb - (N / 2) * math.log(cp.Q) + N * math.log(cp.x) - math.log(lam2.real)

@@ -74,7 +74,10 @@ def _certified_sum(term_fn, ratios):
         t = term_fn(n)
         terms.append(t)
         partial += t
-        tail = sum(a * r ** (n + 1) / ((n + 1) * (1 - r)) for a, r in ratios)
+        # a plain loop: the additions of sum() in its order, without a generator per n
+        tail = 0.0
+        for a, r in ratios:
+            tail += a * r ** (n + 1) / ((n + 1) * (1 - r))
         if n >= 4 and tail <= _SUM_RTOL * max(abs(partial), 1e-300):
             return math.fsum(terms)
         n += 1

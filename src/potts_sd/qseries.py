@@ -6,6 +6,12 @@ anisotropy s becomes a series in integer powers of t whose coefficients are
 Laurent polynomials in s over exact rationals.  No floats enter anywhere in
 this module.
 
+Storage invariant: a coefficient whose value is an integer is stored as an
+``int``, and a ``Fraction`` only for a non-integer.  ``LaurentPolyS``
+construction enforces it, so integer operands stay on integer arithmetic
+and only the genuine fractions (the 1/n of ``log``, ``exp`` and the Lambert
+sums) pay for gcds.
+
 A ``TruncatedSeries`` knows the largest degree it is exact through
 (``order``); arithmetic propagates that bound, including the shift that
 multiplication by a series of positive minimal degree buys.
@@ -30,13 +36,18 @@ def _rat(x) -> Fraction | int:
 class LaurentPolyS:
     """Laurent polynomial in s: sparse map s-exponent -> exact rational.
 
-    Immutable by convention; no stored zero coefficients.
+    Immutable by convention; no stored zero coefficients, and an integral
+    value is stored as its ``int`` numerator.
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v != 0}
+        c = {}
+        for e, v in (coeffs or {}).items():
+            if v:
+                c[e] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        self.c = c
 
     @classmethod
     def const(cls, v) -> "LaurentPolyS":
@@ -73,11 +84,7 @@ class LaurentPolyS:
             other = LaurentPolyS.const(other)
         out = dict(self.c)
         for e, v in other.c.items():
-            nv = out.get(e, 0) + v
-            if nv:
-                out[e] = nv
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, 0) + v
         return LaurentPolyS(out)
 
     def __sub__(self, other) -> "LaurentPolyS":
@@ -91,14 +98,7 @@ class LaurentPolyS:
                 return LaurentPolyS()
             return LaurentPolyS({e: v * other for e, v in self.c.items()})
         out: dict[int, Fraction | int] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                nv = out.get(e, 0) + v1 * v2
-                if nv:
-                    out[e] = nv
-                else:
-                    out.pop(e, None)
+        _mul_into(out, self.c, other.c)
         return LaurentPolyS(out)
 
     __rmul__ = __mul__
@@ -129,14 +129,23 @@ class LaurentPolyS:
         return " + ".join(parts)
 
 
-def _conv(a: dict, b: dict, n: int, weighted: bool) -> LaurentPolyS:
-    """sum_{1<=k<=n} (k if weighted else 1) * a_k * b_{n-k} over two maps
-    t-degree -> LaurentPolyS that store only nonzero coefficients."""
-    acc = LaurentPolyS()
+def _mul_into(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b on maps s-exponent -> value; zeros are left for the
+    ``LaurentPolyS`` built from ``acc`` to drop."""
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + v1 * v2
+
+
+def _conv(a: dict, b: dict, n: int) -> dict:
+    """sum_{1<=k<=n} a_k * b_{n-k} over two maps t-degree -> LaurentPolyS,
+    as one map s-exponent -> value (zeros not yet dropped)."""
+    acc: dict = {}
     for k, ak in a.items():
         bk = b.get(n - k) if 1 <= k <= n else None
         if bk is not None:
-            acc = acc + (ak * k if weighted else ak) * bk
+            _mul_into(acc, ak.c, bk.c)
     return acc
 
 
@@ -178,17 +187,13 @@ class TruncatedSeries:
     @classmethod
     def from_terms(cls, terms, *, order: int) -> "TruncatedSeries":
         """terms: iterable of (coeff, tdeg, sdeg)."""
-        out = cls.zero(order)
-        cc = out.coeffs
+        raw: dict[int, dict] = {}
         for coeff, td, sd in terms:
-            if td > order or coeff == 0:
+            if td > order:
                 continue
-            p = cc.get(td)
-            mono = LaurentPolyS.monomial(coeff, sd)
-            cc[td] = mono if p is None else p + mono
-            if cc[td].is_zero():
-                del cc[td]
-        return out
+            p = raw.setdefault(td, {})
+            p[sd] = p.get(sd, 0) + _rat(coeff)
+        return cls(order, {d: LaurentPolyS(p) for d, p in raw.items()})
 
     # -- structure ---------------------------------------------------------
 
@@ -266,20 +271,17 @@ class TruncatedSeries:
             return TruncatedSeries(self.order, {d: p * other for d, p in self.coeffs.items()})
         order = min(self.order + other._effective_min(), other.order + self._effective_min())
         order = min(order, _INF)
-        out: dict[int, LaurentPolyS] = {}
+        # one raw accumulator per output degree, one LaurentPolyS each at the end
+        out: dict[int, dict] = {}
         for d1, p1 in self.coeffs.items():
             for d2, p2 in other.coeffs.items():
                 d = d1 + d2
-                if d > order:
-                    continue
-                prod = p1 * p2
-                cur = out.get(d)
-                s = prod if cur is None else cur + prod
-                if s.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = s
-        return TruncatedSeries(order, out)
+                if d <= order:
+                    acc = out.get(d)
+                    if acc is None:
+                        acc = out[d] = {}
+                    _mul_into(acc, p1.c, p2.c)
+        return TruncatedSeries(order, {d: LaurentPolyS(acc) for d, acc in out.items()})
 
     __rmul__ = __mul__
 
@@ -305,7 +307,7 @@ class TruncatedSeries:
         g = self.shift(-d0, -e0, Fraction(1, 1) / c0)
         r = {0: LaurentPolyS.const(1)}
         for n in range(1, g.order + 1):
-            c = -_conv(g.coeffs, r, n, weighted=False)
+            c = -LaurentPolyS(_conv(g.coeffs, r, n))
             if not c.is_zero():
                 r[n] = c
         return TruncatedSeries(g.order, r).shift(-d0, -e0, Fraction(1, 1) / c0)
@@ -335,22 +337,24 @@ class TruncatedSeries:
         """log of a series with constant term exactly 1."""
         if self.coeff(0) != LaurentPolyS.const(1) or (self.min_deg is not None and self.min_deg < 0):
             raise TruncationError("log requires constant term 1 and no negative degrees")
-        # n g_n = n f_n - sum_{k<n} k g_k f_{n-k}
-        g = {}
+        # h_n = n g_n = n f_n - sum_{k<n} h_k f_{n-k}: integral when f is
+        h, g = {}, {}
         for n in range(1, self.order + 1):
-            c = self.coeff(n) - _conv(g, self.coeffs, n, weighted=True) * Fraction(1, n)
-            if not c.is_zero():
-                g[n] = c
+            hn = self.coeff(n) * n - LaurentPolyS(_conv(h, self.coeffs, n))
+            if not hn.is_zero():
+                h[n] = hn
+                g[n] = LaurentPolyS({e: Fraction(v, n) for e, v in hn.c.items()})
         return TruncatedSeries(self.order, g)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with strictly positive minimal degree."""
         if not self.is_zero() and self.min_deg <= 0:
             raise TruncationError("exp requires strictly positive minimal degree")
-        # n f_n = sum_k k g_k f_{n-k}
+        # n f_n = sum_k (k g_k) f_{n-k}
+        dg = {k: p * k for k, p in self.coeffs.items()}
         f = {0: LaurentPolyS.const(1)}
         for n in range(1, self.order + 1):
-            c = _conv(self.coeffs, f, n, weighted=True) * Fraction(1, n)
+            c = LaurentPolyS({e: Fraction(v, n) for e, v in _conv(dg, f, n).items()})
             if not c.is_zero():
                 f[n] = c
         return TruncatedSeries(self.order, f)

@@ -44,6 +44,14 @@ def test_eval_domain_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("route", ["closedform,bethe", "bethe"])
+def test_eval_names_the_coupling_pole(capsys, route):
+    # (q, s) = (0.25, 2) sits on w^2 = 1, the K1 pole; the good points do not hide it
+    code = cli.main(["eval", "--q", "0.2", "0.25", "--s", "1", "2", "--route", route, "--N", "8"])
+    assert code == 1
+    assert "w2=1" in capsys.readouterr().err
+
+
 def test_series_emits_exact_payload(capsys):
     code, out = run(capsys, "series", "--order", "8")
     assert code == 0
@@ -86,7 +94,7 @@ def test_bethe_subcommand(capsys):
 
 
 def test_verify_exit_zero_when_all_pass(capsys):
-    for order in ("1", "12"):
+    for order in ("1", "12", "48"):
         code, out = run(capsys, "verify", "--order", order)
         assert code == 0
         d = json.loads(out)

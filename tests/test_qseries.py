@@ -269,3 +269,215 @@ def test_truncation_tracking_through_mul():
 def test_division():
     a = TruncatedSeries.from_terms([(1, 0, 0), (5, 1, 1)], order=ORDER)
     assert (a / a) == TruncatedSeries.one(ORDER)
+
+
+# -- the kernel against a naive all-Fraction reference -------------------------
+#
+# The reference keeps every coefficient as a Fraction and runs the plain
+# double loops and per-degree recurrences on maps t-degree -> {s-degree:
+# Fraction}: products term by term, exp/log/reciprocal as weighted
+# convolutions, pow by the same square-and-multiply.  The kernel must agree
+# with it on every coefficient and on the propagated order.
+
+_REF_INF = 10**9
+KERNEL_ORDER = 12
+
+coefficient_strategy = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),  # Fraction(4, 2) has denominator 1
+)
+
+
+def _terms(tdeg_lo, tdeg_hi, max_size=6):
+    return st.lists(
+        st.tuples(coefficient_strategy, st.integers(tdeg_lo, tdeg_hi), st.integers(-3, 3)),
+        max_size=max_size,
+    )
+
+
+def _ref_from_terms(terms, order):
+    out = {}
+    for c, td, sd in terms:
+        if td <= order:
+            p = out.setdefault(td, {})
+            p[sd] = p.get(sd, Fraction(0)) + Fraction(c)
+    return order, _ref_clean(out)
+
+
+def _ref_clean(coeffs):
+    out = {}
+    for d, p in coeffs.items():
+        p = {e: v for e, v in p.items() if v != 0}
+        if p:
+            out[d] = p
+    return out
+
+
+def _ref_poly_mul(p1, p2):
+    out = {}
+    for e1, v1 in p1.items():
+        for e2, v2 in p2.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + v1 * v2
+    return {e: v for e, v in out.items() if v != 0}
+
+
+def _ref_poly_add(p1, p2, scale=Fraction(1)):
+    out = dict(p1)
+    for e, v in p2.items():
+        out[e] = out.get(e, Fraction(0)) + scale * v
+    return {e: v for e, v in out.items() if v != 0}
+
+
+def _ref_mul(a, b):
+    (oa, ca), (ob, cb) = a, b
+    ma = min(ca) if ca else _REF_INF
+    mb = min(cb) if cb else _REF_INF
+    order = min(oa + mb, ob + ma, _REF_INF)
+    out = {}
+    for d1, p1 in ca.items():
+        for d2, p2 in cb.items():
+            if d1 + d2 <= order:
+                out[d1 + d2] = _ref_poly_add(out.get(d1 + d2, {}), _ref_poly_mul(p1, p2))
+    return order, _ref_clean(out)
+
+
+def _ref_conv(a, b, n, weighted):
+    acc = {}
+    for k, ak in a.items():
+        if 1 <= k <= n and (n - k) in b:
+            acc = _ref_poly_add(acc, _ref_poly_mul(ak, b[n - k]), Fraction(k if weighted else 1))
+    return acc
+
+
+def _ref_shift(a, tdeg, sdeg, coeff):
+    order, ca = a
+    return order + tdeg, {d + tdeg: {e + sdeg: v * coeff for e, v in p.items()} for d, p in ca.items()}
+
+
+def _ref_reciprocal(a):
+    order, ca = a
+    d0 = min(ca)
+    (e0, c0), = ca[d0].items()
+    g_order, g = _ref_shift(a, -d0, -e0, 1 / Fraction(c0))
+    r = {0: {0: Fraction(1)}}
+    for n in range(1, g_order + 1):
+        c = _ref_poly_add({}, _ref_conv(g, r, n, weighted=False), Fraction(-1))
+        if c:
+            r[n] = c
+    return _ref_shift((g_order, r), -d0, -e0, 1 / Fraction(c0))
+
+
+def _ref_log(a):
+    order, f = a
+    g = {}
+    for n in range(1, order + 1):
+        c = _ref_poly_add(f.get(n, {}), _ref_conv(g, f, n, weighted=True), Fraction(-1, n))
+        if c:
+            g[n] = c
+    return order, g
+
+
+def _ref_exp(a):
+    order, g = a
+    f = {0: {0: Fraction(1)}}
+    for n in range(1, order + 1):
+        c = _ref_poly_add({}, _ref_conv(g, f, n, weighted=True), Fraction(1, n))
+        if c:
+            f[n] = c
+    return order, f
+
+
+def _ref_pow(a, n):
+    if n == 0:
+        return a[0], {0: {0: Fraction(1)}}
+    base = a if n > 0 else _ref_reciprocal(a)
+    n = abs(n)
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else _ref_mul(out, base)
+        n >>= 1
+        if n:
+            base = _ref_mul(base, base)
+    return out
+
+
+def assert_canonical(x):
+    """The storage invariant: an integral coefficient is an int, never a Fraction."""
+    for p in x.coeffs.values():
+        for v in p.c.values():
+            assert type(v) is int or (type(v) is Fraction and v.denominator != 1), repr(v)
+
+
+def assert_matches(x, ref):
+    assert_canonical(x)
+    order, coeffs = ref
+    assert x.order == order
+    assert {d: dict(p.c) for d, p in x.coeffs.items()} == coeffs
+
+
+def _with_ref(terms_strategy, prefix=()):
+    return terms_strategy.map(
+        lambda terms: (
+            TruncatedSeries.from_terms(list(prefix) + terms, order=KERNEL_ORDER),
+            _ref_from_terms(list(prefix) + terms, KERNEL_ORDER),
+        )
+    )
+
+
+laurent_pair = _with_ref(_terms(-3, KERNEL_ORDER))
+positive_pair = _with_ref(_terms(1, KERNEL_ORDER))
+unit_constant_pair = _with_ref(_terms(1, KERNEL_ORDER), prefix=[(1, 0, 0)])
+monomial_lead_pair = st.tuples(
+    coefficient_strategy.filter(lambda c: c != 0), st.integers(-3, 3), st.integers(-3, 3), _terms(0, 8)
+).map(
+    lambda x: (
+        TruncatedSeries.from_terms([(x[0], x[1], x[2])] + [(c, x[1] + 1 + k, e) for c, k, e in x[3]], order=KERNEL_ORDER),
+        _ref_from_terms([(x[0], x[1], x[2])] + [(c, x[1] + 1 + k, e) for c, k, e in x[3]], KERNEL_ORDER),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(laurent_pair, laurent_pair)
+def test_kernel_mul_matches_fraction_reference(a, b):
+    assert_canonical(a[0])
+    assert_matches(a[0] * b[0], _ref_mul(a[1], b[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_pair)
+def test_kernel_exp_matches_fraction_reference(a):
+    assert_matches(a[0].exp(), _ref_exp(a[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_constant_pair)
+def test_kernel_log_matches_fraction_reference(a):
+    assert_matches(a[0].log(), _ref_log(a[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_lead_pair)
+def test_kernel_reciprocal_matches_fraction_reference(a):
+    assert_matches(a[0].reciprocal(), _ref_reciprocal(a[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_lead_pair, st.integers(-2, 3))
+def test_kernel_pow_matches_fraction_reference(a, n):
+    assert_matches(a[0].pow(n), _ref_pow(a[1], n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    laurent_pair,
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    coefficient_strategy.filter(lambda c: c != 0),
+    st.lists(st.tuples(coefficient_strategy, st.integers(1, 6), st.integers(-2, 2)), max_size=3),
+)
+def test_shift_and_lambert_store_integral_values_as_int(a, tdeg, sdeg, coeff, numer):
+    assert_matches(a[0].shift(tdeg, sdeg, coeff), _ref_shift(a[1], tdeg, sdeg, Fraction(coeff)))
+    assert_canonical(lambert_sum(numer, 4, 1, KERNEL_ORDER))
+    assert_canonical(lambert_sum(numer, 8, -1, KERNEL_ORDER))
