@@ -6,7 +6,7 @@ inversion and rotation functional relations."""
 __version__ = "0.1.0"
 
 from .bundle import FreeEnergyBundle, LogSeries
-from .params import CouplingParams, RationalPoint, SpectralParams
+from .params import CouplingParams, SpectralParams
 from .qseries import LaurentPolyS, TruncatedSeries
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "FreeEnergyBundle",
     "LaurentPolyS",
     "LogSeries",
-    "RationalPoint",
     "SpectralParams",
     "TruncatedSeries",
     "__version__",

@@ -218,11 +218,6 @@ def eigenvalue(roots, q: float, w: float) -> tuple[complex, complex]:
     return lam_product, lam_rform
 
 
-def limit_eigenvalue(N: int, q: float, w: float) -> float:
-    """The (q, w) -> 0 value w^{2N}/q^N the continuation starts from."""
-    return w ** (2 * N) / q**N
-
-
 @dataclass
 class SurfaceConvergenceRow:
     N: int

@@ -44,8 +44,11 @@ def _emit(payload: dict, args) -> None:
         text = _to_csv(payload)
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise DomainError(f"--out {out}: {e.strerror or e}") from e
     else:
         print(text)
 

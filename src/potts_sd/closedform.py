@@ -84,6 +84,18 @@ def _certified_sum(term_fn, ratios):
     raise ConvergenceError("series sum did not meet its tail bound")
 
 
+def _check_product_length(decay, cutoff, what: str) -> None:
+    """Refuse a product prod_k (1 - f_k) before its first factor if it is too long.
+
+    The f_k shrink by exp(-decay) per factor and the product stops once
+    f_k < exp(-cutoff), so it needs about cutoff / decay factors.  Above
+    ``_MAX_TERMS`` (decay = 0 too: the base rounded to 1, and the product
+    would never end) a DomainError names ``what``.
+    """
+    if decay * _MAX_TERMS < cutoff:
+        raise DomainError(f"{what} needs more than {_MAX_TERMS} product factors")
+
+
 # ----------------------------------------------------------------------------
 # numeric values
 # ----------------------------------------------------------------------------
@@ -623,8 +635,11 @@ def conjugate_modulus_report(eps: float, prec_bits: int = 256) -> dict:
         e = mpmath.mpf(eps)
         q = mpmath.exp(-2 * pi * e)
         qp = mpmath.exp(-2 * pi / e)
+        cutoff = (prec_bits + 16) * mpmath.log(2)
+        what = f"eps = {eps} at {prec_bits} bits"
 
         def euler(x):
+            _check_product_length(-mpmath.log(x), cutoff, what)
             out, k = one, 1
             while True:
                 f = x**k
@@ -634,6 +649,7 @@ def conjugate_modulus_report(eps: float, prec_bits: int = 256) -> dict:
                 k += 1
 
         def podd(x):
+            _check_product_length(-2 * mpmath.log(x), cutoff, what)
             out, k = one, 1
             while True:
                 f = x ** (2 * k - 1)
@@ -671,6 +687,7 @@ def fc_asymptote(eps: float) -> tuple[float, float]:
 
     with mpmath.workprec(128):
         q = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(eps))
+        _check_product_length(-4 * mpmath.log(q), 40 * mpmath.log(10), f"eps = {eps}")
         total, k = mpmath.mpf(0), 1
         while True:
             a = q ** (4 * k - 3)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, PoleError
 
@@ -67,10 +66,6 @@ class SpectralParams:
     @property
     def physical(self) -> bool:
         return self.q < self.w2 < 1
-
-    @classmethod
-    def from_qw(cls, q, w) -> "SpectralParams":
-        return cls(q, w)
 
     @classmethod
     def from_q_s(cls, q, s) -> "SpectralParams":
@@ -138,26 +133,6 @@ def couplings(sp: SpectralParams) -> CouplingParams:
     return CouplingParams(Q=sp.Q, x=x, eK1=eK1, eK2=eK2)
 
 
-def dual_couplings(K1, K2, Q, swap_rows: bool = True):
-    """Duality map on the couplings.
-
-    With ``swap_rows`` (the row-interchange form) the map is
-    exp(K1*) = (exp(K2)+Q-1)/(exp(K2)-1), exp(K2*) = (exp(K1)+Q-1)/(exp(K1)-1);
-    the self-dual surface x1 x2 = 1 is then pointwise fixed, (K1, K2) ->
-    (K1, K2).  Without it each coupling maps to its own bond-local dual,
-    and the self-dual point swaps the couplings, (K1, K2) -> (K2, K1).
-    Either form is an involution.
-    """
-    eK1, eK2 = math.exp(K1), math.exp(K2)
-    if eK1 <= 1 or eK2 <= 1:
-        raise DomainError("dual couplings require exp(K) > 1 on both bonds")
-    d1 = math.log((eK1 + Q - 1) / (eK1 - 1))
-    d2 = math.log((eK2 + Q - 1) / (eK2 - 1))
-    if swap_rows:
-        return d2, d1
-    return d1, d2
-
-
 def xi(sp: SpectralParams):
     """xi = -Q (1-w^2)(w^2-q^2)/(w^2-q)^2, negative throughout the strip.
 
@@ -198,40 +173,3 @@ def solve_q_from_Q(Q):
         raise DomainError(f"Q must exceed 4, got {Q}")
     b = Q - 2
     return (b - math.sqrt(b * b - 4)) / 2
-
-
-@dataclass(frozen=True)
-class RationalPoint:
-    """An exact parameter point: t and s rational, q = t^4, w^2 = s t^2.
-
-    Used by the exact-arithmetic lattice routes, where every vertex weight
-    is a Fraction.
-    """
-
-    t: Fraction
-    s: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.t < 1):
-            raise DomainError("t must lie in (0, 1)")
-        if self.s <= 0:
-            raise DomainError("s must be positive")
-
-    @property
-    def q(self) -> Fraction:
-        return self.t**4
-
-    @property
-    def w2(self) -> Fraction:
-        return self.s * self.t**2
-
-    @property
-    def Q(self) -> Fraction:
-        return self.q + 2 + 1 / self.q
-
-    @property
-    def sqrt_Q(self) -> Fraction:
-        return (1 + self.t**4) / self.t**2
-
-    def to_float(self) -> SpectralParams:
-        return SpectralParams(float(self.q), math.sqrt(float(self.w2)))

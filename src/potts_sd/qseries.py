@@ -312,11 +312,6 @@ class TruncatedSeries:
                 r[n] = c
         return TruncatedSeries(g.order, r).shift(-d0, -e0, Fraction(1, 1) / c0)
 
-    def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.reciprocal()
-
     def pow(self, n: int) -> "TruncatedSeries":
         if n == 0:
             return TruncatedSeries.one(self.order)
@@ -492,20 +487,6 @@ def lambert_sum(numer, denom_tstep: int, denom_sign: int, order: int = DEFAULT_O
                 m += 1
         n += 1
     return TruncatedSeries.from_terms(acc, order=order)
-
-
-def geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """1 / (1 - coeff * s**sdeg * t**tdeg) expanded directly (tdeg > 0)."""
-    if tdeg <= 0:
-        raise TruncationError("geometric inverse needs positive t-degree")
-    terms = []
-    k = 0
-    c = 1
-    while tdeg * k <= order:
-        terms.append((c, tdeg * k, sdeg * k))
-        k += 1
-        c = c * coeff
-    return TruncatedSeries.from_terms(terms, order=order)
 
 
 def log_geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:

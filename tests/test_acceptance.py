@@ -26,20 +26,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from potts_sd import bethe, closedform as cf, relations
-from potts_sd.lattice import (
-    LatticeSpec,
+from oracles import (
     SixVertexWeights,
-    apply_row,
+    _apply_t1,
+    _apply_t2,
     dominant_eigenvalue,
     double_row_matrix,
-    extract_free_energies,
-    extraction_table,
     fk_partition,
     potts_bruteforce,
     sector_states,
     sixvertex_partition,
 )
+from potts_sd import bethe, closedform as cf, relations
+from potts_sd.lattice import LatticeSpec, extract_free_energies, extraction_table
 from potts_sd.params import SpectralParams, couplings
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries
 
@@ -302,7 +301,7 @@ def test_criterion_10_property_suites():
         weights = SixVertexWeights.from_spectral(sp)
         states = sector_states(N)
         s0 = int(states[int(rng.integers(len(states)))])
-        for kind in ("t1", "t2"):
-            out = apply_row({s0: 1.0}, N, weights, kind)
+        for apply, w in ((_apply_t1, weights.w_odd), (_apply_t2, weights.w_even)):
+            out = apply({s0: 1.0}, N, w)
             assert all(bin(x).count("1") == N for x in out)
     report(10, "seeded property suites: ring laws, exp/log, s<->1/s, root identities, conservation")

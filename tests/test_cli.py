@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,16 @@ def test_critical_subcommand(capsys):
     assert all(v <= 1e-12 for v in d["conjugate_modulus"].values())
 
 
+@pytest.mark.parametrize("eps", ["1e-300", "1e6"])
+def test_critical_refuses_an_unbounded_product(capsys, eps):
+    # at 1e-300 q rounds to 1 and the f_c product would never end; at 1e6 the
+    # conjugate-modulus products need ~6e7 factors: both stop before the first
+    t0 = time.perf_counter()
+    assert cli.main(["critical", "--eps", eps]) == 1
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().err.startswith("domain error: eps = ")
+
+
 def test_csv_format(capsys):
     code, out = run(capsys, "eval", "--q", "0.2", "--s", "1", "--format", "csv")
     assert code == 0
@@ -183,6 +194,15 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     d = json.loads(target.read_text())
     assert d["command"] == "series"
+
+
+@pytest.mark.parametrize("target", [".", "missing/result.json"])
+def test_unwritable_out_is_a_domain_error(tmp_path, capsys, target):
+    # a directory, or a file in a directory that does not exist: exit 1 with
+    # one line, not a traceback
+    assert cli.main(["series", "--order", "4", "--out", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: --out ") and err.count("\n") == 1
 
 
 def test_eval_rejects_unsupported_ring(capsys):
@@ -289,17 +309,19 @@ def test_disagreeing_numeric_routes_exit_three(monkeypatch, capsys):
 
 def test_no_command_needs_scipy():
     # a fresh interpreter in which ``import scipy`` fails imports every
-    # module and runs the critical and verify commands
+    # module and runs the critical, verify, lattice and eval commands; the
+    # test oracles and the test tools are blocked too, so no production
+    # path reaches them
     script = textwrap.dedent(
         """
         import importlib, pkgutil, sys
 
-        class NoScipy:
+        class Blocked:
             def find_spec(self, name, path=None, target=None):
-                if name.split(".")[0] == "scipy":
-                    raise ImportError("scipy is blocked")
+                if name.split(".")[0] in ("scipy", "oracles", "hypothesis", "pytest"):
+                    raise ImportError(f"{name} is blocked")
 
-        sys.meta_path.insert(0, NoScipy())
+        sys.meta_path.insert(0, Blocked())
         import potts_sd
         from potts_sd import cli
 
@@ -307,6 +329,8 @@ def test_no_command_needs_scipy():
             importlib.import_module(f"potts_sd.{m.name}")
         assert cli.main(["critical", "--eps", "0.05"]) == 0
         assert cli.main(["verify", "--order", "8"]) == 0
+        assert cli.main(["lattice", "--order", "8", "--extract"]) == 0
+        assert cli.main(["eval", "--q", "0.2", "--route", "closedform,bethe", "--N", "8"]) == 0
         """
     )
     src = str(Path(potts_sd.__file__).parents[1])

@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import RationalPoint, dual_couplings
 from potts_sd.errors import DomainError, PoleError
 from potts_sd.params import (
-    RationalPoint,
     SpectralParams,
     couplings,
     delta,
-    dual_couplings,
     inversion_image,
     rotation_image,
     solve_q_from_Q,
@@ -20,7 +19,7 @@ from potts_sd.params import (
 
 
 def test_from_qw_round_trip():
-    sp = SpectralParams.from_qw(0.25, math.sqrt(0.5))
+    sp = SpectralParams(0.25, math.sqrt(0.5))
     assert sp.lam == pytest.approx(math.log(2), rel=1e-15)
     assert sp.u == pytest.approx(math.log(2) / 4, rel=1e-15)
     assert sp.s == pytest.approx(1.0, rel=1e-14)
@@ -45,11 +44,11 @@ def test_Q_five_point():
 
 def test_from_qw_domain_errors():
     with pytest.raises(DomainError):
-        SpectralParams.from_qw(1.5, 0.5)
+        SpectralParams(1.5, 0.5)
     with pytest.raises(DomainError):
-        SpectralParams.from_qw(0.5, -0.1)
+        SpectralParams(0.5, -0.1)
     with pytest.raises(DomainError):
-        SpectralParams.from_qw(0.0, 0.5)
+        SpectralParams(0.0, 0.5)
 
 
 def test_couplings_k1_vanishes_at_w2_near_q():
