@@ -218,6 +218,21 @@ def eigenvalue(roots, q: float, w: float) -> tuple[complex, complex]:
     return lam_product, lam_rform
 
 
+def surface_free_energy(br: BetheRoots, fb: float, cp) -> float:
+    """f_s^(N) = -N f_b - (N/2) log Q + N log x - log L2 from solved roots,
+    the closed-form ``fb`` and the ``CouplingParams`` ``cp`` at their (q, w).
+
+    Raises ConvergenceError unless the two eigenvalue forms agree to 1e-12
+    and L2 is real to 1e-10 (both relative)."""
+    N = br.N
+    lam2, lam2b = eigenvalue(br, br.q, br.w)
+    if abs(lam2 - lam2b) > 1e-12 * abs(lam2):
+        raise ConvergenceError("eigenvalue representations disagree")
+    if abs(lam2.imag) > 1e-10 * abs(lam2):
+        raise ConvergenceError("eigenvalue picked up an imaginary part")
+    return -N * fb - (N / 2) * math.log(cp.Q) + N * math.log(cp.x) - math.log(lam2.real)
+
+
 @dataclass
 class SurfaceConvergenceRow:
     N: int
@@ -237,7 +252,7 @@ class SurfaceConvergenceTable:
 def surface_convergence(Nmax: int, q: float, w: float) -> SurfaceConvergenceTable:
     """Finite-N surface free energy from the solved eigenvalue.
 
-    f_s^(N) = -N f_b - (N/2) log Q + N log x - log L2 converges to the
+    f_s^(N), from ``surface_free_energy``, converges to the
     closed-form f_s.  Deep in the Q > 4 regime (short correlation length)
     the finite-width terms vanish exponentially; closer to Q = 4 the
     correlation length exp(pi^2/(2 lam)) exceeds any practical width and
@@ -252,18 +267,10 @@ def surface_convergence(Nmax: int, q: float, w: float) -> SurfaceConvergenceTabl
     cp = couplings(sp)
     fb = closedform.f_bulk(sp)
     fs_closed = closedform.f_surface_v(sp)
-    logQ = math.log(cp.Q)
-    logx = math.log(cp.x)
 
     rows = []
     for N in range(2, Nmax + 1):
-        br = solve(N, q, w)
-        lam2, lam2b = eigenvalue(br, q, w)
-        if abs(lam2 - lam2b) > 1e-12 * abs(lam2):
-            raise ConvergenceError("eigenvalue representations disagree")
-        if abs(lam2.imag) > 1e-10 * abs(lam2):
-            raise ConvergenceError("eigenvalue picked up an imaginary part")
-        fsN = -N * fb - (N / 2) * logQ + N * logx - math.log(lam2.real)
+        fsN = surface_free_energy(solve(N, q, w), fb, cp)
         rows.append(SurfaceConvergenceRow(N=N, f_s_N=fsN, deviation=fsN - fs_closed))
     decay = None
     devs = [abs(r.deviation) for r in rows]

@@ -103,13 +103,8 @@ def cmd_eval(args) -> int:
                 b = closedform.free_energies(sp)
                 row.update({"f_b": b.f_b, "f_s": b.f_s, "f_sp": b.f_sp, "f_c": b.f_c})
             elif route == "bethe":
-                N = args.N
-                br = bethe.solve(N, sp.q, sp.w)
-                lam2, _ = bethe.eigenvalue(br, sp.q, sp.w)
-                fb = closedform.f_bulk(sp)
-                row["f_s_bethe_N%d" % N] = (
-                    -N * fb - (N / 2) * math.log(cp.Q) + N * math.log(cp.x) - math.log(lam2.real)
-                )
+                br = bethe.solve(args.N, sp.q, sp.w)
+                row["f_s_bethe_N%d" % args.N] = bethe.surface_free_energy(br, closedform.f_bulk(sp), cp)
                 row["bethe_residual"] = br.residual
             else:
                 raise DomainError(f"unknown route {route!r}")
@@ -221,13 +216,16 @@ def cmd_verify(args) -> int:
 def cmd_critical(args) -> int:
     eps = args.eps
     fc, ratio = closedform.fc_asymptote(eps)
+    # the modular identities run at eps >= 0.5, where their products stay short
+    cm_eps = max(eps, 0.5)
     payload = {
         "command": "critical",
         "eps": eps,
         "f_c": fc,
         "asymptote": -math.pi / (8 * eps),
         "ratio": ratio,
-        "conjugate_modulus": closedform.conjugate_modulus_report(max(eps, 0.5), prec_bits=args.precision_bits),
+        "conjugate_modulus_eps": cm_eps,
+        "conjugate_modulus": closedform.conjugate_modulus_report(cm_eps, prec_bits=args.precision_bits),
     }
     slope, expected = closedform.singular_decay_fit()
     payload["surface_decay_slope"] = {"fitted": slope, "expected": expected}

@@ -28,12 +28,13 @@ what the functional-relation checks evaluate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bundle import FreeEnergyBundle, LogSeries
 from .errors import ConvergenceError, DomainError
-from .params import SpectralParams, couplings
+from .params import SpectralParams, _exp_K1, _exp_K2, couplings
 from .qseries import (
     DEFAULT_ORDER,
     TruncatedSeries,
@@ -84,16 +85,37 @@ def _certified_sum(term_fn, ratios):
     raise ConvergenceError("series sum did not meet its tail bound")
 
 
-def _check_product_length(decay, cutoff, what: str) -> None:
-    """Refuse a product prod_k (1 - f_k) before its first factor if it is too long.
+def _qprod(num, den, r, tiny, what: str):
+    """prod_{a in num} (a; r)_inf / prod_{b in den} (b; r)_inf, floats or mpmath.
 
-    The f_k shrink by exp(-decay) per factor and the product stops once
-    f_k < exp(-cutoff), so it needs about cutoff / decay factors.  Above
-    ``_MAX_TERMS`` (decay = 0 too: the base rounded to 1, and the product
-    would never end) a DomainError names ``what``.
+    (a; r)_inf = prod_{k>=0} (1 - a r^k) is the q-Pochhammer product.  Factor
+    k of every symbol is taken at once from a running power r^k, so a
+    balanced ratio stays near 1, until every |a r^k| < tiny.  A product
+    needing more than ``_MAX_TERMS`` factors (r rounded to 1 too) is refused
+    before its first factor, and a float result below the float range after
+    its last, with a DomainError naming ``what``.
     """
-    if decay * _MAX_TERMS < cutoff:
+    top = max(map(abs, num + den))
+    if top * r**_MAX_TERMS >= tiny:
         raise DomainError(f"{what} needs more than {_MAX_TERMS} product factors")
+    out, rk = 1, 1
+    while top * rk >= tiny:
+        for a in num:
+            out *= 1 - a * rk
+        for b in den:
+            out /= 1 - b * rk
+        rk *= r
+    if isinstance(out, float) and abs(out) < sys.float_info.min:
+        raise DomainError(f"{what}: the product is below the smallest float")
+    return out
+
+
+def _corner_log(q, tiny, what: str):
+    """f_c = log[(q;q^4)(q^2;q^4)^4(q^3;q^4)] for a float or an mpmath q; one
+    log per product keeps a float q in range up to 0.9994, not 0.9965."""
+    log = getattr(q, "context", math).log
+    p = lambda a: log(_qprod([a], [], q**4, tiny, what))
+    return p(q) + 4 * p(q * q) + p(q**3)
 
 
 # ----------------------------------------------------------------------------
@@ -155,13 +177,7 @@ def f_corner(q: float, form: str = "sum") -> float:
         term = lambda n: -(q**n + 4 * q ** (2 * n) + q ** (3 * n)) / (n * (1 - q ** (4 * n)))
         return _certified_sum(term, [(amp, q)])
     if form == "product":
-        total, k = [], 1
-        while True:
-            a, b, c = q ** (4 * k - 3), q ** (4 * k - 2), q ** (4 * k - 1)
-            total.append(math.log(1 - a) + 4 * math.log(1 - b) + math.log(1 - c))
-            if a < 1e-19:
-                return math.fsum(total)
-            k += 1
+        return _corner_log(q, 1e-19, f"q = {q}")
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -184,17 +200,9 @@ def f_bulk_isotropic_sum(q: float) -> float:
 
 
 def f_bulk_isotropic_product(q: float) -> float:
-    """exp(-f_b) = (1+q)/(q (1-q^{1/2})^2) * prod_k [(1-q^{2k-1/2})/(1-q^{2k+1/2})]^4."""
+    """exp(-f_b) = ((1+q)/q) (1-h)^2 [(h^3;h^4)/(h;h^4)]^4 with h = q^{1/2}."""
     h = math.sqrt(q)
-    logs = [math.log(1 + q) - math.log(q) - 2 * math.log(1 - h)]
-    k = 1
-    while True:
-        a, b = q ** (2 * k) / h, q ** (2 * k) * h
-        logs.append(4 * (math.log(1 - a) - math.log(1 - b)))
-        if a < 1e-19:
-            break
-        k += 1
-    return -math.fsum(logs)
+    return -math.log((1 + q) / q * (1 - h) ** 2 * _qprod([h**3] * 4, [h] * 4, q * q, 1e-19, f"q = {q}"))
 
 
 def f_surface_isotropic_sum(q: float) -> float:
@@ -204,17 +212,9 @@ def f_surface_isotropic_sum(q: float) -> float:
 
 
 def f_surface_isotropic_product(q: float) -> float:
-    """exp(-f_s) = (1-q^{1/2}) prod_k [(1-q^{4k-1/2})/(1-q^{4k-5/2})]^2."""
+    """exp(-f_s) = (1-h) [(h^7;h^8)/(h^3;h^8)]^2 with h = q^{1/2}."""
     h = math.sqrt(q)
-    logs = [math.log(1 - h)]
-    k = 1
-    while True:
-        a, b = q ** (4 * k) / h, q ** (4 * k - 2) / h
-        logs.append(2 * (math.log(1 - a) - math.log(1 - b)))
-        if b < 1e-19:
-            break
-        k += 1
-    return -math.fsum(logs)
+    return -math.log((1 - h) * _qprod([h**7] * 2, [h**3] * 2, q**4, 1e-19, f"q = {q}"))
 
 
 # ----------------------------------------------------------------------------
@@ -225,47 +225,27 @@ def f_surface_isotropic_product(q: float) -> float:
 # pair u with lam - u, whose w^2 lies in (q^2, q), so the identity checks
 # need evaluations there.  Rewriting each Lambert-type sum as an infinite
 # product of rational factors gives the analytic continuation to the
-# annulus q^2 < w^2 < 1/q (single-valued, real, possibly negative).
+# annulus q^2 < w^2 < 1/q (single-valued, real, possibly negative).  Each
+# product is a ratio of q-Pochhammer symbols (a; r)_inf, all from ``_qprod``.
 
 def _expL(x: float, q: float) -> float:
-    """exp(sum_n x^n (1-q^n)/(n(1+q^n))) = prod_m [(1-x q^{m+1})/(1-x q^m)]^{(-1)^m}."""
-    out, m = 1.0, 0
-    while True:
-        f = (1 - x * q ** (m + 1)) / (1 - x * q**m)
-        out = out * f if m % 2 == 0 else out / f
-        if abs(x) * q**m < 1e-19 and m >= 1:
-            return out
-        m += 1
+    """exp(sum_n x^n (1-q^n)/(n(1+q^n))) = (xq;q^2)^2 / ((x;q^2)(xq^2;q^2))."""
+    return _qprod([x * q, x * q], [x, x * q * q], q * q, 1e-19, f"q = {q}")
 
 
 def _expA(x: float, q: float) -> float:
-    """exp(sum_n x^n (1+q^n)/(n(1+q^{2n}))) = prod_m [(1-x q^{2m})(1-x q^{2m+1})]^{(-1)^{m+1}}."""
-    out, m = 1.0, 0
-    while True:
-        f = (1 - x * q ** (2 * m)) * (1 - x * q ** (2 * m + 1))
-        out = out / f if m % 2 == 0 else out * f
-        if abs(x) * q ** (2 * m) < 1e-19 and m >= 1:
-            return out
-        m += 1
+    """exp(sum_n x^n (1+q^n)/(n(1+q^{2n}))) = (xq^2;q^4)(xq^3;q^4) / ((x;q^4)(xq;q^4))."""
+    return _qprod([x * q * q, x * q**3], [x, x * q], q**4, 1e-19, f"q = {q}")
 
 
 def _expB(x: float, q: float) -> float:
-    """exp(sum_n x^n (1-q^n)/(n(1+q^{2n})))
-    = prod_m (1-x q^{2m})^{(-1)^{m+1}} (1-x q^{2m+1})^{(-1)^m}."""
-    out, m = 1.0, 0
-    while True:
-        f = (1 - x * q ** (2 * m + 1)) / (1 - x * q ** (2 * m))
-        out = out * f if m % 2 == 0 else out / f
-        if abs(x) * q ** (2 * m) < 1e-19 and m >= 1:
-            return out
-        m += 1
+    """exp(sum_n x^n (1-q^n)/(n(1+q^{2n}))) = (xq;q^4)(xq^2;q^4) / ((x;q^4)(xq^3;q^4))."""
+    return _qprod([x * q, x * q * q], [x, x * q**3], q**4, 1e-19, f"q = {q}")
 
 
 def exp_minus_f_bulk(q: float, w2: float) -> float:
     """exp(-f_b) as an analytic continuation; negative for w^2 in (q^2, q)."""
-    eK1 = (w2 / q) * (1 - q * q / w2) / (1 - w2)
-    eK2 = (1 / w2) * (1 - q * w2) / (1 - q / w2)
-    return eK1 * eK2 * (1 + q) / (_expL(q * w2, q) * _expL(q * q / w2, q))
+    return _exp_K1(q, w2) * _exp_K2(q, w2) * (1 + q) / (_expL(q * w2, q) * _expL(q * q / w2, q))
 
 
 def exp_minus_f_surface_v(q: float, w2: float) -> float:
@@ -440,29 +420,16 @@ def exp_minus_f_surface_h_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def exp_minus_f_surface_h_inverted_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """exp(-f_sp(lam-u)) = exp(B(q^3/w^2)) * exp(-B(w^2/q)).
 
-    The second factor only exists as the alternating product
-    prod_m (1-x q^{2m})^{(-1)^m} (1-x q^{2m+1})^{(-1)^{m+1}} with x = w^2/q;
-    its m = 0 factor (1 - s/t^2) makes the result a Laurent series of
-    minimal degree -2.
+    The second factor only exists as the product
+    (x;q^4)(xq^3;q^4) / ((xq;q^4)(xq^2;q^4)) with x = w^2/q; its first
+    factor (1 - s/t^2) does not truncate, so it is multiplied in apart from
+    the others and makes the result a Laurent series of minimal degree -2.
     """
     ord_w = order + 4
     b_small = lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1, ord_w)
-    out = b_small.exp()
-    one = TruncatedSeries.one(ord_w)
-    m = 0
-    while True:
-        d1 = 8 * m - 2  # degree of (w^2/q) q^{2m}
-        d2 = 8 * m + 2  # degree of (w^2/q) q^{2m+1}
-        if d1 > ord_w and d2 > ord_w:
-            break
-        f1 = one - TruncatedSeries.term(1, d1, 1, order=ord_w)
-        f2 = one - TruncatedSeries.term(1, d2, 1, order=ord_w)
-        if m % 2 == 0:
-            out = out * f1 * f2.reciprocal()
-        else:
-            out = out * f1.reciprocal() * f2
-        m += 1
-    return out.truncate(order)
+    rest = expand_product([(1, 1, 14, 16, 1), (1, 1, 10, 16, 1), (1, 1, 2, 16, -1), (1, 1, 6, 16, -1)], ord_w)
+    first = TruncatedSeries.one(ord_w) - TruncatedSeries.term(1, -2, 1, order=ord_w)
+    return (b_small.exp() * rest * first).truncate(order)
 
 
 # ----------------------------------------------------------------------------
@@ -630,33 +597,15 @@ def conjugate_modulus_report(eps: float, prec_bits: int = 256) -> dict:
     import mpmath
 
     with mpmath.workprec(prec_bits):
-        one = mpmath.mpf(1)
         pi = mpmath.pi
         e = mpmath.mpf(eps)
         q = mpmath.exp(-2 * pi * e)
         qp = mpmath.exp(-2 * pi / e)
-        cutoff = (prec_bits + 16) * mpmath.log(2)
+        tiny = mpmath.mpf(2) ** (-prec_bits - 16)
         what = f"eps = {eps} at {prec_bits} bits"
 
-        def euler(x):
-            _check_product_length(-mpmath.log(x), cutoff, what)
-            out, k = one, 1
-            while True:
-                f = x**k
-                if f < mpmath.mpf(2) ** (-prec_bits - 16):
-                    return out
-                out *= 1 - f
-                k += 1
-
-        def podd(x):
-            _check_product_length(-2 * mpmath.log(x), cutoff, what)
-            out, k = one, 1
-            while True:
-                f = x ** (2 * k - 1)
-                if f < mpmath.mpf(2) ** (-prec_bits - 16):
-                    return out
-                out *= 1 - f
-                k += 1
+        euler = lambda x: _qprod([x], [], x, tiny, what)  # E(x) = (x; x)
+        podd = lambda x: _qprod([x], [], x * x, tiny, what)  # P(x) = (x; x^2)
 
         def rel(a, b):
             return float(abs(a - b) / abs(b))
@@ -687,16 +636,6 @@ def fc_asymptote(eps: float) -> tuple[float, float]:
 
     with mpmath.workprec(128):
         q = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(eps))
-        _check_product_length(-4 * mpmath.log(q), 40 * mpmath.log(10), f"eps = {eps}")
-        total, k = mpmath.mpf(0), 1
-        while True:
-            a = q ** (4 * k - 3)
-            if a < mpmath.mpf(10) ** -40:
-                break
-            total += mpmath.log(1 - a) + 4 * mpmath.log(1 - q ** (4 * k - 2)) + mpmath.log(
-                1 - q ** (4 * k - 1)
-            )
-            k += 1
-        fc = float(total)
+        fc = float(_corner_log(q, mpmath.mpf(10) ** -40, f"eps = {eps}"))
     asym = -math.pi / (8 * eps)
     return fc, fc / asym

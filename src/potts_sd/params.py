@@ -109,6 +109,15 @@ def _check_pole(value, pole_at, name: str):
         raise PoleError(name)
 
 
+def _exp_K1(q, w2):
+    return (w2 / q) * (1 - q * q / w2) / (1 - w2)
+
+
+def _exp_K2(q, w2):
+    """exp(K2), apart from exp(K1): Delta is defined at w^2 = 1, the K1 pole."""
+    return (1 / w2) * (1 - q * w2) / (1 - q / w2)
+
+
 def couplings(sp: SpectralParams) -> CouplingParams:
     """exp(K1) = (w^2/q)(1-q^2/w^2)/(1-w^2), exp(K2) = (1/w^2)(1-q w^2)/(1-q/w^2).
 
@@ -120,8 +129,7 @@ def couplings(sp: SpectralParams) -> CouplingParams:
     q, w2 = sp.q, sp.w2
     _check_pole(w2, 1, "w2=1")
     _check_pole(w2, q, "w2=q")
-    eK1 = (w2 / q) * (1 - q * q / w2) / (1 - w2)
-    eK2 = (1 / w2) * (1 - q * w2) / (1 - q / w2)
+    eK1, eK2 = _exp_K1(q, w2), _exp_K2(q, w2)
     lam, u = sp.lam, sp.u
     margin = min(abs(w2 - q) / q, abs(1 - w2))
     tol = CROSS_CHECK_RTOL + 1e-15 / max(float(margin), 1e-15)
@@ -148,8 +156,7 @@ def delta(sp: SpectralParams):
     """Delta = exp(K2) + Q - 1 = 2 cosh(lam) sinh(2lam-2u)/sinh(lam-2u)."""
     q, w2 = sp.q, sp.w2
     _check_pole(w2, q, "u=lam/2")
-    eK2 = (1 / w2) * (1 - q * w2) / (1 - q / w2)
-    val = eK2 + sp.Q - 1
+    val = _exp_K2(q, w2) + sp.Q - 1
     lam, u = sp.lam, sp.u
     hyp = 2 * math.cosh(lam) * math.sinh(2 * lam - 2 * u) / math.sinh(lam - 2 * u)
     if abs(hyp - val) > CROSS_CHECK_RTOL * max(1.0, abs(val)):

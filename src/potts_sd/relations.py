@@ -45,7 +45,7 @@ from .lattice import (
     max_eigenvalue,
     series_logZ,  # noqa: F401  (an alias perfbench/selftest.py checks the tracer wraps)
 )
-from .params import SpectralParams, couplings, delta, inversion_image, solve_q_from_Q, xi
+from .params import SpectralParams, _exp_K2, couplings, delta, inversion_image, rotation_image, solve_q_from_Q, xi
 
 NUMERIC_TOL = 1e-11
 
@@ -246,7 +246,6 @@ def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Ide
 def _numeric_defects(sp: SpectralParams) -> dict:
     q, w2 = sp.q, sp.w2
     w2i = q * q / w2  # inversion image
-    w2r = q / w2  # rotation image
     out = {}
 
     xival = xi(sp)
@@ -257,7 +256,7 @@ def _numeric_defects(sp: SpectralParams) -> dict:
     out["inversion_surface_v"] = abs(lhs - 1)
 
     dl = delta(sp)
-    dli = 1 - (1 / w2) * (1 - q * w2) / (1 - q / w2)  # Delta(lam-u) = 1 - e^{K2(u)}
+    dli = 1 - _exp_K2(q, w2)  # Delta(lam-u) = 1 - e^{K2(u)}
     lhs = cf.exp_minus_f_surface_h(q, w2) * dl
     rhs = cf.exp_minus_f_surface_h(q, w2i) * dli
     out["inversion_surface_h"] = abs(lhs / rhs - 1)
@@ -265,7 +264,7 @@ def _numeric_defects(sp: SpectralParams) -> dict:
     # f_c depends on q alone, so u -> lam-u leaves it fixed; check its sum against its product
     out["inversion_corner"] = abs(cf.f_corner(q) - cf.f_corner(q, "product"))
 
-    rot = SpectralParams(q, math.sqrt(w2r))
+    rot = rotation_image(sp)
     fb, fs, fsp = cf.f_bulk(sp), cf.f_surface_v(sp), cf.f_surface_h(sp)
     out["rotation_bulk"] = abs(fb - cf.f_bulk(rot)) / max(abs(fb), 1e-300)
     out["rotation_surface_sv"] = abs(fs - cf.f_surface_h(rot)) / max(abs(fs), 1e-300)

@@ -11,7 +11,7 @@ import pytest
 
 import potts_sd
 
-from potts_sd import cli, closedform, lattice
+from potts_sd import bethe, cli, closedform, lattice
 from potts_sd.qseries import TruncatedSeries
 
 
@@ -108,6 +108,24 @@ def test_critical_subcommand(capsys):
     d = json.loads(out)
     assert d["ratio"] == pytest.approx(0.794, abs=5e-3)
     assert all(v <= 1e-12 for v in d["conjugate_modulus"].values())
+
+
+@pytest.mark.parametrize("eps,used", [("0.05", 0.5), ("2", 2.0)])
+def test_critical_reports_the_conjugate_modulus_eps(capsys, eps, used):
+    # the modular identities run at max(eps, 0.5), a key of its own outside conjugate_modulus
+    code, out = run(capsys, "critical", "--eps", eps)
+    assert code == 0
+    d = json.loads(out)
+    assert d["conjugate_modulus_eps"] == used
+    assert "conjugate_modulus_eps" not in d["conjugate_modulus"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("eps", ["2e-5", "3000"])
+def test_critical_accepts_the_ends_of_its_eps_range(capsys, eps):
+    code, out = run(capsys, "critical", "--eps", eps)
+    assert code == 0
+    assert json.loads(out)["f_c"] == closedform.fc_asymptote(float(eps))[0]
 
 
 @pytest.mark.parametrize("eps", ["1e-300", "1e6"])
@@ -305,6 +323,18 @@ def test_disagreeing_numeric_routes_exit_three(monkeypatch, capsys):
     monkeypatch.setattr(closedform, "free_energies", disagree)
     assert cli.main(["eval", "--q", "0.2", "--s", "1"]) == 3
     assert "disagree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "skew",
+    [lambda lam2: (lam2, lam2 * (1 + 1e-9)), lambda lam2: (lam2 + 1e-6j * abs(lam2),) * 2],
+    ids=["forms-disagree", "imaginary-part"],
+)
+def test_eval_bethe_checks_the_eigenvalue(monkeypatch, capsys, skew):
+    exact = bethe.eigenvalue
+    monkeypatch.setattr(bethe, "eigenvalue", lambda br, q, w: skew(exact(br, q, w)[0]))
+    assert cli.main(["eval", "--q", "0.2", "--s", "1", "--route", "bethe", "--N", "4"]) == 3
+    assert "eigenvalue" in capsys.readouterr().err
 
 
 def test_no_command_needs_scipy():

@@ -32,6 +32,15 @@ def test_corner_two_representations():
     assert b == pytest.approx(a, rel=1e-13)
 
 
+def test_corner_product_stops_at_the_float_range():
+    # near q = 1 the float products of exp(f_c) shrink towards the float range:
+    # inside it the product form matches the sum, beyond it (q > 0.9994) it is
+    # refused instead of returning a value that lost its digits
+    assert cf.f_corner(0.999, form="product") == pytest.approx(cf.f_corner(0.999), rel=1e-12)
+    with pytest.raises(DomainError, match="below the smallest float"):
+        cf.f_corner(0.9995, form="product")
+
+
 def test_surface_vanishes_at_w2_equals_q():
     # termwise zero of the sum at the strip edge (evaluated just inside)
     sp = SpectralParams(0.2, math.sqrt(0.2) * (1 + 1e-9))
@@ -56,6 +65,19 @@ def test_rotation_exchanges_surfaces_numeric():
     rot = SpectralParams.from_q_s(0.2, 1 / 1.4)
     assert cf.f_surface_h(sp) == pytest.approx(cf.f_surface_v(rot), rel=1e-13)
     assert cf.f_bulk(sp) == pytest.approx(cf.f_bulk(rot), rel=1e-13)
+
+
+@pytest.mark.parametrize("q,s", POINTS)
+def test_product_continuations_equal_the_sums(q, s):
+    # in the physical strip the continued products are exp(-f) of the certified sums
+    sp = SpectralParams.from_q_s(q, s)
+    w2 = sp.w2
+    assert cf.exp_minus_f_bulk(q, w2) == pytest.approx(math.exp(-cf.f_bulk(sp)), rel=1e-13)
+    assert cf.exp_minus_f_surface_v(q, w2) == pytest.approx(math.exp(-cf.f_surface_v(sp)), rel=1e-13)
+    assert cf.exp_minus_f_surface_h(q, w2) == pytest.approx(math.exp(-cf.f_surface_h(sp)), rel=1e-13)
+    # below the strip, q^2 < w^2 < q (the inversion image among them), exp(-f_sp) is negative
+    for w2_below in (q * q / w2, q * q + 0.01 * (q - q * q), (q * q + q) / 2, q - 0.01 * (q - q * q)):
+        assert cf.exp_minus_f_surface_h(q, w2_below) < 0, w2_below
 
 
 def test_isotropic_equals_general_at_s1():
