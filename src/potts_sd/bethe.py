@@ -20,6 +20,14 @@ z_j = exp(i pi j/(N+1)) in the open upper half plane, which continues to
 the dominant eigenvalue throughout the strip.  Newton iteration runs on the
 logarithmic form with per-root branch integers fixed by that limit, and the
 continuation ramps t = q^{1/4} geometrically at fixed s = w^2/sqrt(q).
+
+The continuation is a predictor-corrector loop: t grows by STEP_RATIO = 2
+per step from T_START; a secant through the last two accepted root sets,
+linear in log t, predicts the roots at the next t; Newton corrects them to
+max |Phi_j| < NEWTON_TOL = 1e-13 at every step; a Newton failure or an
+invariant violation halves the ratio's excess over 1 and retries the step.
+One kernel, ``_defect``, builds the pair factors once per Newton iterate and
+gives both the defect and, only while unconverged, the Jacobian.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ COLLISION_TOL = 1e-8
 # step; each failed step halves the ratio's excess over 1, at most
 # MAX_HALVINGS times; each point takes at most MAX_NEWTON Newton steps
 T_START = 0.04
-STEP_RATIO = 1.2
+STEP_RATIO = 2.0
 NEWTON_TOL = 1e-13
 MAX_NEWTON = 60
 MAX_HALVINGS = 40
@@ -77,67 +85,73 @@ def _log(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_residual_vec(z: np.ndarray, q: float, w: float) -> np.ndarray:
-    """Logarithmic-form defect Phi_j; zero at a solution with the dominant
-    branch integers k_j = -j fixed by the (q, w) -> 0 limit.
+def _defect(z: np.ndarray, q: float, w: float):
+    """Logarithmic-form defect Phi_j, zero at a solution with the dominant
+    branch integers k_j = -j fixed by the (q, w) -> 0 limit, with the pair
+    products P = z_j z_m and the Jacobian d Phi_j / d z_m as a callable.
 
     Every factor keeps its own principal-branch log, so the branch integers
     stay valid.  Over the pairs, log(1 - q z_j z_m) - log(1 - q/(z_j z_m))
     is symmetric in (j, m) and log(1 - q z_m/z_j) is the transpose of
-    log(1 - q z_j/z_m).
+    log(1 - q z_j/z_m).  Each factor log(1 - y) differentiates to
+    -(y/(1 - y)) d(log y), and d(log y) is +-dz_j/z_j or +-dz_m/z_m, so the
+    Jacobian reuses y and 1 - y; it is formed only when called.
     """
-    N = len(z)
-    out = -(2 * N + 2) * _log(z) + 2j * math.pi * np.arange(1, N + 1)
-    b = _log(1 - np.array([w * z, q * z / w, w / z, q / (w * z)]))
-    out += 2 * N * (b[0] + b[1] - b[2] - b[3])
-    P = z[:, None] * z
-    a = _log(1 - q * np.array([P, 1 / P, z[:, None] / z]))
-    pair = a[0] - a[1] + a[2] - a[2].T
-    np.fill_diagonal(pair, 0)
-    return out - pair.sum(axis=1)
-
-
-def _jacobian(z: np.ndarray, q: float, w: float) -> np.ndarray:
-    """d Phi_j / d z_m.  Each factor log(1 - y) differentiates to
-    -(y/(1 - y)) d(log y), and d(log y) is +-dz_j/z_j or +-dz_m/z_m."""
     N = len(z)
     P = z[:, None] * z
     y = q * np.array([P, 1 / P, z[:, None] / z])
-    g = y / (1 - y)
-    gP = g[0] + g[1]  # from q z_j z_m and q/(z_j z_m): symmetric
-    gR = g[2] + g[2].T  # from q z_j/z_m and q z_m/z_j: symmetric
-    J = (gP - gR) / z
-    diag = gP + gR
-    np.fill_diagonal(diag, 0)
     b = np.array([w * z, q * z / w, w / z, q / (w * z)])
-    d = -(2 * N + 2) - 2 * N * (b / (1 - b)).sum(axis=0) + diag.sum(axis=1)
-    np.fill_diagonal(J, d / z)
-    return J
+    one_y, one_b = 1 - y, 1 - b
+    lb = _log(one_b)
+    a = _log(one_y)
+    pair = a[0] - a[1] + a[2] - a[2].T
+    np.fill_diagonal(pair, 0)
+    phi = (
+        -(2 * N + 2) * _log(z)
+        + 2j * math.pi * np.arange(1, N + 1)
+        + 2 * N * (lb[0] + lb[1] - lb[2] - lb[3])
+        - pair.sum(axis=1)
+    )
+
+    def jacobian() -> np.ndarray:
+        g = y / one_y
+        gP = g[0] + g[1]  # from q z_j z_m and q/(z_j z_m): symmetric
+        gR = g[2] + g[2].T  # from q z_j/z_m and q z_m/z_j: symmetric
+        J = (gP - gR) / z
+        diag = gP + gR
+        np.fill_diagonal(diag, 0)
+        d = -(2 * N + 2) - 2 * N * (b / one_b).sum(axis=0) + diag.sum(axis=1)
+        np.fill_diagonal(J, d / z)
+        return J
+
+    return phi, P, jacobian
 
 
 def residual(z: np.ndarray, q: float, w: float) -> float:
-    return float(np.max(np.abs(_log_residual_vec(np.asarray(z, dtype=complex), q, w))))
+    return float(np.max(np.abs(_defect(np.asarray(z, dtype=complex), q, w)[0])))
 
 
-def _check_invariants(z: np.ndarray):
+def _check_invariants(z: np.ndarray, P: np.ndarray):
+    """Half plane, no collision, no inverse pair; ``P`` holds z_j z_m."""
     if np.any(z.imag <= COLLISION_TOL):
         raise ContinuationError("root left the open upper half plane")
     pairs = ~np.tri(len(z), dtype=bool)  # m > j
     if np.any(np.abs(z[:, None] - z)[pairs] < COLLISION_TOL):
         raise ContinuationError("root collision")
-    if np.any(np.abs(z[:, None] * z - 1)[pairs] < COLLISION_TOL):
+    if np.any(np.abs(P - 1)[pairs] < COLLISION_TOL):
         raise ContinuationError("root met an inverse pair")
 
 
-def _newton(z: np.ndarray, q: float, w: float) -> tuple[np.ndarray, float, int]:
+def _newton(z: np.ndarray, q: float, w: float) -> tuple[np.ndarray, float, int, np.ndarray]:
     """Damped Newton on the log form from ``z``: the solved set, its
-    residual max |Phi_j| and the number of Newton steps taken."""
+    residual max |Phi_j|, the number of Newton steps taken and the solved
+    set's pair products z_j z_m."""
     for steps in range(MAX_NEWTON):
-        F = _log_residual_vec(z, q, w)
+        F, P, jacobian = _defect(z, q, w)
         res = float(np.max(np.abs(F)))
         if res < NEWTON_TOL:
-            return z, res, steps
-        step = np.linalg.solve(_jacobian(z, q, w), F)
+            return z, res, steps, P
+        step = np.linalg.solve(jacobian(), F)
         # trust region: cap the relative step and stay in the half plane
         lam = min(1.0, 0.3 * float(np.min(np.abs(z))) / max(float(np.max(np.abs(step))), 1e-300))
         for _ in range(40):
@@ -154,7 +168,9 @@ def _newton(z: np.ndarray, q: float, w: float) -> tuple[np.ndarray, float, int]:
 def solve(N: int, q: float, w: float) -> BetheRoots:
     """Continue the roots from the (q, w) -> 0 configuration to (q, w).
 
-    The path fixes s = w^2/sqrt(q) and ramps t = q^{1/4} geometrically;
+    The path fixes s = w^2/sqrt(q) and ramps t = q^{1/4} geometrically.
+    Each step predicts the roots at the next t by the secant through the
+    last two accepted sets, linear in log t, and corrects them by Newton;
     Newton failures or invariant violations halve the step.  Root j keeps
     its branch integer along the path, so no step re-matches the roots.
     The solved set is canonical: sorted by argument, residual <= 1e-12.
@@ -167,23 +183,28 @@ def solve(N: int, q: float, w: float) -> BetheRoots:
     def point(tv):
         return tv**4, math.sqrt(s * tv * tv)
 
-    z, res, iterations = _newton(initial_roots(N), *point(t))
-    _check_invariants(z)
+    z, res, iterations, P = _newton(initial_roots(N), *point(t))
+    _check_invariants(z, P)
     trace = [(t, res)]
 
     halvings = 0
     ratio = STEP_RATIO
+    z_prev = t_prev = None
     while t < t_target:
         t_next = min(t * ratio, t_target)
+        guess = z
+        if z_prev is not None:
+            guess = z + (z - z_prev) * (math.log(t_next / t) / math.log(t / t_prev))
         try:
-            zn, res, steps = _newton(z, *point(t_next))
-            _check_invariants(zn)
+            zn, res, steps, P = _newton(guess, *point(t_next))
+            _check_invariants(zn, P)
         except (ConvergenceError, ContinuationError):
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise ContinuationError("continuation step underflow", trace)
             ratio = 1 + (ratio - 1) / 2
             continue
+        z_prev, t_prev = z, t
         z, t = zn, t_next
         iterations += steps
         trace.append((t, res))
@@ -218,18 +239,25 @@ def eigenvalue(roots, q: float, w: float) -> tuple[complex, complex]:
     return lam_product, lam_rform
 
 
-def surface_free_energy(br: BetheRoots, fb: float, cp) -> float:
-    """f_s^(N) = -N f_b - (N/2) log Q + N log x - log L2 from solved roots,
-    the closed-form ``fb`` and the ``CouplingParams`` ``cp`` at their (q, w).
-
-    Raises ConvergenceError unless the two eigenvalue forms agree to 1e-12
-    and L2 is real to 1e-10 (both relative)."""
-    N = br.N
+def checked_eigenvalue(br: BetheRoots) -> tuple[complex, complex]:
+    """``eigenvalue`` at the solved point, after checking that its two forms
+    agree to 1e-12 and that L2 is real to 1e-10 (both relative); raises
+    ConvergenceError otherwise."""
     lam2, lam2b = eigenvalue(br, br.q, br.w)
     if abs(lam2 - lam2b) > 1e-12 * abs(lam2):
         raise ConvergenceError("eigenvalue representations disagree")
     if abs(lam2.imag) > 1e-10 * abs(lam2):
         raise ConvergenceError("eigenvalue picked up an imaginary part")
+    return lam2, lam2b
+
+
+def surface_free_energy(br: BetheRoots, fb: float, cp) -> float:
+    """f_s^(N) = -N f_b - (N/2) log Q + N log x - log L2 from solved roots,
+    the closed-form ``fb`` and the ``CouplingParams`` ``cp`` at their (q, w).
+
+    L2 comes from ``checked_eigenvalue``."""
+    N = br.N
+    lam2 = checked_eigenvalue(br)[0]
     return -N * fb - (N / 2) * math.log(cp.Q) + N * math.log(cp.x) - math.log(lam2.real)
 
 

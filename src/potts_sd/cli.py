@@ -182,7 +182,7 @@ def cmd_bethe(args) -> int:
     N = args.N
     sp = SpectralParams.from_q_s(args.q, args.s)
     br = bethe.solve(N, sp.q, sp.w)
-    lam2, lam2b = bethe.eigenvalue(br, sp.q, sp.w)
+    lam2, lam2b = bethe.checked_eigenvalue(br)
     payload = {
         "command": "bethe",
         "roots": bethe.roots_to_json(br),

@@ -85,6 +85,13 @@ def _certified_sum(term_fn, ratios):
     raise ConvergenceError("series sum did not meet its tail bound")
 
 
+def _check_length(top, r, tiny, what: str):
+    """Refuse a product whose largest symbol ``top`` needs more than
+    ``_MAX_TERMS`` factors of ratio ``r`` to fall below ``tiny``."""
+    if top * r**_MAX_TERMS >= tiny:
+        raise DomainError(f"{what} needs more than {_MAX_TERMS} product factors")
+
+
 def _qprod(num, den, r, tiny, what: str):
     """prod_{a in num} (a; r)_inf / prod_{b in den} (b; r)_inf, floats or mpmath.
 
@@ -96,8 +103,7 @@ def _qprod(num, den, r, tiny, what: str):
     its last, with a DomainError naming ``what``.
     """
     top = max(map(abs, num + den))
-    if top * r**_MAX_TERMS >= tiny:
-        raise DomainError(f"{what} needs more than {_MAX_TERMS} product factors")
+    _check_length(top, r, tiny, what)
     out, rk = 1, 1
     while top * rk >= tiny:
         for a in num:
@@ -604,8 +610,13 @@ def conjugate_modulus_report(eps: float, prec_bits: int = 256) -> dict:
         tiny = mpmath.mpf(2) ** (-prec_bits - 16)
         what = f"eps = {eps} at {prec_bits} bits"
 
+        qp4 = qp ** mpmath.mpf("0.25")
         euler = lambda x: _qprod([x], [], x, tiny, what)  # E(x) = (x; x)
         podd = lambda x: _qprod([x], [], x * x, tiny, what)  # P(x) = (x; x^2)
+        # E(q) and P(q'^{1/4}) are the longest products below: an eps that
+        # either refuses is refused before any product runs
+        _check_length(q, q, tiny, what)
+        _check_length(qp4, qp4 * qp4, tiny, what)
 
         def rel(a, b):
             return float(abs(a - b) / abs(b))
@@ -623,7 +634,7 @@ def conjugate_modulus_report(eps: float, prec_bits: int = 256) -> dict:
         rhs = (
             mpmath.exp(3 * pi * e / 4 + pi / (8 * e))
             * podd(qp ** mpmath.mpf("0.5"))
-            * podd(qp ** mpmath.mpf("0.25")) ** 4
+            * podd(qp4) ** 4
             / mpmath.mpf(2) ** mpmath.mpf("2.5")
         )
         report["corner_modular_form"] = rel(emfc, rhs)

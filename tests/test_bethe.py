@@ -105,6 +105,24 @@ def test_solve_canonical_under_reordering(monkeypatch):
     assert np.max(np.abs(a - b)) < 1e-10
 
 
+def _at_u_frac(q, f):
+    return SpectralParams(q, math.exp(f * math.log(q)))  # w = exp(-2 f lam)
+
+
+@pytest.mark.parametrize(
+    "sp,N",
+    [(_at_u_frac(q, f), N) for q in (0.02, 0.3) for f in (0.15, 0.40) for N in (8, 16)]
+    # outside the physical strip q < w^2 < 1
+    + [(SpectralParams.from_q_s(0.3, 0.5), 8), (_at_u_frac(0.2, 0.6), 12)],
+)
+def test_step_schedule_does_not_change_the_roots(monkeypatch, sp, N):
+    # the default ramp and a fine one (ratio 1.05) reach the same root set
+    default = bethe.solve(N, sp.q, sp.w).roots
+    monkeypatch.setattr(bethe, "STEP_RATIO", 1.05)
+    fine = bethe.solve(N, sp.q, sp.w).roots
+    assert np.max(np.abs(default - fine)) <= 1e-10
+
+
 def test_N1_companion_matrix_oracle():
     # N=1: the constraint is z^4 = A(z)^2 with A the boundary factor; the
     # log form used by the solver picks the branch continuing from z = i.
@@ -192,7 +210,7 @@ def test_surface_convergence_exponential_regime():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_log_residual_matches_scalar_reference(N, seed):
     z, q, w = random_root_set(N, seed)
-    assert np.max(np.abs(bethe._log_residual_vec(z, q, w) - phi_reference(z, q, w))) <= 1e-12
+    assert np.max(np.abs(bethe._defect(z, q, w)[0] - phi_reference(z, q, w))) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 16])
@@ -205,7 +223,7 @@ def test_jacobian_matches_central_differences(N):
         e = np.zeros(N)
         e[m] = h
         fd[:, m] = (phi_reference(z + e, q, w) - phi_reference(z - e, q, w)) / (2 * h)
-    J = bethe._jacobian(z, q, w)
+    J = bethe._defect(z, q, w)[2]()
     assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
 
 

@@ -325,15 +325,26 @@ def test_disagreeing_numeric_routes_exit_three(monkeypatch, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
+EIGENVALUE_SKEWS = pytest.mark.parametrize(
     "skew",
     [lambda lam2: (lam2, lam2 * (1 + 1e-9)), lambda lam2: (lam2 + 1e-6j * abs(lam2),) * 2],
     ids=["forms-disagree", "imaginary-part"],
 )
+
+
+@EIGENVALUE_SKEWS
 def test_eval_bethe_checks_the_eigenvalue(monkeypatch, capsys, skew):
     exact = bethe.eigenvalue
     monkeypatch.setattr(bethe, "eigenvalue", lambda br, q, w: skew(exact(br, q, w)[0]))
     assert cli.main(["eval", "--q", "0.2", "--s", "1", "--route", "bethe", "--N", "4"]) == 3
+    assert "eigenvalue" in capsys.readouterr().err
+
+
+@EIGENVALUE_SKEWS
+def test_bethe_subcommand_checks_the_eigenvalue(monkeypatch, capsys, skew):
+    exact = bethe.eigenvalue
+    monkeypatch.setattr(bethe, "eigenvalue", lambda br, q, w: skew(exact(br, q, w)[0]))
+    assert cli.main(["bethe", "--q", "0.2", "--s", "1", "--N", "4"]) == 3
     assert "eigenvalue" in capsys.readouterr().err
 
 

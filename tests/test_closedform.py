@@ -211,6 +211,23 @@ def test_euler_odd_split():
     assert rep["euler_odd_split"] <= 1e-12
 
 
+def test_conjugate_modulus_refuses_before_any_product(monkeypatch):
+    # at eps = 3400 only P(q'^{1/4}) is too long; it is refused before the
+    # shorter products (about 1e5 factors each) run
+    finished = []
+    qprod = cf._qprod
+
+    def counting(*args):
+        out = qprod(*args)
+        finished.append(args[2])
+        return out
+
+    monkeypatch.setattr(cf, "_qprod", counting)
+    with pytest.raises(DomainError, match="product factors"):
+        cf.conjugate_modulus_report(3400)
+    assert finished == []
+
+
 def test_fc_asymptote_monotone_approach():
     r = [cf.fc_asymptote(e)[1] for e in (0.05, 0.03, 0.02)]
     assert r[0] < r[1] < r[2] < 1
