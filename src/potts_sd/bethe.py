@@ -17,22 +17,29 @@ and the eigenvalue is
 As (q, w) -> 0 the equations collapse to z_j^{2N+2} = 1; rejecting z = +-1
 and keeping one of each (z, 1/z) pair leaves the unique configuration
 z_j = exp(i pi j/(N+1)) in the open upper half plane, which continues to
-the dominant eigenvalue throughout the strip.  Newton iteration runs on the
-logarithmic form with per-root branch integers fixed by that limit, and the
+the dominant eigenvalue throughout the strip.  The roots stay on the unit
+circle, z_j = e^{i theta_j} with theta_j in (0, pi), where each factor and
+its mirror are complex conjugates.  With A_r(phi) = arg(1 - r e^{i phi})
+the logarithmic form of equation j is Phi_j = i F_j,
+
+    F_j = -(2N+2) theta_j + 2 pi j + 4N [A_w(theta_j) + A_{q/w}(theta_j)]
+          - 2 sum_{m != j} [A_q(theta_j + theta_m) + A_q(theta_j - theta_m)],
+
+with the branch integer of root j fixed to -j by the (q, w) -> 0 limit.
+Newton runs on the real N x N system F = 0 and stops at
+max |F_j| < max(NEWTON_TOL, 2 (2N+2) pi eps), F's rounding floor.  The
 continuation ramps t = q^{1/4} geometrically at fixed s = w^2/sqrt(q).
 
 The continuation is a predictor-corrector loop: t grows by STEP_RATIO = 2
-per step from T_START; a secant through the last two accepted root sets,
-linear in log t, predicts the roots at the next t; Newton corrects them to
-max |Phi_j| < NEWTON_TOL = 1e-13 at every step; a Newton failure or an
-invariant violation halves the ratio's excess over 1 and retries the step.
-One kernel, ``_defect``, builds the pair factors once per Newton iterate and
-gives both the defect and, only while unconverged, the Jacobian.
+per step from T_START; a secant through the last two accepted angle sets,
+linear in log t, predicts the angles at the next t; Newton corrects them at
+every step; a Newton failure or an invariant violation halves the ratio's
+excess over 1 and retries the step.  The last step solves at (q, w) itself.
+One kernel, ``_defect``, gives F and, only while unconverged, the Jacobian.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -58,7 +65,7 @@ class BetheRoots:
     """Solved root set with its residual and continuation trace."""
 
     N: int
-    roots: np.ndarray  # complex, upper half plane, sorted by argument
+    roots: np.ndarray  # complex, on the upper unit half circle, sorted by argument
     residual: float
     q: float
     w: float
@@ -68,100 +75,78 @@ class BetheRoots:
 
 
 def initial_roots(N: int) -> np.ndarray:
-    """The (2N+2)-th roots of unity in the open upper half plane."""
+    """The arguments theta_j = pi j/(N+1) of the (2N+2)-th roots of unity in
+    the open upper half plane."""
     if N < 1:
         raise DomainError("N must be >= 1")
-    return np.array([cmath.exp(1j * math.pi * j / (N + 1)) for j in range(1, N + 1)])
+    return math.pi * np.arange(1, N + 1) / (N + 1)
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    """Elementwise principal-branch log, log|x| + i arg x, arg in (-pi, pi].
+def _arg(r, phi):
+    """A_r(phi) = arg(1 - r e^{i phi}) and, as a callable, dA_r/dphi.
 
-    The same branch as ``np.log`` on complex input, built from real ufuncs,
-    which are several times faster."""
-    out = np.empty_like(x)
-    out.real = np.log(np.abs(x))
-    out.imag = np.angle(x)
-    return out
+    1 - r cos(phi) is formed as (1 - r) + 2 r sin^2(phi/2); 1 - r is exact
+    for r in [1/2, 2], so nothing cancels as r -> 1 and phi -> 0."""
+    h = 2 * np.sin(phi / 2) ** 2  # 1 - cos(phi)
+    c = (1 - r) + r * h
+    y = r * np.sin(phi)
+    # d/dphi arg(1 - r e^{i phi}) = r (r - cos phi) / |1 - r e^{i phi}|^2
+    return np.arctan2(-y, c), lambda: r * (h - (1 - r)) / (c * c + y * y)
 
 
-def _defect(z: np.ndarray, q: float, w: float):
-    """Logarithmic-form defect Phi_j, zero at a solution with the dominant
-    branch integers k_j = -j fixed by the (q, w) -> 0 limit, with the pair
-    products P = z_j z_m and the Jacobian d Phi_j / d z_m as a callable.
+def _defect(theta: np.ndarray, q: float, w: float):
+    """The angle-form defect F_j and its Jacobian dF_j/dtheta_m as a callable.
 
-    Every factor keeps its own principal-branch log, so the branch integers
-    stay valid.  Over the pairs, log(1 - q z_j z_m) - log(1 - q/(z_j z_m))
-    is symmetric in (j, m) and log(1 - q z_m/z_j) is the transpose of
-    log(1 - q z_j/z_m).  Each factor log(1 - y) differentiates to
-    -(y/(1 - y)) d(log y), and d(log y) is +-dz_j/z_j or +-dz_m/z_m, so the
-    Jacobian reuses y and 1 - y; it is formed only when called.
+    A_q(theta_j + theta_m) is symmetric in (j, m) and A_q(theta_j - theta_m)
+    antisymmetric, so the off-diagonal Jacobian is -2 times the difference
+    of their slopes; the diagonal collects the boundary slopes and the sum
+    of the pair slopes.
     """
-    N = len(z)
-    P = z[:, None] * z
-    y = q * np.array([P, 1 / P, z[:, None] / z])
-    b = np.array([w * z, q * z / w, w / z, q / (w * z)])
-    one_y, one_b = 1 - y, 1 - b
-    lb = _log(one_b)
-    a = _log(one_y)
-    pair = a[0] - a[1] + a[2] - a[2].T
+    N = len(theta)
+    bound, dbound = _arg(np.array([[w], [q / w]]), theta)
+    pair, dpair = _arg(q, np.array([theta[:, None] + theta, theta[:, None] - theta]))
+    pair = pair[0] + pair[1]
     np.fill_diagonal(pair, 0)
-    phi = (
-        -(2 * N + 2) * _log(z)
-        + 2j * math.pi * np.arange(1, N + 1)
-        + 2 * N * (lb[0] + lb[1] - lb[2] - lb[3])
-        - pair.sum(axis=1)
+    F = (
+        -(2 * N + 2) * theta
+        + 2 * math.pi * np.arange(1, N + 1)
+        + 4 * N * bound.sum(axis=0)
+        - 2 * pair.sum(axis=1)
     )
 
     def jacobian() -> np.ndarray:
-        g = y / one_y
-        gP = g[0] + g[1]  # from q z_j z_m and q/(z_j z_m): symmetric
-        gR = g[2] + g[2].T  # from q z_j/z_m and q z_m/z_j: symmetric
-        J = (gP - gR) / z
-        diag = gP + gR
+        plus, minus = dpair()
+        J = -2 * (plus - minus)
+        diag = plus + minus
         np.fill_diagonal(diag, 0)
-        d = -(2 * N + 2) - 2 * N * (b / one_b).sum(axis=0) + diag.sum(axis=1)
-        np.fill_diagonal(J, d / z)
+        np.fill_diagonal(J, -(2 * N + 2) + 4 * N * dbound().sum(axis=0) - 2 * diag.sum(axis=1))
         return J
 
-    return phi, P, jacobian
+    return F, jacobian
 
 
-def residual(z: np.ndarray, q: float, w: float) -> float:
-    return float(np.max(np.abs(_defect(np.asarray(z, dtype=complex), q, w)[0])))
+def _check_invariants(theta: np.ndarray):
+    """Every angle in (0, pi) and no collision: the sorted gaps, counting
+    those to 0 and pi, exceed COLLISION_TOL."""
+    if np.any(np.diff(theta, prepend=0.0, append=math.pi) <= COLLISION_TOL):
+        raise ContinuationError("roots left (0, pi) or collided")
 
 
-def _check_invariants(z: np.ndarray, P: np.ndarray):
-    """Half plane, no collision, no inverse pair; ``P`` holds z_j z_m."""
-    if np.any(z.imag <= COLLISION_TOL):
-        raise ContinuationError("root left the open upper half plane")
-    pairs = ~np.tri(len(z), dtype=bool)  # m > j
-    if np.any(np.abs(z[:, None] - z)[pairs] < COLLISION_TOL):
-        raise ContinuationError("root collision")
-    if np.any(np.abs(P - 1)[pairs] < COLLISION_TOL):
-        raise ContinuationError("root met an inverse pair")
+def _newton(theta: np.ndarray, q: float, w: float) -> tuple[np.ndarray, float, int]:
+    """Newton on F from ``theta``: the solved angles, their residual
+    max |F_j| and the number of Newton steps taken.
 
-
-def _newton(z: np.ndarray, q: float, w: float) -> tuple[np.ndarray, float, int, np.ndarray]:
-    """Damped Newton on the log form from ``z``: the solved set, its
-    residual max |Phi_j|, the number of Newton steps taken and the solved
-    set's pair products z_j z_m."""
+    It stops at F's rounding floor, about (2N+2) pi eps, or at NEWTON_TOL
+    if that is larger."""
+    tol = max(NEWTON_TOL, 2 * (2 * len(theta) + 2) * math.pi * np.finfo(float).eps)
     for steps in range(MAX_NEWTON):
-        F, P, jacobian = _defect(z, q, w)
+        F, jacobian = _defect(theta, q, w)
         res = float(np.max(np.abs(F)))
-        if res < NEWTON_TOL:
-            return z, res, steps, P
+        if res < tol:
+            return theta, res, steps
         step = np.linalg.solve(jacobian(), F)
-        # trust region: cap the relative step and stay in the half plane
-        lam = min(1.0, 0.3 * float(np.min(np.abs(z))) / max(float(np.max(np.abs(step))), 1e-300))
-        for _ in range(40):
-            zn = z - lam * step
-            if np.all(zn.imag > 1e-14):
-                break
-            lam /= 2
-        else:
-            raise ConvergenceError("Newton step could not stay in the half plane")
-        z = zn
+        # trust region: no angle moves by more than 0.3
+        theta = theta - min(1.0, 0.3 / max(float(np.max(np.abs(step))), 1e-300)) * step
     raise ConvergenceError("Newton iteration did not converge")
 
 
@@ -169,11 +154,12 @@ def solve(N: int, q: float, w: float) -> BetheRoots:
     """Continue the roots from the (q, w) -> 0 configuration to (q, w).
 
     The path fixes s = w^2/sqrt(q) and ramps t = q^{1/4} geometrically.
-    Each step predicts the roots at the next t by the secant through the
+    Each step predicts the angles at the next t by the secant through the
     last two accepted sets, linear in log t, and corrects them by Newton;
     Newton failures or invariant violations halve the step.  Root j keeps
-    its branch integer along the path, so no step re-matches the roots.
-    The solved set is canonical: sorted by argument, residual <= 1e-12.
+    its branch integer along the path, so no step re-matches the roots, and
+    the angles stay sorted.  The solved set is canonical: sorted by
+    argument, residual <= 1e-12.
     """
     sp = SpectralParams(q, w)
     s = sp.s
@@ -181,39 +167,40 @@ def solve(N: int, q: float, w: float) -> BetheRoots:
     t = min(T_START, t_target)
 
     def point(tv):
-        return tv**4, math.sqrt(s * tv * tv)
+        # the last step solves at (q, w) itself, not at its rounded image
+        return (q, w) if tv == t_target else (tv**4, math.sqrt(s * tv * tv))
 
-    z, res, iterations, P = _newton(initial_roots(N), *point(t))
-    _check_invariants(z, P)
+    theta, res, iterations = _newton(initial_roots(N), *point(t))
+    _check_invariants(theta)
     trace = [(t, res)]
 
     halvings = 0
     ratio = STEP_RATIO
-    z_prev = t_prev = None
+    theta_prev = t_prev = None
     while t < t_target:
         t_next = min(t * ratio, t_target)
-        guess = z
-        if z_prev is not None:
-            guess = z + (z - z_prev) * (math.log(t_next / t) / math.log(t / t_prev))
+        guess = theta
+        if theta_prev is not None:
+            guess = theta + (theta - theta_prev) * (math.log(t_next / t) / math.log(t / t_prev))
         try:
-            zn, res, steps, P = _newton(guess, *point(t_next))
-            _check_invariants(zn, P)
+            tn, res, steps = _newton(guess, *point(t_next))
+            _check_invariants(tn)
         except (ConvergenceError, ContinuationError):
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise ContinuationError("continuation step underflow", trace)
             ratio = 1 + (ratio - 1) / 2
             continue
-        z_prev, t_prev = z, t
-        z, t = zn, t_next
+        theta_prev, t_prev = theta, t
+        theta, t = tn, t_next
         iterations += steps
         trace.append((t, res))
 
-    z = z[np.argsort(np.angle(z))]
-    res = residual(z, q, w)
     if res > RESIDUAL_TOL:
         raise ConvergenceError(f"final residual {res} exceeds {RESIDUAL_TOL}")
-    return BetheRoots(N=N, roots=z, residual=res, q=q, w=w, trace=trace, newton_iterations=iterations, halvings=halvings)
+    return BetheRoots(
+        N=N, roots=np.exp(1j * theta), residual=res, q=q, w=w, trace=trace, newton_iterations=iterations, halvings=halvings
+    )
 
 
 def eigenvalue(roots, q: float, w: float) -> tuple[complex, complex]:

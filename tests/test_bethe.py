@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import dominant_eigenvalue, double_row_matrix, limit_eigenvalue
-from potts_sd import bethe
+from potts_sd import bethe, closedform
 from potts_sd.errors import DomainError
-from potts_sd.params import SpectralParams
+from potts_sd.params import SpectralParams, couplings
 
 
 def phi_reference(z, q, w):
@@ -40,27 +40,25 @@ def phi_reference(z, q, w):
     return out
 
 
-def random_root_set(N, seed):
-    """N points of the upper half plane with |z| in [0.6, 1.4], and (q, w)
-    small enough that no factor of Phi comes near its log's branch cut."""
+def random_angle_set(N, seed):
+    """N sorted angles in (0.05, pi - 0.05), q in (0.05, 0.8) and 1 - w
+    log-uniform in (0.01, 0.3): up to w = 0.99, where 1 - w cos(theta)
+    nearly cancels at small theta."""
     rng = np.random.default_rng(seed)
-    z = rng.uniform(0.6, 1.4, N) * np.exp(1j * rng.uniform(0.1, math.pi - 0.1, N))
-    return z, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.3, 0.8))
+    theta = np.sort(rng.uniform(0.05, math.pi - 0.05, N))
+    return theta, float(rng.uniform(0.05, 0.8)), 1 - 10 ** float(rng.uniform(-2, math.log10(0.3)))
 
 
 def test_initial_roots_small_cases():
-    z1 = bethe.initial_roots(1)
-    assert z1[0] == pytest.approx(1j)
-    z3 = bethe.initial_roots(3)
-    args = [cmath.phase(z) for z in z3]
-    assert args == pytest.approx([math.pi / 4, math.pi / 2, 3 * math.pi / 4])
+    assert bethe.initial_roots(1) == pytest.approx([math.pi / 2])
+    assert bethe.initial_roots(3) == pytest.approx([math.pi / 4, math.pi / 2, 3 * math.pi / 4])
 
 
 def test_initial_roots_unit_root_equation():
     for N in (1, 2, 3, 5, 8):
-        z = bethe.initial_roots(N)
-        assert np.max(np.abs(z ** (2 * N + 2) - 1)) < 1e-12
-        assert np.all(z.imag > 0)
+        theta = bethe.initial_roots(N)
+        assert np.max(np.abs(np.exp(1j * theta) ** (2 * N + 2) - 1)) < 1e-12
+        assert np.all((theta > 0) & (theta < math.pi))
 
 
 def test_initial_roots_domain():
@@ -70,13 +68,14 @@ def test_initial_roots_domain():
 
 def test_small_point_roots_near_unit_circle():
     # root displacement and eigenvalue correction are O(w) near the origin
+    z0 = np.exp(1j * bethe.initial_roots(3))
     br = bethe.solve(3, 1e-6, 1e-2)
-    assert np.max(np.abs(br.roots - bethe.initial_roots(3))) < 5e-2
+    assert np.max(np.abs(br.roots - z0)) < 5e-2
     lam2, _ = bethe.eigenvalue(br, br.q, br.w)
     assert lam2.real == pytest.approx(limit_eigenvalue(3, br.q, br.w), rel=0.2)
     # even smaller point: tighter agreement
     br2 = bethe.solve(3, 1e-10, 1e-4)
-    assert np.max(np.abs(br2.roots - bethe.initial_roots(3))) < 5e-4
+    assert np.max(np.abs(br2.roots - z0)) < 5e-4
     lam2b, _ = bethe.eigenvalue(br2, br2.q, br2.w)
     assert lam2b.real == pytest.approx(limit_eigenvalue(3, br2.q, br2.w), rel=2e-3)
 
@@ -86,6 +85,7 @@ def test_solve_residual_and_invariants():
     assert br.residual <= 1e-12
     z = br.roots
     assert np.all(z.imag > 0)
+    assert np.max(np.abs(np.abs(z) - 1)) < 1e-15
     for j in range(3):
         for m in range(j + 1, 3):
             assert abs(z[j] - z[m]) > 1e-8
@@ -160,7 +160,12 @@ def test_eigenvalue_empty_roots():
     assert a == 1.0 and b == 1.0
 
 
-@pytest.mark.parametrize("q,s", [(0.2, 1.0), (0.2, 2.0), (0.2, 0.8)])
+@pytest.mark.parametrize(
+    "q,s",
+    [(0.2, 1.0), (0.2, 2.0), (0.2, 0.8)]
+    # u/lam = 0.01 near the top of the strip, s = q^{2 u/lam - 1/2}
+    + [pytest.param(q, q ** -0.48, id=f"{q}-u0.01") for q in (0.68, 0.8)],
+)
 def test_bethe_matches_dense_diagonalization(q, s):
     w = math.sqrt(s * math.sqrt(q))
     for N in (2, 3, 4):
@@ -209,21 +214,23 @@ def test_surface_convergence_exponential_regime():
 @pytest.mark.parametrize("N", [1, 2, 5, 16])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_log_residual_matches_scalar_reference(N, seed):
-    z, q, w = random_root_set(N, seed)
-    assert np.max(np.abs(bethe._defect(z, q, w)[0] - phi_reference(z, q, w))) <= 1e-12
+    # on the unit circle Phi_j(e^{i theta}) = i F_j(theta)
+    theta, q, w = random_angle_set(N, seed)
+    F = bethe._defect(theta, q, w)[0]
+    assert np.max(np.abs(1j * F - phi_reference(np.exp(1j * theta), q, w))) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 16])
 def test_jacobian_matches_central_differences(N):
-    # Phi is holomorphic in each root, so a real step gives d Phi / d z_m
-    z, q, w = random_root_set(N, 10 + N)
+    theta, q, w = random_angle_set(N, 10 + N)
     h = 1e-5
-    fd = np.empty((N, N), dtype=complex)
+    fd = np.empty((N, N))
     for m in range(N):
         e = np.zeros(N)
         e[m] = h
-        fd[:, m] = (phi_reference(z + e, q, w) - phi_reference(z - e, q, w)) / (2 * h)
-    J = bethe._defect(z, q, w)[2]()
+        diff = phi_reference(np.exp(1j * (theta + e)), q, w) - phi_reference(np.exp(1j * (theta - e)), q, w)
+        fd[:, m] = (diff / 2j).real / h
+    J = bethe._defect(theta, q, w)[1]()
     assert np.max(np.abs(J - fd)) <= 1e-7 * np.max(np.abs(J))
 
 
@@ -234,3 +241,35 @@ def test_every_continuation_step_solves_its_own_equations(q, s, N):
     sp = SpectralParams.from_q_s(q, s)
     br = bethe.solve(N, sp.q, sp.w)
     assert max(r for _, r in br.trace) <= bethe.NEWTON_TOL
+
+
+def test_every_strip_point_solves():
+    # 200 seeded points of the physical strip q < w^2 < 1, up to q = 0.8
+    # and u -> 0, where the roots crowd towards z = 1; the last point
+    # leaves 1.7e-12 at (q, w) if solved at its rounded image (t^4, sqrt(s t^2))
+    rng = np.random.default_rng(20160606)
+    points = [(rng.uniform(0.01, 0.8), rng.uniform(0, 0.5), int(rng.integers(1, 25))) for _ in range(200)]
+    for q, f, N in points + [(0.745, 0.011, 24)]:
+        sp = _at_u_frac(float(q), float(f))
+        br = bethe.solve(N, sp.q, sp.w)
+        bethe.checked_eigenvalue(br)
+        res = np.max(np.abs(bethe._defect(np.angle(br.roots), sp.q, sp.w)[0]))
+        assert max(br.residual, res) <= 1e-12, (q, f, N)
+
+
+def _large_N_deviation(q, N):
+    sp = SpectralParams.from_q_s(q, 1.0)
+    br = bethe.solve(N, sp.q, sp.w)
+    fs = bethe.surface_free_energy(br, closedform.f_bulk(sp), couplings(sp))
+    return fs - closedform.f_surface_v(sp)
+
+
+def test_large_N_reaches_the_closed_form():
+    # q = 0.1: short correlation length, f_s^(N) has converged by N = 128
+    assert abs(_large_N_deviation(0.1, 128)) <= 1e-11
+
+
+@pytest.mark.slow
+def test_N256_near_Q4():
+    # q = 0.2: effectively critical, the deviation is still ~1e-7 at N = 256
+    assert abs(_large_N_deviation(0.2, 256)) <= 1e-6

@@ -38,6 +38,12 @@ def test_eval_two_routes(capsys):
     assert "f_s_bethe_N10" in row and "f_s" in row
     # the strip value approximates the closed form (1/N^2-level agreement)
     assert row["f_s_bethe_N10"] == pytest.approx(row["f_s"], abs=0.1)
+    # near u -> 0 at large q the roots crowd towards z = 1
+    code, out = run(capsys, "eval", "--q", "0.441", "--u-frac", "0.034", "--route", "closedform,bethe", "--N", "14")
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["bethe_residual"] <= 1e-12
+    assert row["f_s_bethe_N14"] == pytest.approx(row["f_s"], abs=0.1)
 
 
 def test_eval_domain_error_exit_code(capsys):
