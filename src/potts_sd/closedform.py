@@ -34,13 +34,12 @@ from fractions import Fraction
 
 from .bundle import FreeEnergyBundle, LogSeries
 from .errors import ConvergenceError, DomainError
-from .params import SpectralParams, _exp_K1, _exp_K2, couplings
+from .params import SpectralParams, _Q, _exp_K1, _exp_K2, _xi, couplings
 from .qseries import (
     DEFAULT_ORDER,
     TruncatedSeries,
     expand_product,
     lambert_sum,
-    log_geometric_inverse,
 )
 
 _SUM_RTOL = 1e-16
@@ -158,7 +157,7 @@ def f_surface_v(sp: SpectralParams, form: str = "sum") -> float:
             lambda n: -(q**n) * (1 + q**n) * (w2**n - (q * q / w2) ** n) / (n * (1 + q ** (2 * n)))
         )
         s = _certified_sum(term, [(2.0, r1), (2.0, r2)])
-        return math.log((1 - q * q / w2) / (1 - w2)) + s
+        return math.log(_surface_prefactor(q, w2)) + s
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -268,21 +267,39 @@ def exp_minus_f_surface_h(q: float, w2: float) -> float:
 # exact series
 # ----------------------------------------------------------------------------
 
+def rational_series(f, order: int, pad: int) -> TruncatedSeries:
+    """f(q, w^2) at q = t^4, w^2 = s t^2 as a series exact through t^order.
+
+    ``f`` is a rational formula in (q, w^2), such as the raw coupling forms
+    of ``params``.  Every division by q or w^2 costs exactness at the top,
+    so ``f`` runs on q and w^2 exact through order + pad; the final
+    ``truncate`` raises a TruncationError if ``pad`` was too small.
+    """
+    q = TruncatedSeries.term(1, 4, 0, order=order + pad)
+    w2 = TruncatedSeries.term(1, 2, 1, order=order + pad)
+    return f(q, w2).truncate(order)
+
+
+def _bulk_prefactor(q, w2):
+    """q (1+q) e^{K1} e^{K2}, so that f_b = log q - log(this) + S_b."""
+    return q * (1 + q) * _exp_K1(q, w2) * _exp_K2(q, w2)
+
+
+def _surface_prefactor(q, w2):
+    """(1 - q^2/w^2)/(1 - w^2), so that f_s = log(this) - log G."""
+    return (1 - q * q / w2) / (1 - w2)
+
+
+# Lambert numerators (c, tstep, sstep), summed over n with denominator
+# n(1 + q^n) for S_b and n(1 + q^{2n}) for log G; the relation checks map
+# them to lam - u
+BULK_COUPLING_LAMBERT = ((1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1))
+SURFACE_LOG_LAMBERT = ((1, 6, 1), (1, 10, 1), (-1, 10, -1), (-1, 14, -1))
+
+
 def log1pq_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """log(1+q) as a series in t."""
-    return (TruncatedSeries.one(order) + TruncatedSeries.term(1, 4, 0, order=order)).log()
-
-
-def k1k2_plus_logq_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """K1 + K2 + log q, which is an honest series:
-    log[(1-q^{3/2}/s...)]: exp(K1+K2) = q^{-1} (1-t^6/s)(1-s t^6)/[(1-s t^2)(1-t^2/s)].
-    """
-    out = TruncatedSeries.zero(order)
-    out = out - log_geometric_inverse(1, 6, -1, order)  # +log(1 - t^6/s)
-    out = out - log_geometric_inverse(1, 6, 1, order)  # +log(1 - s t^6)
-    out = out + log_geometric_inverse(1, 2, 1, order)  # -log(1 - s t^2)
-    out = out + log_geometric_inverse(1, 2, -1, order)  # -log(1 - t^2/s)
-    return out
+    return rational_series(lambda q, w2: 1 + q, order, 0).log()
 
 
 def f_bulk_series(order: int = DEFAULT_ORDER, form: str = "sum") -> LogSeries:
@@ -291,22 +308,17 @@ def f_bulk_series(order: int = DEFAULT_ORDER, form: str = "sum") -> LogSeries:
         s = lambert_sum([(1, 2, 1), (-1, 6, 1), (1, 2, -1), (-1, 6, -1)], 4, +1, order)
         return LogSeries(Fraction(1), -log1pq_series(order) - s)
     if form == "coupling":
-        s = lambert_sum([(1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1)], 4, +1, order)
-        return LogSeries(Fraction(1), -k1k2_plus_logq_series(order) - log1pq_series(order) + s)
+        s = lambert_sum(BULK_COUPLING_LAMBERT, 4, +1, order)
+        return LogSeries(Fraction(1), s - rational_series(_bulk_prefactor, order, 4).log())
     raise ValueError(f"unknown form {form!r}")
-
-
-def surface_log_prefactor_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """log((1 - q^2/w^2)/(1 - w^2)) as a series."""
-    return log_geometric_inverse(1, 2, 1, order) - log_geometric_inverse(1, 6, -1, order)
 
 
 def f_surface_v_series(order: int = DEFAULT_ORDER, form: str = "sum") -> TruncatedSeries:
     if form == "sum":
         return lambert_sum([(1, 2, 1), (-1, 6, -1), (-1, 6, 1), (1, 10, -1)], 8, +1, order)
     if form == "log":
-        s = lambert_sum([(1, 6, 1), (1, 10, 1), (-1, 10, -1), (-1, 14, -1)], 8, +1, order)
-        return surface_log_prefactor_series(order) - s
+        s = lambert_sum(SURFACE_LOG_LAMBERT, 8, +1, order)
+        return rational_series(_surface_prefactor, order, 0).log() - s
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -347,81 +359,13 @@ def series_bundle(order: int = DEFAULT_ORDER) -> FreeEnergyBundle:
     )
 
 
-# -- auxiliary scalar series used by the functional-relation checks ----------
-
-def sqrtQ_qseries(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """sqrt(Q) = (1 + t^4)/t^2."""
-    return TruncatedSeries.term(1, -2, 0, order=order) + TruncatedSeries.term(1, 2, 0, order=order)
-
-
-def Q_qseries(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    s = sqrtQ_qseries(order + 2)
-    return (s * s).truncate(order)
-
-
-def xi_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """xi = -Q (1-w^2)(w^2-q^2)/(w^2-q)^2 on the (t, s) grid."""
-    one = TruncatedSeries.one(order + 12)
-    t = lambda c, td, sd: TruncatedSeries.term(c, td, sd, order=order + 12)
-    num = Q_qseries(order + 12) * (one - t(1, 2, 1)) * (t(1, 2, 1) - t(1, 8, 0))
-    den = (t(1, 2, 1) - t(1, 4, 0)).pow(2)
-    return (-num * den.reciprocal()).truncate(order)
-
-
-def xi_offset_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """xi - Q + 1 = exp(K2(u)) exp(K2(lam-u)) = -(1-q w^2)(w^2-q^3)/(q (w^2-q)^2)."""
-    one = TruncatedSeries.one(order + 12)
-    t = lambda c, td, sd: TruncatedSeries.term(c, td, sd, order=order + 12)
-    num = (one - t(1, 6, 1)) * (t(1, 2, 1) - t(1, 12, 0))
-    den = t(1, 4, 0) * (t(1, 2, 1) - t(1, 4, 0)).pow(2)
-    return (-num * den.reciprocal()).truncate(order)
-
-
-def eK2_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """exp(K2) = (1/w^2)(1-q w^2)/(1-q/w^2)."""
-    one = TruncatedSeries.one(order + 4)
-    num = TruncatedSeries.term(1, -2, -1, order=order + 4) * (
-        one - TruncatedSeries.term(1, 6, 1, order=order + 4)
-    )
-    den = one - TruncatedSeries.term(1, 2, -1, order=order + 4)
-    return (num * den.reciprocal()).truncate(order)
-
-
-def delta_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Delta(u) = exp(K2) + Q - 1."""
-    return eK2_series(order) + Q_qseries(order) - 1
-
-
-def delta_inverted_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Delta(lam-u) = 1 - exp(K2(u))."""
-    return TruncatedSeries.one(order) - eK2_series(order)
-
-
-def bulk_ratio_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """F(u) = exp(-f_b - K1 - K2) = (1+q) exp(-S_b); analytic in the annulus."""
-    sb = lambert_sum([(1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1)], 4, +1, order)
-    return (TruncatedSeries.one(order) + TruncatedSeries.term(1, 4, 0, order=order)) * (-sb).exp()
-
-
-def bulk_ratio_inverted_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """F(lam-u): the same function evaluated at w^2 -> q^2/w^2."""
-    sb = lambert_sum([(1, 10, -1), (-1, 14, -1), (1, 2, 1), (-1, 6, 1)], 4, +1, order)
-    return (TruncatedSeries.one(order) + TruncatedSeries.term(1, 4, 0, order=order)) * (-sb).exp()
-
-
-def log_surface_ratio_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """log G(u) with exp(-f_s) = (1-w^2) G(u)/(1-q^2/w^2)."""
-    return lambert_sum([(1, 6, 1), (1, 10, 1), (-1, 10, -1), (-1, 14, -1)], 8, +1, order)
-
-
-def log_surface_ratio_inverted_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """log G(lam-u), generated from its own (transformed) sum."""
-    return lambert_sum([(1, 10, -1), (1, 14, -1), (-1, 6, 1), (-1, 10, 1)], 8, +1, order)
-
-
-def exp_minus_f_surface_h_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    return (-f_surface_h_series(order)).exp()
-
+# -- series used by the functional-relation checks -----------------------------
+#
+# The rational factors (xi, Delta, e^{K2}) are the ``params`` formulas run
+# through ``rational_series``, and the lam - u images of S_b and log G are
+# the Lambert lists above mapped by w^2 -> q^2/w^2 (``relations``).  Only
+# f_sp's image needs a form of its own: its mapped list has the term
+# (1, -2, 1), which does not truncate.
 
 def exp_minus_f_surface_h_inverted_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """exp(-f_sp(lam-u)) = exp(B(q^3/w^2)) * exp(-B(w^2/q)).
@@ -493,14 +437,10 @@ def derive_from_inversion(order: int = DEFAULT_ORDER, n_max: int | None = None) 
     one = TruncatedSeries.one
 
     # bulk: (f_b + K1 + K2)(u) + (same)(lam-u) = log[(xi - Q + 1)/xi]
-    rhs_b = (xi_offset_series(work) * xi_series(work).reciprocal()).log()
+    rhs_b = rational_series(lambda q, w2: 1 - (_Q(q) - 1) / _xi(q, w2), work, 2).log()
     # surface: -log G(u) + log G(-u) = log[(1-q w^2)(1-q^2 w^2) / ((1-q/w^2)(1-q^2/w^2))]
-    t = lambda c, td, sd: TruncatedSeries.term(c, td, sd, order=work)
-    rhs_s = (
-        (one(work) - t(1, 6, 1))
-        * (one(work) - t(1, 10, 1))
-        * (one(work) - t(1, 2, -1)).reciprocal()
-        * (one(work) - t(1, 6, -1)).reciprocal()
+    rhs_s = rational_series(
+        lambda q, w2: (1 - q * w2) * (1 - q * q * w2) / ((1 - q / w2) * (1 - q * q / w2)), work, 2
     ).log()
 
     cb, db, cs, ds = {}, {}, {}, {}
@@ -515,14 +455,14 @@ def derive_from_inversion(order: int = DEFAULT_ORDER, n_max: int | None = None) 
         cs[n] = -ds[n].shift(-8 * n)
 
     # assemble f_b = -K1 - K2 - log(1+q) + sum_n [cb_n w^{2n} + db_n w^{-2n}]
-    acc = -k1k2_plus_logq_series(order) - log1pq_series(order)
+    acc = -rational_series(_bulk_prefactor, order, 4).log()
     for n in range(1, n_max + 1):
         acc = acc + cb[n].shift(2 * n, n).truncate(order)
         acc = acc + db[n].shift(-2 * n, -n).truncate(order)
     fb = LogSeries(Fraction(1), acc.truncate(order))
 
     # f_s = log((1-q^2/w^2)/(1-w^2)) - sum_n [cs_n w^{2n} + ds_n w^{-2n}]
-    acc_s = surface_log_prefactor_series(order)
+    acc_s = rational_series(_surface_prefactor, order, 0).log()
     for n in range(1, n_max + 1):
         acc_s = acc_s - cs[n].shift(2 * n, n).truncate(order)
         acc_s = acc_s - ds[n].shift(-2 * n, -n).truncate(order)

@@ -8,7 +8,10 @@ The self-dual couplings satisfy exp(K1) = 1 + sqrt(Q)*x and
 exp(K2) = 1 + sqrt(Q)/x with Q = q + 2 + 1/q and
 x = sinh(lam - 2u)/sinh(2u).  All hyperbolic forms are derived views; the
 rational forms in (q, w**2) are the ones actually computed, and the
-hyperbolic route is used as a cross-check.
+hyperbolic route is used as a cross-check.  The raw rational forms
+(``_Q``, ``_exp_K1``, ``_exp_K2``, ``_xi``, ``_delta``) use only + - * / and
+integer powers, so they run unchanged over exact series in t as well
+(``closedform.rational_series``).
 
 The physical (ferromagnetic) strip is q < w**2 < 1, i.e. 0 < u < lam/2.
 Operations are defined by their formulas outside that strip too, but such
@@ -61,7 +64,7 @@ class SpectralParams:
 
     @property
     def Q(self):
-        return self.q + 2 + 1 / self.q
+        return _Q(self.q)
 
     @property
     def physical(self) -> bool:
@@ -109,6 +112,10 @@ def _check_pole(value, pole_at, name: str):
         raise PoleError(name)
 
 
+def _Q(q):
+    return q + 2 + 1 / q
+
+
 def _exp_K1(q, w2):
     return (w2 / q) * (1 - q * q / w2) / (1 - w2)
 
@@ -116,6 +123,14 @@ def _exp_K1(q, w2):
 def _exp_K2(q, w2):
     """exp(K2), apart from exp(K1): Delta is defined at w^2 = 1, the K1 pole."""
     return (1 / w2) * (1 - q * w2) / (1 - q / w2)
+
+
+def _xi(q, w2):
+    return -_Q(q) * (1 - w2) * (w2 - q * q) / (w2 - q) ** 2
+
+
+def _delta(q, w2):
+    return _exp_K2(q, w2) + _Q(q) - 1
 
 
 def couplings(sp: SpectralParams) -> CouplingParams:
@@ -149,14 +164,14 @@ def xi(sp: SpectralParams):
     """
     q, w2 = sp.q, sp.w2
     _check_pole(w2, q, "u=lam/2")
-    return -sp.Q * (1 - w2) * (w2 - q * q) / (w2 - q) ** 2
+    return _xi(q, w2)
 
 
 def delta(sp: SpectralParams):
     """Delta = exp(K2) + Q - 1 = 2 cosh(lam) sinh(2lam-2u)/sinh(lam-2u)."""
     q, w2 = sp.q, sp.w2
     _check_pole(w2, q, "u=lam/2")
-    val = _exp_K2(q, w2) + sp.Q - 1
+    val = _delta(q, w2)
     lam, u = sp.lam, sp.u
     hyp = 2 * math.cosh(lam) * math.sinh(2 * lam - 2 * u) / math.sinh(lam - 2 * u)
     if abs(hyp - val) > CROSS_CHECK_RTOL * max(1.0, abs(val)):

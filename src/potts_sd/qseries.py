@@ -19,7 +19,6 @@ multiplication by a series of positive minimal degree buys.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from .errors import TruncationError
@@ -312,6 +311,17 @@ class TruncatedSeries:
                 r[n] = c
         return TruncatedSeries(g.order, r).shift(-d0, -e0, Fraction(1, 1) / c0)
 
+    def __truediv__(self, other) -> "TruncatedSeries":
+        """self * other.reciprocal(); a scalar divisor scales, as ``*`` does."""
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise TruncationError("zero series has no reciprocal")
+            return self * (1 / Fraction(other))
+        return self * other.reciprocal()
+
+    def __rtruediv__(self, other) -> "TruncatedSeries":
+        return self.reciprocal() * other
+
     def pow(self, n: int) -> "TruncatedSeries":
         if n == 0:
             return TruncatedSeries.one(self.order)
@@ -394,9 +404,6 @@ class TruncatedSeries:
             terms.append({"tdeg": d, "s_terms": sterms})
         return {"var": "q^(1/4)", "order": self.order, "terms": terms}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "TruncatedSeries":
         if d.get("var") != "q^(1/4)":
@@ -409,10 +416,6 @@ class TruncatedSeries:
                 p[st["sdeg"]] = int(v) if v.denominator == 1 else v
             coeffs[term["tdeg"]] = LaurentPolyS(p)
         return cls(d["order"], coeffs)
-
-    @classmethod
-    def from_json(cls, s: str) -> "TruncatedSeries":
-        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
         if self.is_zero():
@@ -497,7 +500,7 @@ def log_geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDE
     k = 1
     c = coeff
     while tdeg * k <= order:
-        terms.append((Fraction(1, k) * c if not isinstance(c, int) else Fraction(c, k), tdeg * k, sdeg * k))
+        terms.append((Fraction(c, k), tdeg * k, sdeg * k))
         k += 1
         c = c * coeff
     return TruncatedSeries.from_terms(terms, order=order)

@@ -21,9 +21,11 @@ e^{K2(lam-u)} = 2 - Q - e^{K2(u)} and xi = (e^{K2(u)}-1)(e^{K2(lam-u)}-1),
 hence verifiable exactly over the rationals.
 
 Series mode asserts the relations as exact coefficient identities on the
-(t, s) grid: rotation is the substitution s -> 1/s; the inversion images
-are generated natively from their own transformed expansions (the sums at
-lam-u do not converge termwise, their product continuations do).
+(t, s) grid: rotation is the substitution s -> 1/s.  For inversion, the
+rational factors are the ``params`` formulas run over series, and the
+lam-u images of the Lambert sums S_b and log G are their numerator lists
+mapped by w^2 -> q^2/w^2; f_sp's image, whose mapped list does not
+truncate, is its product continuation.
 """
 
 from __future__ import annotations
@@ -45,7 +47,10 @@ from .lattice import (
     max_eigenvalue,
     series_logZ,  # noqa: F401  (an alias perfbench/selftest.py checks the tracer wraps)
 )
-from .params import SpectralParams, _exp_K2, couplings, delta, inversion_image, rotation_image, solve_q_from_Q, xi
+from .params import (
+    SpectralParams, _delta, _exp_K2, _xi, couplings, delta, inversion_image, rotation_image, solve_q_from_Q, xi
+)
+from .qseries import lambert_sum
 
 NUMERIC_TOL = 1e-11
 
@@ -315,14 +320,22 @@ def verify_free_energy_relations_numeric():
 # free-energy relations, exact series
 # ----------------------------------------------------------------------------
 
+def _inversion_lambert(numer):
+    """A Lambert numerator list at lam - u: w^2 -> q^2/w^2 sends q^a w^{2b}
+    to q^{a+2b} w^{-2b}, i.e. (c, tstep, sstep) to (c, tstep + 4 sstep, -sstep)."""
+    return [(c, tstep + 4 * sstep, -sstep) for c, tstep, sstep in numer]
+
+
 def verify_free_energy_relations_series(order: int = 24):
     """The eight relations as exact coefficient identities.
 
     Rotation is s -> 1/s on the series; inversion identities are asserted
-    multiplicatively with the lam-u factors generated from their own
-    expansions.  Every defect is an exact series that must vanish.
+    multiplicatively, with the rational factors built by the same ``params``
+    formulas the numeric rows use.  Every defect is an exact series that
+    must vanish.
     """
     reports = []
+    rs = cf.rational_series
 
     def rep(name, diff, details=None):
         ok = diff.is_zero()
@@ -338,21 +351,29 @@ def verify_free_energy_relations_series(order: int = 24):
             )
         )
 
-    # inversion, bulk: F(u) F(lam-u) (xi - Q + 1) = xi
-    F = cf.bulk_ratio_series(order)
-    Fi = cf.bulk_ratio_inverted_series(order)
-    lhs = F * Fi * cf.xi_offset_series(order)
-    rep("inversion_bulk", (lhs - cf.xi_series(order)).truncate(min(lhs.order, order - 8)))
+    # inversion, bulk: F(u) F(lam-u) (xi - Q + 1) = xi, with
+    # F = exp(-f_b - K1 - K2) = (1+q) exp(-S_b) and xi - Q + 1 = e^{K2(u)} e^{K2(lam-u)}
+    def bulk_ratio(numer):
+        return rs(lambda q, w2: 1 + q, order, 0) * (-lambert_sum(numer, 4, +1, order)).exp()
+
+    sb = cf.BULK_COUPLING_LAMBERT
+    lhs = (
+        bulk_ratio(sb)
+        * bulk_ratio(_inversion_lambert(sb))
+        * rs(lambda q, w2: _exp_K2(q, w2) * _exp_K2(q, q * q / w2), order, 10)
+    )
+    rep("inversion_bulk", (lhs - rs(_xi, order, 10)).truncate(min(lhs.order, order - 8)))
 
     # inversion, vertical surface: e^{-f_s(u)} e^{-f_s(lam-u)} = 1,
     # with e^{-f_s} = (1-w^2) G /(1-q^2/w^2) and pref(u)*pref(lam-u) = 1
-    G = cf.log_surface_ratio_series(order).exp()
-    Gi = cf.log_surface_ratio_inverted_series(order).exp()
+    G = lambert_sum(cf.SURFACE_LOG_LAMBERT, 8, +1, order).exp()
+    Gi = lambert_sum(_inversion_lambert(cf.SURFACE_LOG_LAMBERT), 8, +1, order).exp()
     rep("inversion_surface_v", G * Gi - 1)
 
-    # inversion, horizontal surface: e^{-f_sp(u)} Delta(u) = e^{-f_sp(lam-u)} Delta(lam-u)
-    lhs = cf.exp_minus_f_surface_h_series(order) * cf.delta_series(order)
-    rhs = cf.exp_minus_f_surface_h_inverted_series(order) * cf.delta_inverted_series(order)
+    # inversion, horizontal surface: e^{-f_sp(u)} Delta(u) = e^{-f_sp(lam-u)} Delta(lam-u),
+    # with Delta(lam-u) = 1 - e^{K2(u)} as in the numeric row
+    lhs = (-cf.f_surface_h_series(order)).exp() * rs(_delta, order, 8)
+    rhs = cf.exp_minus_f_surface_h_inverted_series(order) * rs(lambda q, w2: 1 - _exp_K2(q, w2), order, 4)
     diff = lhs - rhs
     rep("inversion_surface_h", diff.truncate(min(diff.order, order - 8)))
 

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from potts_sd import closedform as cf
-from potts_sd.errors import DomainError
-from potts_sd.params import SpectralParams
+from potts_sd.errors import DomainError, TruncationError
+from potts_sd.params import SpectralParams, _Q, _delta, _exp_K2, _xi
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries
 
 POINTS = [(0.2, 1.0), (0.15, 1.7), (0.3, 0.8), (0.25, 0.6)]
@@ -174,10 +174,11 @@ def test_inversion_derivation_reproduces_closed_forms():
 
 
 def test_xi_series_consistency():
-    # xi - (xi - Q + 1) = Q - 1 as exact series
+    # xi - e^{K2(u)} e^{K2(lam-u)} = Q - 1 as exact series
     T = 16
-    lhs = cf.xi_series(T) - cf.xi_offset_series(T)
-    assert lhs == cf.Q_qseries(T) - 1
+    offset = cf.rational_series(lambda q, w2: _exp_K2(q, w2) * _exp_K2(q, q * q / w2), T, 10)
+    lhs = cf.rational_series(_xi, T, 10) - offset
+    assert lhs == cf.rational_series(lambda q, w2: _Q(q), T, 8) - 1
 
 
 def test_xi_series_matches_numeric():
@@ -186,7 +187,7 @@ def test_xi_series_matches_numeric():
     T = 40
     q, s = 0.05, 1.2
     sp = SpectralParams.from_q_s(q, s)
-    assert float(cf.xi_series(T).eval(q**0.25, s)) == pytest.approx(xi(sp), rel=1e-12)
+    assert float(cf.rational_series(_xi, T, 10).eval(q**0.25, s)) == pytest.approx(xi(sp), rel=1e-12)
 
 
 def test_delta_series_matches_numeric():
@@ -195,7 +196,12 @@ def test_delta_series_matches_numeric():
     T = 40
     q, s = 0.05, 0.8
     sp = SpectralParams.from_q_s(q, s)
-    assert float(cf.delta_series(T).eval(q**0.25, s)) == pytest.approx(delta(sp), rel=1e-12)
+    assert float(cf.rational_series(_delta, T, 8).eval(q**0.25, s)) == pytest.approx(delta(sp), rel=1e-12)
+
+
+def test_rational_series_refuses_a_short_pad():
+    with pytest.raises(TruncationError):
+        cf.rational_series(_xi, 16, 9)
 
 
 # -- critical region ----------------------------------------------------------

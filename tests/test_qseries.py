@@ -133,8 +133,8 @@ def test_reciprocal_and_log_match_geometric_oracles(c, sdeg, tdeg):
         x = TruncatedSeries.one(order) - TruncatedSeries.term(c, tdeg, sdeg, order=order)
         r, g = x.reciprocal(), x.log()
         assert (r.order, g.order) == (order, order)
-        assert r.to_json() == geometric_inverse(c, tdeg, sdeg, order).to_json()
-        assert g.to_json() == (-log_geometric_inverse(c, tdeg, sdeg, order)).to_json()
+        assert r.to_json_dict() == geometric_inverse(c, tdeg, sdeg, order).to_json_dict()
+        assert g.to_json_dict() == (-log_geometric_inverse(c, tdeg, sdeg, order)).to_json_dict()
 
 
 def test_kernel_result_orders():
@@ -253,7 +253,7 @@ def test_serialization_round_trip():
     a = TruncatedSeries.from_terms(
         [(Fraction(3, 7), 2, 1), (-2, 5, -4), (Fraction(-11, 3), 0, 0)], order=9
     )
-    assert TruncatedSeries.from_json(a.to_json()) == a
+    assert TruncatedSeries.from_json_dict(a.to_json_dict()) == a
     d = a.to_json_dict()
     assert d["var"] == "q^(1/4)"
     assert all(isinstance(t["s_terms"][0]["num"], str) for t in d["terms"])
@@ -462,6 +462,19 @@ def test_kernel_reciprocal_matches_fraction_reference(a):
 @given(monomial_lead_pair, st.integers(-2, 3))
 def test_kernel_pow_matches_fraction_reference(a, n):
     assert_matches(a[0].pow(n), _ref_pow(a[1], n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_pair, monomial_lead_pair, coefficient_strategy.filter(lambda c: c != 0))
+def test_kernel_div_matches_fraction_reference(a, b, c):
+    # series / series multiplies by the reciprocal; a scalar divisor scales like *
+    assert_matches(a[0] / b[0], _ref_mul(a[1], _ref_reciprocal(b[1])))
+    assert_matches(c / b[0], _ref_shift(_ref_reciprocal(b[1]), 0, 0, Fraction(c)))
+    assert_matches(a[0] / c, _ref_shift(a[1], 0, 0, 1 / Fraction(c)))
+    with pytest.raises(TruncationError):
+        a[0] / 0
+    with pytest.raises(TruncationError):
+        a[0] / TruncatedSeries.zero(KERNEL_ORDER)
 
 
 @settings(max_examples=30, deadline=None)

@@ -121,6 +121,19 @@ def test_corner_inversion_check_fails_on_a_wrong_product_form(monkeypatch, capsy
     assert cli.main(["verify", "--order", "12"]) == 2
 
 
+@pytest.mark.parametrize(
+    "numer, identity", [("BULK_COUPLING_LAMBERT", "inversion_bulk"), ("SURFACE_LOG_LAMBERT", "inversion_surface_v")]
+)
+def test_inversion_row_fails_on_a_perturbed_lambert_list(monkeypatch, capsys, numer, identity):
+    # the lam - u list is mapped from the forward one, so one wrong forward
+    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u))
+    (c, tstep, sstep), *rest = getattr(cf, numer)
+    monkeypatch.setattr(cf, numer, ((c + 1, tstep, sstep), *rest))
+    failed = [r.identity for r in relations.verify_free_energy_relations_series(12) if not r.passed]
+    assert failed == [identity]
+    assert cli.main(["verify", "--order", "12"]) == 2
+
+
 def test_fc_constant_report(gate_logz_table):
     rep = relations.verify_fc_constant(16, table=gate_logz_table)
     assert rep.passed
