@@ -227,10 +227,12 @@ def eigenvalue(roots, q: float, w: float) -> tuple[complex, complex]:
 
 
 def checked_eigenvalue(br: BetheRoots) -> tuple[complex, complex]:
-    """``eigenvalue`` at the solved point, after checking that its two forms
-    agree to 1e-12 and that L2 is real to 1e-10 (both relative); raises
-    ConvergenceError otherwise."""
+    """``eigenvalue`` at the solved point, after checking that both forms are
+    finite, that they agree to 1e-12 and that L2 is real to 1e-10 (both
+    relative); raises ConvergenceError otherwise."""
     lam2, lam2b = eigenvalue(br, br.q, br.w)
+    if not np.isfinite([lam2, lam2b]).all():
+        raise ConvergenceError("eigenvalue is not finite")
     if abs(lam2 - lam2b) > 1e-12 * abs(lam2):
         raise ConvergenceError("eigenvalue representations disagree")
     if abs(lam2.imag) > 1e-10 * abs(lam2):

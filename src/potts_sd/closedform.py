@@ -19,8 +19,8 @@ implemented in both, and the pair is cross-checked by the test suite:
     f_c : -sum_n (q^n + 4 q^{2n} + q^{3n}) / (n(1-q^{4n}))
         = log prod_k (1-q^{4k-3})(1-q^{4k-2})^4 (1-q^{4k-1})
 
-Numeric sums carry a rigorous geometric tail bound and stop once the bound
-drops below 1e-16 of the partial sum.  The exponentiated product forms
+Each sum is one Lambert list, giving the exact series and the float value
+with a rigorous geometric tail bound.  The exponentiated product forms
 (exp(-f)) converge in an annulus that contains both u and lam-u, which is
 what the functional-relation checks evaluate.
 """
@@ -31,6 +31,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .bundle import FreeEnergyBundle, LogSeries
 from .errors import ConvergenceError, DomainError
@@ -56,32 +58,38 @@ class _Undetermined:
 UNDETERMINED = _Undetermined()
 
 
-def _certified_sum(term_fn, ratios):
-    """Sum term_fn(n) for n >= 1 with a geometric tail certificate.
+def _lambert_float(lambert, q: float, w2: float = 1.0) -> float:
+    """The Lambert list (numer, denom_tstep, denom_sign) as a float at (q, w^2).
 
-    ``ratios`` lists (amplitude, r) pairs such that |term(m)| <=
-    sum_i amplitude_i * r_i**m for all m; the tail after n is then bounded
-    by sum_i a_i r_i^{n+1} / ((n+1)(1-r_i)) (the 1/n factor of every model
-    sum is kept).
+    ``lambert_sum``'s map inverted sends t^a s^b to r = q^{(a-2b)/4} w^{2b}.
+    With D = q^{denom_tstep/4}, every 1 + sign D^n is at least m = min(1, 1-D),
+    so the tail after n is at most sum_j |c_j| r_j^{n+1} / (m (n+1)(1-r_j)).
+    The terms n <= n0 are one array, n0 from the largest ratio and doubled
+    (up to ``_MAX_TERMS``) until, at some n >= 4, the tail bound is below
+    1e-16 of the partial sum; the sum stops there.
     """
-    for a, r in ratios:
+    numer, dstep, dsign = lambert
+    ratios = [q ** ((a - 2 * b) / 4) * w2**b for _, a, b in numer]
+    for r in ratios:
         if not 0 <= r < 1:
             raise DomainError(f"summand ratio {r} outside [0,1): sum diverges")
-    terms = []
-    partial = 0.0
-    n = 1
-    while n <= _MAX_TERMS:
-        t = term_fn(n)
-        terms.append(t)
-        partial += t
-        # a plain loop: the additions of sum() in its order, without a generator per n
-        tail = 0.0
-        for a, r in ratios:
-            tail += a * r ** (n + 1) / ((n + 1) * (1 - r))
-        if n >= 4 and tail <= _SUM_RTOL * max(abs(partial), 1e-300):
-            return math.fsum(terms)
-        n += 1
-    raise ConvergenceError("series sum did not meet its tail bound")
+    m = 1.0 if dsign > 0 else 1 - q ** (dstep / 4)
+    # per ratio r_j: c_j for the terms, and the tail bound's amplitude of r_j^n / (n+1)
+    coef = np.array([(c, abs(c) / m * r / (1 - r)) for (c, _, _), r in zip(numer, ratios)])
+    top = max(ratios)
+    n0 = 4 if top == 0 else max(4, math.ceil(math.log(_SUM_RTOL * (1 - top)) / math.log(top)))
+    while True:
+        n0 = min(n0, _MAX_TERMS)
+        n = np.arange(1, n0 + 1)
+        num, bound = coef.T @ np.array(ratios)[:, None] ** n
+        terms = num / (n * (1 + dsign * q ** (dstep / 4 * n)))
+        done = bound / (n + 1) <= _SUM_RTOL * np.maximum(np.abs(np.cumsum(terms)), 1e-300)
+        k = 3 + done[3:].argmax()
+        if done[k]:
+            return math.fsum(terms[: k + 1].tolist())
+        if n0 == _MAX_TERMS:
+            raise ConvergenceError("series sum did not meet its tail bound")
+        n0 *= 2
 
 
 def _check_length(top, r, tiny, what: str):
@@ -124,6 +132,25 @@ def _corner_log(q, tiny, what: str):
 
 
 # ----------------------------------------------------------------------------
+# the Lambert lists
+# ----------------------------------------------------------------------------
+#
+# Each sum is written once, as the arguments (numer, denom_tstep, denom_sign)
+# of ``lambert_sum``, which expands it exactly; ``_lambert_float`` evaluates
+# it.  The f'_s and isotropic lists are typed out, not derived from f_s or
+# from s = 1, so the rotation and isotropic checks compare independent lists.
+
+BULK_LAMBERT = (((1, 2, 1), (-1, 6, 1), (1, 2, -1), (-1, 6, -1)), 4, +1)
+BULK_COUPLING_LAMBERT = (((1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1)), 4, +1)  # S_b
+SURFACE_V_LAMBERT = (((1, 2, 1), (-1, 6, -1), (-1, 6, 1), (1, 10, -1)), 8, +1)
+SURFACE_LOG_LAMBERT = (((1, 6, 1), (1, 10, 1), (-1, 10, -1), (-1, 14, -1)), 8, +1)  # log G
+SURFACE_H_LAMBERT = (((1, 2, -1), (-1, 6, 1), (-1, 6, -1), (1, 10, 1)), 8, +1)
+CORNER_LAMBERT = (((-1, 4, 0), (-4, 8, 0), (-1, 12, 0)), 16, -1)
+BULK_ISOTROPIC_LAMBERT = (((2, 2, 0), (-2, 6, 0)), 4, +1)
+SURFACE_ISOTROPIC_LAMBERT = (((1, 2, 0), (-2, 6, 0), (1, 10, 0)), 8, +1)
+
+
+# ----------------------------------------------------------------------------
 # numeric values
 # ----------------------------------------------------------------------------
 
@@ -131,16 +158,10 @@ def f_bulk(sp: SpectralParams, form: str = "sum") -> float:
     """Bulk free energy; ``form`` picks the representation ('sum'|'coupling')."""
     q, w2 = sp.q, sp.w2
     if form == "sum":
-        r1, r2 = w2, q / w2
-        term = lambda n: -(1 - q**n) * (w2**n + (q / w2) ** n) / (n * (1 + q**n))
-        s = _certified_sum(term, [(1.0, r1), (1.0, r2)])
-        return math.log(q / (1 + q)) + s
+        return math.log(q / (1 + q)) - _lambert_float(BULK_LAMBERT, q, w2)
     if form == "coupling":
         cp = couplings(sp)
-        r1, r2 = q * w2, q * q / w2
-        term = lambda n: (q**n) * (1 - q**n) * (w2**n + (q / w2) ** n) / (n * (1 + q**n))
-        s = _certified_sum(term, [(1.0, r1), (1.0, r2)])
-        return -cp.K1 - cp.K2 - math.log(1 + q) + s
+        return -cp.K1 - cp.K2 - math.log(1 + q) + _lambert_float(BULK_COUPLING_LAMBERT, q, w2)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -148,16 +169,9 @@ def f_surface_v(sp: SpectralParams, form: str = "sum") -> float:
     """Vertical surface free energy ('sum' | 'log' representations)."""
     q, w2 = sp.q, sp.w2
     if form == "sum":
-        r1, r2 = w2, q * q / w2
-        term = lambda n: (1 - q**n) * (w2**n - (q * q / w2) ** n) / (n * (1 + q ** (2 * n)))
-        return _certified_sum(term, [(1.0, r1), (1.0, r2)])
+        return _lambert_float(SURFACE_V_LAMBERT, q, w2)
     if form == "log":
-        r1, r2 = q * w2, q**3 / w2
-        term = (
-            lambda n: -(q**n) * (1 + q**n) * (w2**n - (q * q / w2) ** n) / (n * (1 + q ** (2 * n)))
-        )
-        s = _certified_sum(term, [(2.0, r1), (2.0, r2)])
-        return math.log(_surface_prefactor(q, w2)) + s
+        return math.log(_surface_prefactor(q, w2)) - _lambert_float(SURFACE_LOG_LAMBERT, q, w2)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -167,10 +181,7 @@ def f_surface_h(sp: SpectralParams) -> float:
     Diverges logarithmically as w^2 -> q+ (exp(-f_sp) has a simple zero
     there); the summand ratio guard rejects w^2 <= q.
     """
-    q, w2 = sp.q, sp.w2
-    r1, r2 = q / w2, q * w2
-    term = lambda n: (1 - q**n) * ((q / w2) ** n - (q * w2) ** n) / (n * (1 + q ** (2 * n)))
-    return _certified_sum(term, [(1.0, r1), (1.0, r2)])
+    return _lambert_float(SURFACE_H_LAMBERT, sp.q, sp.w2)
 
 
 def f_corner(q: float, form: str = "sum") -> float:
@@ -178,9 +189,7 @@ def f_corner(q: float, form: str = "sum") -> float:
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0,1), got {q}")
     if form == "sum":
-        amp = 6.0 / (1 - q**4)
-        term = lambda n: -(q**n + 4 * q ** (2 * n) + q ** (3 * n)) / (n * (1 - q ** (4 * n)))
-        return _certified_sum(term, [(amp, q)])
+        return _lambert_float(CORNER_LAMBERT, q)
     if form == "product":
         return _corner_log(q, 1e-19, f"q = {q}")
     raise ValueError(f"unknown form {form!r}")
@@ -199,9 +208,7 @@ def free_energies(sp: SpectralParams) -> FreeEnergyBundle:
 # isotropic (s = 1) reference forms
 
 def f_bulk_isotropic_sum(q: float) -> float:
-    h = math.sqrt(q)
-    term = lambda n: -2 * h**n * (1 - q**n) / (n * (1 + q**n))
-    return math.log(q / (1 + q)) + _certified_sum(term, [(2.0, h)])
+    return math.log(q / (1 + q)) - _lambert_float(BULK_ISOTROPIC_LAMBERT, q)
 
 
 def f_bulk_isotropic_product(q: float) -> float:
@@ -211,9 +218,7 @@ def f_bulk_isotropic_product(q: float) -> float:
 
 
 def f_surface_isotropic_sum(q: float) -> float:
-    h = math.sqrt(q)
-    term = lambda n: h**n * (1 - q**n) ** 2 / (n * (1 + q ** (2 * n)))
-    return _certified_sum(term, [(1.0, h)])
+    return _lambert_float(SURFACE_ISOTROPIC_LAMBERT, q)
 
 
 def f_surface_isotropic_product(q: float) -> float:
@@ -290,13 +295,6 @@ def _surface_prefactor(q, w2):
     return (1 - q * q / w2) / (1 - w2)
 
 
-# Lambert numerators (c, tstep, sstep), summed over n with denominator
-# n(1 + q^n) for S_b and n(1 + q^{2n}) for log G; the relation checks map
-# them to lam - u
-BULK_COUPLING_LAMBERT = ((1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1))
-SURFACE_LOG_LAMBERT = ((1, 6, 1), (1, 10, 1), (-1, 10, -1), (-1, 14, -1))
-
-
 def log1pq_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """log(1+q) as a series in t."""
     return rational_series(lambda q, w2: 1 + q, order, 0).log()
@@ -305,30 +303,28 @@ def log1pq_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
 def f_bulk_series(order: int = DEFAULT_ORDER, form: str = "sum") -> LogSeries:
     """f_b as log(q) + series; both representations agree exactly."""
     if form == "sum":
-        s = lambert_sum([(1, 2, 1), (-1, 6, 1), (1, 2, -1), (-1, 6, -1)], 4, +1, order)
-        return LogSeries(Fraction(1), -log1pq_series(order) - s)
+        return LogSeries(Fraction(1), -log1pq_series(order) - lambert_sum(*BULK_LAMBERT, order))
     if form == "coupling":
-        s = lambert_sum(BULK_COUPLING_LAMBERT, 4, +1, order)
+        s = lambert_sum(*BULK_COUPLING_LAMBERT, order)
         return LogSeries(Fraction(1), s - rational_series(_bulk_prefactor, order, 4).log())
     raise ValueError(f"unknown form {form!r}")
 
 
 def f_surface_v_series(order: int = DEFAULT_ORDER, form: str = "sum") -> TruncatedSeries:
     if form == "sum":
-        return lambert_sum([(1, 2, 1), (-1, 6, -1), (-1, 6, 1), (1, 10, -1)], 8, +1, order)
+        return lambert_sum(*SURFACE_V_LAMBERT, order)
     if form == "log":
-        s = lambert_sum(SURFACE_LOG_LAMBERT, 8, +1, order)
-        return rational_series(_surface_prefactor, order, 0).log() - s
+        return rational_series(_surface_prefactor, order, 0).log() - lambert_sum(*SURFACE_LOG_LAMBERT, order)
     raise ValueError(f"unknown form {form!r}")
 
 
 def f_surface_h_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    return lambert_sum([(1, 2, -1), (-1, 6, 1), (-1, 6, -1), (1, 10, 1)], 8, +1, order)
+    return lambert_sum(*SURFACE_H_LAMBERT, order)
 
 
 def f_corner_series(order: int = DEFAULT_ORDER, form: str = "sum") -> TruncatedSeries:
     if form == "sum":
-        return lambert_sum([(-1, 4, 0), (-4, 8, 0), (-1, 12, 0)], 16, -1, order)
+        return lambert_sum(*CORNER_LAMBERT, order)
     if form == "product":
         inv = expand_product(
             [(1, 0, 4, 16, -1), (1, 0, 8, 16, -4), (1, 0, 12, 16, -1)], order
@@ -339,13 +335,12 @@ def f_corner_series(order: int = DEFAULT_ORDER, form: str = "sum") -> TruncatedS
 
 def f_bulk_isotropic_series(order: int = DEFAULT_ORDER) -> LogSeries:
     """Isotropic reference: f_b = log(q/(1+q)) - 2 sum q^{n/2}(1-q^n)/(n(1+q^n))."""
-    s = lambert_sum([(2, 2, 0), (-2, 6, 0)], 4, +1, order)
-    return LogSeries(Fraction(1), -log1pq_series(order) - s)
+    return LogSeries(Fraction(1), -log1pq_series(order) - lambert_sum(*BULK_ISOTROPIC_LAMBERT, order))
 
 
 def f_surface_isotropic_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Isotropic reference: f_s = sum q^{n/2}(1-q^n)^2/(n(1+q^{2n}))."""
-    return lambert_sum([(1, 2, 0), (-2, 6, 0), (1, 10, 0)], 8, +1, order)
+    return lambert_sum(*SURFACE_ISOTROPIC_LAMBERT, order)
 
 
 def series_bundle(order: int = DEFAULT_ORDER) -> FreeEnergyBundle:
@@ -517,8 +512,6 @@ def singular_decay_fit():
     Fixing u = lam/4 makes the sinh prefactor lam-independent, so the fit
     isolates the exponential decay rate.
     """
-    import numpy as np
-
     lams = [0.35 + 0.05 * i for i in range(8)]
     xs = [1.0 / lam for lam in lams]
     ys = [math.log(fs_continuation_check(lam, 0.25 * lam)) for lam in lams]

@@ -66,10 +66,6 @@ class LatticeSpec:
         if self.M < 1 or self.N < 2:
             raise DomainError("need M >= 1 and N >= 2")
 
-    @property
-    def n_edges(self) -> int:
-        return self.M * (self.N - 1) + self.N * (self.M - 1)
-
 
 # ----------------------------------------------------------------------------
 # exact series contraction

@@ -77,12 +77,6 @@ class SpectralParams:
             raise DomainError(f"s must be positive, got {s}")
         return cls(q, math.sqrt(s * math.sqrt(q)))
 
-    @classmethod
-    def from_lam_u(cls, lam, u) -> "SpectralParams":
-        if lam <= 0:
-            raise DomainError(f"lam must be positive, got {lam}")
-        return cls(math.exp(-2 * lam), math.exp(-2 * u))
-
 
 @dataclass(frozen=True)
 class CouplingParams:

@@ -460,7 +460,9 @@ def lambert_sum(numer, denom_tstep: int, denom_sign: int, order: int = DEFAULT_O
 
     ``numer`` is a list of (c_j, tstep_j, sstep_j); every tstep_j must be
     positive so the n-sum truncates.  In q/w notation a numerator monomial
-    q**(a n) w**(2 b n) has tstep = 4a + 2b and sstep = b.
+    q**(a n) w**(2 b n) has tstep = 4a + 2b and sstep = b; the float
+    evaluator ``closedform._lambert_float`` uses the inverse map, t^a s^b ->
+    q^{(a-2b)/4} w^{2b}.
     """
     if denom_sign not in (1, -1):
         raise ValueError("denom_sign must be +1 or -1")

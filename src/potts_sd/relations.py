@@ -320,10 +320,11 @@ def verify_free_energy_relations_numeric():
 # free-energy relations, exact series
 # ----------------------------------------------------------------------------
 
-def _inversion_lambert(numer):
-    """A Lambert numerator list at lam - u: w^2 -> q^2/w^2 sends q^a w^{2b}
-    to q^{a+2b} w^{-2b}, i.e. (c, tstep, sstep) to (c, tstep + 4 sstep, -sstep)."""
-    return [(c, tstep + 4 * sstep, -sstep) for c, tstep, sstep in numer]
+def _inversion_lambert(lambert):
+    """A Lambert list at lam - u: w^2 -> q^2/w^2 sends q^a w^{2b} to
+    q^{a+2b} w^{-2b}, i.e. (c, tstep, sstep) to (c, tstep + 4 sstep, -sstep)."""
+    numer, dstep, dsign = lambert
+    return [(c, tstep + 4 * sstep, -sstep) for c, tstep, sstep in numer], dstep, dsign
 
 
 def verify_free_energy_relations_series(order: int = 24):
@@ -353,8 +354,8 @@ def verify_free_energy_relations_series(order: int = 24):
 
     # inversion, bulk: F(u) F(lam-u) (xi - Q + 1) = xi, with
     # F = exp(-f_b - K1 - K2) = (1+q) exp(-S_b) and xi - Q + 1 = e^{K2(u)} e^{K2(lam-u)}
-    def bulk_ratio(numer):
-        return rs(lambda q, w2: 1 + q, order, 0) * (-lambert_sum(numer, 4, +1, order)).exp()
+    def bulk_ratio(lambert):
+        return rs(lambda q, w2: 1 + q, order, 0) * (-lambert_sum(*lambert, order)).exp()
 
     sb = cf.BULK_COUPLING_LAMBERT
     lhs = (
@@ -366,8 +367,8 @@ def verify_free_energy_relations_series(order: int = 24):
 
     # inversion, vertical surface: e^{-f_s(u)} e^{-f_s(lam-u)} = 1,
     # with e^{-f_s} = (1-w^2) G /(1-q^2/w^2) and pref(u)*pref(lam-u) = 1
-    G = lambert_sum(cf.SURFACE_LOG_LAMBERT, 8, +1, order).exp()
-    Gi = lambert_sum(_inversion_lambert(cf.SURFACE_LOG_LAMBERT), 8, +1, order).exp()
+    G = lambert_sum(*cf.SURFACE_LOG_LAMBERT, order).exp()
+    Gi = lambert_sum(*_inversion_lambert(cf.SURFACE_LOG_LAMBERT), order).exp()
     rep("inversion_surface_v", G * Gi - 1)
 
     # inversion, horizontal surface: e^{-f_sp(u)} Delta(u) = e^{-f_sp(lam-u)} Delta(lam-u),

@@ -354,6 +354,32 @@ def test_bethe_subcommand_checks_the_eigenvalue(monkeypatch, capsys, skew):
     assert "eigenvalue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--q", "0.2", "--s", "2", "--route", "closedform,bethe", "--N", "128"],
+        ["bethe", "--q", "0.2", "--s", "2", "--N", "128"],
+    ],
+    ids=["eval", "bethe"],
+)
+def test_an_overflowing_eigenvalue_exits_three(capsys, argv):
+    # at (q, s) = (0.2, 2) the product form of L2 overflows to inf by N = 128
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "not finite" in captured.err
+    assert "Infinity" not in captured.out and "NaN" not in captured.out
+
+
+def test_a_finite_eigenvalue_prints_strict_json(capsys):
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in the output")
+
+    code, out = run(capsys, "eval", "--q", "0.2", "--s", "2", "--route", "closedform,bethe", "--N", "64")
+    assert code == 0
+    assert isinstance(json.loads(out, parse_constant=refuse)["rows"][0]["f_s_bethe_N64"], float)
+
+
 def test_no_command_needs_scipy():
     # a fresh interpreter in which ``import scipy`` fails imports every
     # module and runs the critical, verify, lattice and eval commands; the

@@ -1,12 +1,14 @@
 """Closed-form free energies: representations, series, recursions, criticals."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from potts_sd import closedform as cf
-from potts_sd.errors import DomainError, TruncationError
+from potts_sd.errors import ConvergenceError, DomainError, TruncationError
 from potts_sd.params import SpectralParams, _Q, _delta, _exp_K2, _xi
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries
 
@@ -60,6 +62,13 @@ def test_surface_h_diverges_logarithmically_at_w2_equals_q():
         cf.f_surface_h(SpectralParams(q, math.sqrt(q)))
 
 
+def test_sum_refuses_past_max_terms():
+    # a ratio within 1e-9 of 1 needs more than _MAX_TERMS terms to meet the tail bound
+    sp = SpectralParams(0.2, math.sqrt(0.2 * (1 + 1e-9)))
+    with pytest.raises(ConvergenceError, match="tail bound"):
+        cf.f_surface_h(sp)
+
+
 def test_rotation_exchanges_surfaces_numeric():
     sp = SpectralParams.from_q_s(0.2, 1.4)
     rot = SpectralParams.from_q_s(0.2, 1 / 1.4)
@@ -88,6 +97,18 @@ def test_isotropic_equals_general_at_s1():
     assert cf.f_surface_v(sp) == pytest.approx(cf.f_surface_isotropic_sum(q), rel=1e-13)
     assert cf.f_surface_v(sp) == pytest.approx(cf.f_surface_isotropic_product(q), rel=1e-13)
     assert cf.f_surface_v(sp) == pytest.approx(cf.f_surface_h(sp), rel=1e-13)
+
+
+def test_sums_match_the_recorded_eval_rows():
+    # the 300 eval rows recorded for the benchmark pin the float sums, and so
+    # the tail bound each sum derives from its Lambert list
+    path = Path(__file__).parents[1] / "perfbench" / "eval_reference.json"
+    for point in json.loads(path.read_text())["points"]:
+        row = point["row"]
+        sp = SpectralParams(row["q"], row["w"])
+        got = {"f_b": cf.f_bulk(sp), "f_s": cf.f_surface_v(sp), "f_sp": cf.f_surface_h(sp), "f_c": cf.f_corner(sp.q)}
+        for name, value in got.items():
+            assert value == pytest.approx(row[name], rel=1e-13, abs=0), (point, name)
 
 
 def test_convergence_domain_guard():

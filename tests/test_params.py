@@ -25,7 +25,7 @@ def test_from_qw_round_trip():
     assert sp.s == pytest.approx(1.0, rel=1e-14)
     assert sp.t == pytest.approx(math.sqrt(2) / 2, rel=1e-15)
     # round trip through (lam, u)
-    sp2 = SpectralParams.from_lam_u(sp.lam, sp.u)
+    sp2 = SpectralParams(math.exp(-2 * sp.lam), math.exp(-2 * sp.u))
     assert sp2.q == pytest.approx(sp.q, rel=1e-15)
     assert sp2.w == pytest.approx(sp.w, rel=1e-15)
 
@@ -124,7 +124,7 @@ def test_dual_couplings_domain():
 
 
 def test_xi_two_routes():
-    sp = SpectralParams.from_lam_u(-math.log(0.2) / 2, -math.log(0.2) / 8)  # u = lam/4
+    sp = SpectralParams(0.2, math.exp(math.log(0.2) / 4))  # u = lam/4
     cp = couplings(sp)
     spi = inversion_image(sp)
     eK2i = (1 / spi.w2) * (1 - spi.q * spi.w2) / (1 - spi.q / spi.w2)
@@ -155,7 +155,7 @@ def test_delta_at_u_zero_is_Q():
 def test_delta_isotropic_and_generic():
     for (q, ufrac) in [(0.3, 0.25), (0.3, 0.1), (0.15, 0.35)]:
         lam = -math.log(q) / 2
-        sp = SpectralParams.from_lam_u(lam, ufrac * lam)
+        sp = SpectralParams(math.exp(-2 * lam), math.exp(-2 * ufrac * lam))
         cp = couplings(sp)
         assert delta(sp) == pytest.approx(cp.eK2 + cp.Q - 1, rel=1e-12)
 
@@ -178,7 +178,7 @@ def test_rotation_involution_and_coupling_swap():
 def test_inversion_image_numeric():
     q = 0.2
     lam = -math.log(q) / 2
-    sp = SpectralParams.from_lam_u(lam, 0.1 * lam)
+    sp = SpectralParams(math.exp(-2 * lam), math.exp(-0.2 * lam))
     inv = inversion_image(sp)
     assert inv.u == pytest.approx(0.9 * lam, rel=1e-12)
     assert inv.w2 == pytest.approx(q * q / sp.w2, rel=1e-12)

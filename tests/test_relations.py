@@ -1,5 +1,6 @@
 """Functional-identity verifiers: matrix level, numeric grid, exact series."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -121,17 +122,33 @@ def test_corner_inversion_check_fails_on_a_wrong_product_form(monkeypatch, capsy
     assert cli.main(["verify", "--order", "12"]) == 2
 
 
+def _bump_first_entry(monkeypatch, name):
+    """Replace closedform's Lambert list ``name`` by one whose first c is c + 1."""
+    ((c, tstep, sstep), *rest), dstep, dsign = getattr(cf, name)
+    monkeypatch.setattr(cf, name, (((c + 1, tstep, sstep), *rest), dstep, dsign))
+
+
 @pytest.mark.parametrize(
     "numer, identity", [("BULK_COUPLING_LAMBERT", "inversion_bulk"), ("SURFACE_LOG_LAMBERT", "inversion_surface_v")]
 )
 def test_inversion_row_fails_on_a_perturbed_lambert_list(monkeypatch, capsys, numer, identity):
     # the lam - u list is mapped from the forward one, so one wrong forward
     # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u))
-    (c, tstep, sstep), *rest = getattr(cf, numer)
-    monkeypatch.setattr(cf, numer, ((c + 1, tstep, sstep), *rest))
+    _bump_first_entry(monkeypatch, numer)
     failed = [r.identity for r in relations.verify_free_energy_relations_series(12) if not r.passed]
     assert failed == [identity]
     assert cli.main(["verify", "--order", "12"]) == 2
+
+
+@pytest.mark.parametrize("name", ["BULK_LAMBERT", "SURFACE_V_LAMBERT", "SURFACE_H_LAMBERT", "CORNER_LAMBERT"])
+def test_verify_fails_on_a_perturbed_sum_list(monkeypatch, capsys, name):
+    # one list feeds both the float sum and the exact series, so one wrong
+    # entry fails a float row and the lattice comparison alike
+    _bump_first_entry(monkeypatch, name)
+    assert cli.main(["verify", "--order", "12"]) == 2
+    failed = [r for r in json.loads(capsys.readouterr().out)["rows"] if not r["passed"]]
+    assert "corner_constant" in [r["identity"] for r in failed]
+    assert any(r["ring"] == "float" for r in failed)
 
 
 def test_fc_constant_report(gate_logz_table):
