@@ -38,8 +38,9 @@ Pair layout: T2 rows couple (0,1),(2,3),...,(2N-2,2N-1); T1 rows couple
 
 The exact series route contracts in a gauge where every local weight has
 nonnegative t-degree and the dominant configuration carries exactly t^0,
-which makes truncation at order T exact; there the boundaries and the
-edge-0 pass-through are vertex tables too (see ``_series_z_normalized``).
+which makes truncation at order T exact; there the bottom boundary and the
+edge-0 pass-through are vertex tables too, and the top boundary is a masked
+sum (see ``_series_z_normalized``).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,24 +73,43 @@ class LatticeSpec:
 # exact series contraction
 # ----------------------------------------------------------------------------
 #
-# Gauged integer-polynomial weights.  Amplitudes are dicts
-# {(tdeg, sdeg): int} keyed by 2N-bit states.  A table maps each vertex
-# move, named by its weights in the module docstring ("00" w1, "11" w2,
-# "35" w3, "46" w4, "5" w5, "6" w6), to (coeff, tdeg, sdeg) monomials; a
-# move the table lacks has weight 0.  The contraction is one fold of
-# ``_apply_vertex_poly`` over (i, j, table) moves, boundaries included,
-# from the dominant state (down arrows on the even bits) at amplitude 1:
-# ``_BOTTOM`` on each pair keeps (down, up) at 1 and hops to (up, down) at
-# t^2, and ``_TOP`` maps both back onto (down, up) at 1 and drops 00 and 11,
-# leaving the dominant state's amplitude.  The edge-0 pass-through of a T1
-# row (t^2 when up; edge 2N-1 passes at 1) is folded into the pair-(0, 1)
-# vertex just before the row (``_pass_through``).  Every move has
-# nonnegative t-degree and the dominant configuration picks up exactly
-# degree 0, so dropping any term of degree > T is exact.  The factored-out
-# unit denominators are restored once at the end:
+# Gauged integer-polynomial weights.  A table maps each vertex move, named by
+# its weights in the module docstring ("00" w1, "11" w2, "35" w3, "46" w4,
+# "5" w5, "6" w6), to (coeff, tdeg, sdeg) monomials; a move the table lacks
+# has weight 0.  Every coeff is +-1 and no entry has more than two monomials.
+# The contraction is one fold of ``_apply_move`` over (i, i + 1, table)
+# moves, from the dominant state (down arrows on the even bits) at
+# amplitude 1: ``_BOTTOM`` on each pair keeps (down, up) at 1 and hops to
+# (up, down) at t^2.  The edge-0 pass-through of a T1 row (t^2 when up; edge
+# 2N-1 passes at 1) is folded into the pair-(0, 1) vertex just before the
+# row (``_pass_through``).  Every move has nonnegative t-degree and the
+# dominant configuration picks up exactly degree 0, so dropping any term of
+# degree > T is exact.  The factored-out unit denominators are restored once
+# at the end:
 #
 #   t^{2MN} Z_6V = (contraction) * u1^{M(N-1)} * u2^{N(M-1)},
 #   u1 = 1/(1 - s t^2),  u2 = 1/(1 - t^2/s).
+#
+# The live vector is two int64 arrays: sorted distinct keys and their nonzero
+# coefficients.  A term (state, tdeg, sdeg) is packed as the key
+#
+#   state << (TB + SB) | tdeg << SB | (sdeg + offset)
+#
+# (``_key_layout``), so each monomial of a move, hop included, adds one
+# constant to the key: a hop adds 2^{i+1} - 2^i to the state from (1, 0) and
+# subtracts it from (0, 1).  A move classifies each term by its two bits,
+# emits every monomial of its class as one sorted run, drops the terms past
+# degree T, and merges equal keys by a stable sort and ``np.add.reduceat``.
+# The top boundary maps (down, up) and (up, down) of every pair onto (down,
+# up) at 1 and drops (up, up) and (down, down), so height m is the sum, per
+# (tdeg, sdeg), over the states with exactly one down arrow in every pair
+# (2j, 2j+1) of the vector after the m-th T1 row (``_top_sum``).
+#
+# Guards.  A key wider than ``_KEY_BITS`` raises SizeGuardError before any
+# contraction starts.  After every move, a coefficient of size
+# ``_COEFF_LIMIT`` raises ArithmeticError (at most 4 terms feed one key, so
+# sums stay below 2^62), and so does an s field within ``reach`` of either
+# end, where the next move could carry into the t field.
 
 _T1_GAUGED = {
     "00": ((1, 2, 0), (-1, 4, 1)),  # t^2 (1 - s t^2)
@@ -107,7 +128,9 @@ _T2_GAUGED = {
     "6": ((1, 0, -1), (-1, 4, -1)),  # stay (0,1): (1 - t^4)/s
 }
 _BOTTOM = {"5": ((1, 0, 0),), "35": ((1, 2, 0),)}  # (down, up): 1, hop to (up, down): t^2
-_TOP = {"5": ((1, 0, 0),), "46": ((1, 0, 0),)}  # (down, up) and (up, down) -> (down, up): 1
+
+_KEY_BITS = 63  # a key is a nonnegative int64
+_COEFF_LIMIT = 1 << 60
 
 
 def _pass_through(table: dict) -> dict:
@@ -115,80 +138,140 @@ def _pass_through(table: dict) -> dict:
     return {k: tuple((c, dt + 2, ds) for c, dt, ds in v) if k in ("00", "35", "6") else v for k, v in table.items()}
 
 
-def _poly_mul_add(dst: dict, src: dict, mono, order: int):
-    c, dt, ds = mono
-    for (td, sd), v in src.items():
-        nt = td + dt
-        if nt > order:
-            continue
-        key = (nt, sd + ds)
-        nv = dst.get(key, 0) + c * v
-        if nv:
-            dst[key] = nv
-        else:
-            del dst[key]
+class _Layout(NamedTuple):
+    """The key layout of one sweep: t field ``tb`` bits, s field ``sb`` bits."""
+
+    order: int
+    tb: int
+    sb: int
+    offset: int  # the s field of sdeg 0
+    reach: int  # the largest |sdeg| of one monomial
 
 
-def _apply_vertex_poly(vec: dict, i: int, j: int, table: dict, order: int) -> dict:
-    bi, bj = 1 << i, 1 << j
-    out: dict = {}
+def _key_layout(spec: LatticeSpec, order: int) -> _Layout:
+    """The keys of ``spec`` at ``order``, or SizeGuardError if they need more than ``_KEY_BITS`` bits.
 
-    def emit(state, amp, monos):
-        dst = out.get(state)
-        if dst is None:
-            dst = {}
-            out[state] = dst
-        for mono in monos:
-            _poly_mul_add(dst, amp, mono, order)
-        if not dst:
-            del out[state]
+    The t field holds ``order`` plus the largest t-degree one move adds, so
+    a move can emit its terms before it drops those past ``order``.  The T2
+    and T1 vertex counts times ``reach`` bound -sdeg and sdeg, and the s
+    field keeps ``reach`` spare values at either end.  The tables are read
+    here, per sweep.
+    """
+    M, N = spec.M, spec.N
+    monos = [m for table in (_T1_GAUGED, _T2_GAUGED, _BOTTOM) for entry in table.values() for m in entry]
+    lift = max(dt for _, dt, _ in monos) + 2  # the T1 edge-0 pass-through adds t^2
+    reach = max(abs(ds) for _, _, ds in monos)
+    low, high = N * (M - 1), M * (N - 1)
+    tb, sb = (order + lift).bit_length(), (reach * (low + high + 2)).bit_length()
+    if 2 * N + tb + sb > _KEY_BITS:
+        raise SizeGuardError(f"{M}x{N} at t^{order} needs {2 * N + tb + sb}-bit keys; the kernel packs {_KEY_BITS}")
+    return _Layout(order, tb, sb, reach * (low + 1), reach)
 
-    t00, t11, t35, t46, t5, t6 = (table.get(k, ()) for k in ("00", "11", "35", "46", "5", "6"))
-    for state, amp in vec.items():
-        a = state & bi
-        b = state & bj
-        if a and b:
-            emit(state, amp, t11)
-        elif not a and not b:
-            emit(state, amp, t00)
-        elif a:
-            emit(state, amp, t5)
-            emit(state ^ bi ^ bj, amp, t35)
-        else:
-            emit(state, amp, t6)
-            emit(state ^ bi ^ bj, amp, t46)
-    return out
+
+def _check_coefficients(coefs: np.ndarray, fan_in_bits: int, where: str) -> None:
+    """ArithmeticError unless any 2^fan_in_bits of these coefficients sum inside int64."""
+    if max(coefs.max(initial=0), -coefs.min(initial=0)) >= (_COEFF_LIMIT << 2) >> fan_in_bits:
+        raise ArithmeticError(f"packed int64 contraction kernel: a coefficient {where} outgrew its int64 bound")
+
+
+def _merge(keys: np.ndarray, coefs: np.ndarray) -> tuple:
+    """Equal keys summed, sorted by key, zero sums dropped."""
+    perm = np.argsort(keys, kind="stable")  # merges the sorted runs
+    keys = keys[perm]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    sums = np.add.reduceat(coefs[perm], first)
+    live = sums != 0
+    return keys[first[live]], sums[live]
+
+
+def _move_tables(i: int, table: dict, layout: _Layout) -> tuple:
+    """(shift of bit i, emissions) of the move on bits (i, i + 1): per class
+    bit_i + 2 bit_{i+1}, the (key offset, coeff) of each of its monomials."""
+    shift = i + layout.tb + layout.sb
+    hop = 1 << shift  # (1, 0) -> (0, 1) adds 2^{i+1} - 2^i to the state
+    parts = {0: ((0, "00"),), 1: ((0, "5"), (hop, "35")), 2: ((0, "6"), (-hop, "46")), 3: ((0, "11"),)}
+    emissions = [
+        (code, [(h + (dt << layout.sb) + ds, c) for h, name in entries for c, dt, ds in table.get(name, ())])
+        for code, entries in parts.items()
+    ]
+    return shift, [(code, monos) for code, monos in emissions if monos]
+
+
+def _emit(keys: np.ndarray, coefs: np.ndarray, move: tuple, layout: _Layout) -> tuple:
+    """Every monomial of ``move`` on every term, one sorted run per monomial, the terms past the order dropped.
+
+    Its own function so that its temporaries are freed before ``_merge``
+    allocates: under the CLI's thread pool each worker keeps its peak.
+    """
+    shift, emissions = move
+    code = (keys >> shift) & 3
+    classes = [(code == c, monos) for c, monos in emissions]
+    size = sum(np.count_nonzero(mask) * len(monos) for mask, monos in classes)
+    out_keys, out_coefs = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    at = 0
+    for mask, monos in classes:
+        ck, cc = keys[mask], coefs[mask]
+        for off, c in monos:
+            np.add(ck, off, out=out_keys[at : at + len(ck)])
+            np.multiply(cc, c, out=out_coefs[at : at + len(ck)])
+            at += len(ck)
+    tdeg = out_keys >> layout.sb
+    tdeg &= (1 << layout.tb) - 1
+    keep = tdeg <= layout.order
+    return out_keys[keep], out_coefs[keep]
+
+
+def _apply_move(keys: np.ndarray, coefs: np.ndarray, move: tuple, layout: _Layout) -> tuple:
+    keys, coefs = _merge(*_emit(keys, coefs, move, layout))
+    _check_coefficients(coefs, 2, "of a move")  # at most 4 terms feed one key
+    sfield = keys & ((1 << layout.sb) - 1)
+    reach = layout.reach
+    if sfield.min(initial=reach) < reach or sfield.max(initial=reach) > (1 << layout.sb) - 1 - reach:
+        raise ArithmeticError("packed int64 contraction kernel: an s-degree reached the end of its key field")
+    return keys, coefs
+
+
+def _top_sum(keys: np.ndarray, coefs: np.ndarray, N: int, layout: _Layout) -> dict:
+    """The top boundary on the vector: {(tdeg, sdeg): the sum over the states with one down arrow per pair}."""
+    low_bits = layout.tb + layout.sb
+    even = sum(1 << (2 * j) for j in range(N))
+    states = keys >> low_bits
+    one_per_pair = ((states ^ (states >> 1)) & even) == even
+    coefs = coefs[one_per_pair]
+    _check_coefficients(coefs, N, "of the top sum")  # at most 2^N terms feed one key
+    low, sums = _merge(keys[one_per_pair] & ((1 << low_bits) - 1), coefs)
+    smask = (1 << layout.sb) - 1
+    return {(k >> layout.sb, (k & smask) - layout.offset): v for k, v in zip(low.tolist(), sums.tolist())}
 
 
 def _series_z_normalized(spec: LatticeSpec, order: int) -> list:
     """[t^{2mN} Z_6V / (u1^{m(N-1)} u2^{N(m-1)}) for m = 1..M], each {(tdeg, sdeg): int}.
 
-    One fold of ``_apply_vertex_poly`` over the bottom boundary and T1
-    (T2 T1)^(M-1), each a row of vertex tables; the pair-(0, 1) vertex
-    before each T1 row carries that row's edge-0 pass-through.  After the
-    m-th T1 row the top boundary row is folded onto that row's vector
-    (``_apply_vertex_poly`` builds new dicts, so the sweep goes on from it
-    intact), leaving the height-m contraction in the dominant state.
+    One fold of ``_apply_move`` over the bottom boundary and T1 (T2 T1)^(M-1),
+    each a row of vertex tables; the pair-(0, 1) vertex before each T1 row
+    carries that row's edge-0 pass-through.  After the m-th T1 row the top
+    boundary's masked sum reads the height-m contraction off that row's vector.
     """
     M, N = spec.M, spec.N
+    layout = _key_layout(spec, order)
 
     def pairs(first, rest):
-        return [(0, 1, first)] + [(2 * j, 2 * j + 1, rest) for j in range(1, N)]
+        return [_move_tables(0, first, layout)] + [_move_tables(2 * j, rest, layout) for j in range(1, N)]
 
-    t1 = [(2 * k - 1, 2 * k, _T1_GAUGED) for k in range(1, N)]
+    t1 = [_move_tables(2 * k - 1, _T1_GAUGED, layout) for k in range(1, N)]
     t2_t1 = pairs(_pass_through(_T2_GAUGED), _T2_GAUGED) + t1
     rows = [pairs(_pass_through(_BOTTOM), _BOTTOM) + t1] + (M - 1) * [t2_t1]
     dominant = sum(1 << (2 * j) for j in range(N))
-    vec: dict = {dominant: {(0, 0): 1}}
+    keys = np.array([dominant << (layout.tb + layout.sb) | layout.offset], dtype=np.int64)
+    coefs = np.ones(1, dtype=np.int64)
     heights = []
     for row in rows:
-        # rebind vec per vertex, so no row-start vector stays alive
-        for i, j, table in row:
-            vec = _apply_vertex_poly(vec, i, j, table, order)
-        top = vec
-        for i, j, table in pairs(_TOP, _TOP):
-            top = _apply_vertex_poly(top, i, j, table, order)
-        heights.append(top.get(dominant, {}))
+        for move in row:
+            keys, coefs = _apply_move(keys, coefs, move, layout)
+        heights.append(_top_sum(keys, coefs, N, layout))
     return heights
 
 
@@ -229,6 +312,8 @@ def extraction_table(order: int, map=map) -> dict:
     """
     K = order // 2 + 2
     specs = [LatticeSpec(K + 1 - n, n) for n in range(2, max(2, (K + 1) // 2) + 1)]
+    for spec in specs:
+        _key_layout(spec, order)  # every sweep's keys fit before the first one starts
     table = {}
     for spec, column in zip(specs, map(lambda spec: series_logZ(spec, order), specs)):
         n = spec.N

@@ -3,6 +3,9 @@
 ``sixvertex_partition`` contracts over any coefficient ring.  It fixed the row
 operators of ``potts_sd.lattice`` (Z_P = Q^{MN/2} Z_6V against the two
 enumerations) and checks the gauged series kernel at exact ``RationalPoint``s.
+``dict_z_normalized`` is the same gauged contraction as dicts of Python ints,
+with the top boundary as a row of vertex moves: the coefficient-for-coefficient
+reference of the packed int64 kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from potts_sd import lattice
 from potts_sd.errors import ConvergenceError, DomainError, SizeGuardError, TruncationError
 from potts_sd.lattice import LatticeSpec
 from potts_sd.params import SpectralParams, couplings
@@ -288,6 +292,89 @@ def sixvertex_equivalent_potts(spec: LatticeSpec, pt) -> tuple:
         sqrt_q_factor = math.sqrt(pt.Q) ** (spec.M * spec.N)
     z6 = sixvertex_partition(spec, weights)
     return z6, sqrt_q_factor * z6
+
+
+# ----------------------------------------------------------------------------
+# the gauged series contraction as dicts (reference of the packed kernel)
+# ----------------------------------------------------------------------------
+#
+# Amplitudes are dicts {(tdeg, sdeg): int} keyed by 2N-bit states, and every
+# move of ``potts_sd.lattice``'s tables is applied monomial by monomial.
+
+_TOP = {"5": ((1, 0, 0),), "46": ((1, 0, 0),)}  # (down, up) and (up, down) -> (down, up): 1
+
+
+def _poly_mul_add(dst: dict, src: dict, mono, order: int):
+    c, dt, ds = mono
+    for (td, sd), v in src.items():
+        nt = td + dt
+        if nt > order:
+            continue
+        key = (nt, sd + ds)
+        nv = dst.get(key, 0) + c * v
+        if nv:
+            dst[key] = nv
+        else:
+            del dst[key]
+
+
+def _apply_vertex_poly(vec: dict, i: int, j: int, table: dict, order: int) -> dict:
+    bi, bj = 1 << i, 1 << j
+    out: dict = {}
+
+    def emit(state, amp, monos):
+        dst = out.get(state)
+        if dst is None:
+            dst = {}
+            out[state] = dst
+        for mono in monos:
+            _poly_mul_add(dst, amp, mono, order)
+        if not dst:
+            del out[state]
+
+    t00, t11, t35, t46, t5, t6 = (table.get(k, ()) for k in ("00", "11", "35", "46", "5", "6"))
+    for state, amp in vec.items():
+        a = state & bi
+        b = state & bj
+        if a and b:
+            emit(state, amp, t11)
+        elif not a and not b:
+            emit(state, amp, t00)
+        elif a:
+            emit(state, amp, t5)
+            emit(state ^ bi ^ bj, amp, t35)
+        else:
+            emit(state, amp, t6)
+            emit(state ^ bi ^ bj, amp, t46)
+    return out
+
+
+def dict_z_normalized(spec: LatticeSpec, order: int) -> list:
+    """``lattice._series_z_normalized`` as a fold of ``_apply_vertex_poly``.
+
+    After the m-th T1 row the ``_TOP`` row is folded onto that row's vector
+    (``_apply_vertex_poly`` builds new dicts, so the sweep goes on from it
+    intact), leaving the height-m contraction in the dominant state.
+    """
+    M, N = spec.M, spec.N
+
+    def pairs(first, rest):
+        return [(0, 1, first)] + [(2 * j, 2 * j + 1, rest) for j in range(1, N)]
+
+    t1 = [(2 * k - 1, 2 * k, lattice._T1_GAUGED) for k in range(1, N)]
+    t2_t1 = pairs(lattice._pass_through(lattice._T2_GAUGED), lattice._T2_GAUGED) + t1
+    rows = [pairs(lattice._pass_through(lattice._BOTTOM), lattice._BOTTOM) + t1] + (M - 1) * [t2_t1]
+    dominant = sum(1 << (2 * j) for j in range(N))
+    vec: dict = {dominant: {(0, 0): 1}}
+    heights = []
+    for row in rows:
+        for i, j, table in row:
+            vec = _apply_vertex_poly(vec, i, j, table, order)
+        top = vec
+        for i, j, table in pairs(_TOP, _TOP):
+            top = _apply_vertex_poly(top, i, j, table, order)
+        heights.append(top.get(dominant, {}))
+    return heights
 
 
 # ----------------------------------------------------------------------------

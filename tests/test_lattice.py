@@ -10,10 +10,13 @@ from hypothesis import given, settings, strategies as st
 from potts_sd import cli, closedform as cf, lattice
 from potts_sd.errors import ConvergenceError, DomainError, ExtractionError, SizeGuardError
 from oracles import (
+    _TOP as oracle_top,
     RationalPoint,
     SixVertexWeights,
     _apply_t1,
     _apply_t2,
+    _apply_vertex_poly as oracle_apply_vertex_poly,
+    dict_z_normalized,
     dominant_eigenvalue,
     double_row_matrix,
     fk_partition,
@@ -138,26 +141,8 @@ def test_sector_preserved_under_full_contraction():
 
 
 def reference_z_normalized(spec, order):
-    """The single-rectangle fold: bottom, T1 (T2 T1)^(M-1), then top, in one
-    move list, reading the dominant state once at height M."""
-    M, N = spec.M, spec.N
-
-    def pairs(first, rest):
-        return [(0, 1, first)] + [(2 * j, 2 * j + 1, rest) for j in range(1, N)]
-
-    t1 = [(2 * k - 1, 2 * k, lattice._T1_GAUGED) for k in range(1, N)]
-    t2 = lattice._T2_GAUGED
-    moves = (
-        pairs(lattice._pass_through(lattice._BOTTOM), lattice._BOTTOM)
-        + t1
-        + (M - 1) * (pairs(lattice._pass_through(t2), t2) + t1)
-        + pairs(lattice._TOP, lattice._TOP)
-    )
-    dominant = sum(1 << (2 * j) for j in range(N))
-    vec = {dominant: {(0, 0): 1}}
-    for i, j, table in moves:
-        vec = lattice._apply_vertex_poly(vec, i, j, table, order)
-    return vec.get(dominant, {})
+    """The dict fold of a single rectangle, read once at height M."""
+    return dict_z_normalized(spec, order)[-1]
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -172,7 +157,72 @@ def test_sweep_heights_equal_single_rectangle_folds(n):
 
 @pytest.mark.parametrize("M, N", [(6, 6), (9, 5)])
 def test_sweep_top_equals_single_rectangle_fold_at_t20(M, N):
-    assert lattice._series_z_normalized(LatticeSpec(M, N), 20)[-1] == reference_z_normalized(LatticeSpec(M, N), 20)
+    # every height, the top one being the single-rectangle fold
+    assert lattice._series_z_normalized(LatticeSpec(M, N), 20) == dict_z_normalized(LatticeSpec(M, N), 20)
+
+
+@pytest.mark.parametrize("order", [8, 12, 16])
+def test_every_table_sweep_equals_the_dict_oracle(order):
+    # the widths and heights ``extraction_table`` contracts at this order
+    K = order // 2 + 2
+    for n in range(2, max(2, (K + 1) // 2) + 1):
+        spec = LatticeSpec(K + 1 - n, n)
+        assert lattice._series_z_normalized(spec, order) == dict_z_normalized(spec, order), spec
+
+
+@pytest.mark.slow
+def test_widest_t24_sweep_equals_the_dict_oracle():
+    assert lattice._series_z_normalized(LatticeSpec(7, 7), 24) == dict_z_normalized(LatticeSpec(7, 7), 24)
+
+
+def test_top_sum_equals_the_top_row_fold():
+    # a seeded vector on every sector state at N = 4, against the dict _TOP row
+    N, order = 4, 12
+    layout = lattice._key_layout(LatticeSpec(3, N), order)
+    rng = np.random.default_rng(5)
+    vec = {}
+    for state in sector_states(N):
+        tdegs, sdegs, cs = rng.integers(0, order + 1, 3), rng.integers(-3, 4, 3), rng.integers(-9, 10, 3)
+        vec[state] = {(int(td), int(sd)): int(c) for td, sd, c in zip(tdegs, sdegs, cs) if c}
+    shift = layout.tb + layout.sb
+    terms = sorted(
+        ((state << shift) | (td << layout.sb) | (sd + layout.offset), c)
+        for state, p in vec.items()
+        for (td, sd), c in p.items()
+    )
+    keys, coefs = (np.array(x, dtype=np.int64) for x in zip(*terms))
+    folded = vec
+    for j in range(N):
+        folded = oracle_apply_vertex_poly(folded, 2 * j, 2 * j + 1, oracle_top, order)
+    assert lattice._top_sum(keys, coefs, N, layout) == folded[sum(1 << (2 * j) for j in range(N))]
+
+
+def test_kernel_refuses_keys_wider_than_int64(monkeypatch, capsys):
+    # 100 columns need 200 state bits: refused before the first move
+    moves = []
+    monkeypatch.setattr(lattice, "_apply_move", lambda *a: moves.append(a))
+    with pytest.raises(SizeGuardError):
+        series_logZ(LatticeSpec(2, 100), 8)
+    assert cli.main(["lattice", "--M", "2", "--N", "100", "--order", "8"]) == 1
+    # the t^8 table's widest keys, 4x3, take 6 + 4 + 5 = 15 bits: with 14, no sweep starts
+    monkeypatch.setattr(lattice, "_KEY_BITS", 14)
+    assert cli.main(["lattice", "--order", "8", "--extract"]) == 1
+    assert "15-bit keys" in capsys.readouterr().err
+    assert moves == []
+
+
+def test_kernel_refuses_a_coefficient_past_its_bound(monkeypatch, capsys):
+    monkeypatch.setattr(lattice, "_COEFF_LIMIT", 4)
+    assert cli.main(["lattice", "--order", "8", "--extract"]) == 3
+    assert "packed int64 contraction kernel" in capsys.readouterr().err
+
+
+def test_kernel_refuses_an_s_degree_at_the_end_of_its_field(monkeypatch, capsys):
+    # a 2-bit s field leaves sdeg -1 and 0 inside its margins; s^1 arrives within the first row
+    exact = lattice._key_layout
+    monkeypatch.setattr(lattice, "_key_layout", lambda spec, order: exact(spec, order)._replace(sb=2, offset=2))
+    assert cli.main(["lattice", "--order", "8", "--extract"]) == 3
+    assert "s-degree reached the end of its key field" in capsys.readouterr().err
 
 
 def test_series_logz_1x2_oracle():
