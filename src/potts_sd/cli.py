@@ -10,6 +10,7 @@ extraction residual), 3 numeric non-convergence or disagreeing numeric routes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -285,7 +286,9 @@ SUBCOMMANDS = {
 ONE_VALUE = {"bethe": ("--q", "--s")}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call."""
     p = argparse.ArgumentParser(prog="potts-sd", description=__doc__)
     p.add_argument("--config", help="JSON config file; flags override its entries")
     sub = p.add_subparsers(dest="command", required=True)

@@ -38,8 +38,10 @@ from .bundle import FreeEnergyBundle, LogSeries
 from .errors import ConvergenceError, DomainError
 from .params import SpectralParams, _Q, _exp_K1, _exp_K2, _xi, couplings
 from .qseries import (
+    _INF,
     DEFAULT_ORDER,
     TruncatedSeries,
+    _Ratio,
     expand_product,
     lambert_sum,
 )
@@ -272,17 +274,18 @@ def exp_minus_f_surface_h(q: float, w2: float) -> float:
 # exact series
 # ----------------------------------------------------------------------------
 
-def rational_series(f, order: int, pad: int) -> TruncatedSeries:
+def rational_series(f, order: int) -> TruncatedSeries:
     """f(q, w^2) at q = t^4, w^2 = s t^2 as a series exact through t^order.
 
     ``f`` is a rational formula in (q, w^2), such as the raw coupling forms
-    of ``params``.  Every division by q or w^2 costs exactness at the top,
-    so ``f`` runs on q and w^2 exact through order + pad; the final
-    ``truncate`` raises a TruncationError if ``pad`` was too small.
+    of ``params``.  It runs exactly, on a numerator/denominator pair of
+    Laurent polynomials in (t, s), and the pair is divided once, at the end
+    (``qseries._Ratio``); a zero denominator, or one whose lowest
+    coefficient is not a monomial in s, raises a TruncationError.
     """
-    q = TruncatedSeries.term(1, 4, 0, order=order + pad)
-    w2 = TruncatedSeries.term(1, 2, 1, order=order + pad)
-    return f(q, w2).truncate(order)
+    q = _Ratio(TruncatedSeries.term(1, 4, 0, order=_INF))
+    w2 = _Ratio(TruncatedSeries.term(1, 2, 1, order=_INF))
+    return _Ratio.of(f(q, w2)).series(order)
 
 
 def _bulk_prefactor(q, w2):
@@ -297,7 +300,7 @@ def _surface_prefactor(q, w2):
 
 def log1pq_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """log(1+q) as a series in t."""
-    return rational_series(lambda q, w2: 1 + q, order, 0).log()
+    return rational_series(lambda q, w2: 1 + q, order).log()
 
 
 def f_bulk_series(order: int = DEFAULT_ORDER, form: str = "sum") -> LogSeries:
@@ -306,7 +309,7 @@ def f_bulk_series(order: int = DEFAULT_ORDER, form: str = "sum") -> LogSeries:
         return LogSeries(Fraction(1), -log1pq_series(order) - lambert_sum(*BULK_LAMBERT, order))
     if form == "coupling":
         s = lambert_sum(*BULK_COUPLING_LAMBERT, order)
-        return LogSeries(Fraction(1), s - rational_series(_bulk_prefactor, order, 4).log())
+        return LogSeries(Fraction(1), s - rational_series(_bulk_prefactor, order).log())
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -314,7 +317,7 @@ def f_surface_v_series(order: int = DEFAULT_ORDER, form: str = "sum") -> Truncat
     if form == "sum":
         return lambert_sum(*SURFACE_V_LAMBERT, order)
     if form == "log":
-        return rational_series(_surface_prefactor, order, 0).log() - lambert_sum(*SURFACE_LOG_LAMBERT, order)
+        return rational_series(_surface_prefactor, order).log() - lambert_sum(*SURFACE_LOG_LAMBERT, order)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -363,18 +366,17 @@ def series_bundle(order: int = DEFAULT_ORDER) -> FreeEnergyBundle:
 # (1, -2, 1), which does not truncate.
 
 def exp_minus_f_surface_h_inverted_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """exp(-f_sp(lam-u)) = exp(B(q^3/w^2)) * exp(-B(w^2/q)).
+    """exp(-f_sp(lam-u)) / (1 - w^2/q), a power series exact through t^order.
 
-    The second factor only exists as the product
-    (x;q^4)(xq^3;q^4) / ((xq;q^4)(xq^2;q^4)) with x = w^2/q; its first
-    factor (1 - s/t^2) does not truncate, so it is multiplied in apart from
-    the others and makes the result a Laurent series of minimal degree -2.
+    exp(-f_sp(lam-u)) = exp(B(q^3/w^2)) * exp(-B(w^2/q)), and the second
+    factor only exists as the product (x;q^4)(xq^3;q^4) / ((xq;q^4)(xq^2;q^4))
+    with x = w^2/q.  Its first factor 1 - w^2/q = 1 - s/t^2 does not
+    truncate, so it is left out here; the ``inversion_surface_h`` row moves
+    it into its rational factor.
     """
-    ord_w = order + 4
-    b_small = lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1, ord_w)
-    rest = expand_product([(1, 1, 14, 16, 1), (1, 1, 10, 16, 1), (1, 1, 2, 16, -1), (1, 1, 6, 16, -1)], ord_w)
-    first = TruncatedSeries.one(ord_w) - TruncatedSeries.term(1, -2, 1, order=ord_w)
-    return (b_small.exp() * rest * first).truncate(order)
+    b_small = lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1, order)
+    rest = expand_product([(1, 1, 14, 16, 1), (1, 1, 10, 16, 1), (1, 1, 2, 16, -1), (1, 1, 6, 16, -1)], order)
+    return b_small.exp() * rest
 
 
 # ----------------------------------------------------------------------------
@@ -426,16 +428,15 @@ def derive_from_inversion(order: int = DEFAULT_ORDER, n_max: int | None = None) 
     """
     if order < 4:
         raise DomainError("order must be at least 4")
-    work = order + 2
     if n_max is None:
         n_max = max(order // 6 + 1, 1)
     one = TruncatedSeries.one
 
     # bulk: (f_b + K1 + K2)(u) + (same)(lam-u) = log[(xi - Q + 1)/xi]
-    rhs_b = rational_series(lambda q, w2: 1 - (_Q(q) - 1) / _xi(q, w2), work, 2).log()
+    rhs_b = rational_series(lambda q, w2: 1 - (_Q(q) - 1) / _xi(q, w2), order).log()
     # surface: -log G(u) + log G(-u) = log[(1-q w^2)(1-q^2 w^2) / ((1-q/w^2)(1-q^2/w^2))]
     rhs_s = rational_series(
-        lambda q, w2: (1 - q * w2) * (1 - q * q * w2) / ((1 - q / w2) * (1 - q * q / w2)), work, 2
+        lambda q, w2: (1 - q * w2) * (1 - q * q * w2) / ((1 - q / w2) * (1 - q * q / w2)), order
     ).log()
 
     cb, db, cs, ds = {}, {}, {}, {}
@@ -450,14 +451,14 @@ def derive_from_inversion(order: int = DEFAULT_ORDER, n_max: int | None = None) 
         cs[n] = -ds[n].shift(-8 * n)
 
     # assemble f_b = -K1 - K2 - log(1+q) + sum_n [cb_n w^{2n} + db_n w^{-2n}]
-    acc = -rational_series(_bulk_prefactor, order, 4).log()
+    acc = -rational_series(_bulk_prefactor, order).log()
     for n in range(1, n_max + 1):
         acc = acc + cb[n].shift(2 * n, n).truncate(order)
         acc = acc + db[n].shift(-2 * n, -n).truncate(order)
     fb = LogSeries(Fraction(1), acc.truncate(order))
 
     # f_s = log((1-q^2/w^2)/(1-w^2)) - sum_n [cs_n w^{2n} + ds_n w^{-2n}]
-    acc_s = rational_series(_surface_prefactor, order, 0).log()
+    acc_s = rational_series(_surface_prefactor, order).log()
     for n in range(1, n_max + 1):
         acc_s = acc_s - cs[n].shift(2 * n, n).truncate(order)
         acc_s = acc_s - ds[n].shift(-2 * n, -n).truncate(order)

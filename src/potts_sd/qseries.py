@@ -311,17 +311,6 @@ class TruncatedSeries:
                 r[n] = c
         return TruncatedSeries(g.order, r).shift(-d0, -e0, Fraction(1, 1) / c0)
 
-    def __truediv__(self, other) -> "TruncatedSeries":
-        """self * other.reciprocal(); a scalar divisor scales, as ``*`` does."""
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise TruncationError("zero series has no reciprocal")
-            return self * (1 / Fraction(other))
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other) -> "TruncatedSeries":
-        return self.reciprocal() * other
-
     def pow(self, n: int) -> "TruncatedSeries":
         if n == 0:
             return TruncatedSeries.one(self.order)
@@ -422,6 +411,81 @@ class TruncatedSeries:
             return f"O(t^{self.order + 1})"
         parts = [f"({self.coeffs[d]})*t^{d}" for d in sorted(self.coeffs)]
         return " + ".join(parts) + f" + O(t^{self.order + 1})"
+
+
+class _Ratio:
+    """num / den, two exact Laurent polynomials in (t, s) held as
+    ``TruncatedSeries`` at order ``_INF``.
+
+    A rational formula in (q, w^2), such as the coupling forms of ``params``,
+    runs on these with no truncation: + - * / ** only multiply and add
+    polynomials, and a monomial denominator moves into the numerator.
+    ``series`` divides once, at the end.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: TruncatedSeries, den: TruncatedSeries | None = None):
+        if den is None:
+            den = TruncatedSeries.one(_INF)
+        elif len(den.coeffs) == 1:
+            (d, p), = den.coeffs.items()
+            if p.is_monomial():
+                (e, c), = p.c.items()
+                num, den = num.shift(-d, -e, Fraction(1) / c), TruncatedSeries.one(_INF)
+        self.num, self.den = num, den
+
+    @staticmethod
+    def of(x) -> "_Ratio":
+        return x if isinstance(x, _Ratio) else _Ratio(TruncatedSeries(_INF, {0: _rat(x)}))
+
+    def __neg__(self) -> "_Ratio":
+        return _Ratio(-self.num, self.den)
+
+    def __add__(self, other) -> "_Ratio":
+        o = _Ratio.of(other)
+        return _Ratio(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "_Ratio":
+        return self + -_Ratio.of(other)
+
+    def __rsub__(self, other) -> "_Ratio":
+        return _Ratio.of(other) + -self
+
+    def __mul__(self, other) -> "_Ratio":
+        o = _Ratio.of(other)
+        return _Ratio(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "_Ratio":
+        o = _Ratio.of(other)
+        return _Ratio(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other) -> "_Ratio":
+        return _Ratio.of(other) / self
+
+    def __pow__(self, n: int) -> "_Ratio":
+        num, den = (self.num, self.den) if n >= 0 else (self.den, self.num)
+        return _Ratio(num.pow(abs(n)), den.pow(abs(n)))
+
+    def series(self, order: int) -> TruncatedSeries:
+        """num / den exact through t^order.
+
+        With n0 the numerator's lowest degree, 1/den is needed through
+        t^(order - n0); ``reciprocal`` loses twice den's lowest degree d0,
+        so it gets den through t^(order - n0 + 2 d0).  A zero denominator,
+        or one whose lowest coefficient is not a monomial in s, raises.
+        """
+        if self.den.is_zero():
+            raise TruncationError("zero series has no reciprocal")
+        if self.num.is_zero():
+            return TruncatedSeries.zero(order)
+        d0 = self.den.min_deg
+        inv = self.den.truncate(max(d0, order - self.num.min_deg + 2 * d0)).reciprocal()
+        return (self.num * inv).truncate(order)
 
 
 DEFAULT_ORDER = 36  # t^36 = q^9

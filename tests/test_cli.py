@@ -233,6 +233,10 @@ def test_eval_rejects_unsupported_ring(capsys):
     assert cli.main(["eval", "--q", "0.2", "--ring", "hp"]) == 1
 
 
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads():
     options = {
         name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}

@@ -197,9 +197,9 @@ def test_inversion_derivation_reproduces_closed_forms():
 def test_xi_series_consistency():
     # xi - e^{K2(u)} e^{K2(lam-u)} = Q - 1 as exact series
     T = 16
-    offset = cf.rational_series(lambda q, w2: _exp_K2(q, w2) * _exp_K2(q, q * q / w2), T, 10)
-    lhs = cf.rational_series(_xi, T, 10) - offset
-    assert lhs == cf.rational_series(lambda q, w2: _Q(q), T, 8) - 1
+    offset = cf.rational_series(lambda q, w2: _exp_K2(q, w2) * _exp_K2(q, q * q / w2), T)
+    lhs = cf.rational_series(_xi, T) - offset
+    assert lhs == cf.rational_series(lambda q, w2: _Q(q), T) - 1
 
 
 def test_xi_series_matches_numeric():
@@ -208,7 +208,7 @@ def test_xi_series_matches_numeric():
     T = 40
     q, s = 0.05, 1.2
     sp = SpectralParams.from_q_s(q, s)
-    assert float(cf.rational_series(_xi, T, 10).eval(q**0.25, s)) == pytest.approx(xi(sp), rel=1e-12)
+    assert float(cf.rational_series(_xi, T).eval(q**0.25, s)) == pytest.approx(xi(sp), rel=1e-12)
 
 
 def test_delta_series_matches_numeric():
@@ -217,12 +217,15 @@ def test_delta_series_matches_numeric():
     T = 40
     q, s = 0.05, 0.8
     sp = SpectralParams.from_q_s(q, s)
-    assert float(cf.rational_series(_delta, T, 8).eval(q**0.25, s)) == pytest.approx(delta(sp), rel=1e-12)
+    assert float(cf.rational_series(_delta, T).eval(q**0.25, s)) == pytest.approx(delta(sp), rel=1e-12)
 
 
-def test_rational_series_refuses_a_short_pad():
-    with pytest.raises(TruncationError):
-        cf.rational_series(_xi, 16, 9)
+def test_rational_series_refuses_a_denominator_it_cannot_divide_by():
+    with pytest.raises(TruncationError, match="zero"):
+        cf.rational_series(lambda q, w2: w2 / (q - q), 16)
+    # the t^0 coefficient of 1 + w^4/q is 1 + s^2, not a monomial in s
+    with pytest.raises(TruncationError, match="monomial"):
+        cf.rational_series(lambda q, w2: q / (1 + w2 * w2 / q), 16)
 
 
 # -- critical region ----------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import geometric_inverse
+from potts_sd.closedform import rational_series
 from potts_sd.errors import TruncationError
 from potts_sd.qseries import (
     LaurentPolyS,
@@ -464,17 +465,44 @@ def test_kernel_pow_matches_fraction_reference(a, n):
     assert_matches(a[0].pow(n), _ref_pow(a[1], n))
 
 
+# rational formulas N(q, w^2) / D(q, w^2) with integer Laurent polynomials N
+# and D, q**a w^(2b) = s^b t^(4a+2b) for a, b in [-1, 1] x [-2, 2], and a
+# monomial lowest term in D; every t-degree lies in [-8, 8], so a reference
+# denominator through t^(24 + 3*8) leaves num/den exact through t^24
+_RATIO_MAX_ORDER = 24
+_RATIO_REF_DEN_ORDER = _RATIO_MAX_ORDER + 3 * 8
+
+_laurent_term = st.tuples(st.integers(-9, 9).filter(bool), st.integers(-1, 1), st.integers(-2, 2))
+_denominator = st.tuples(
+    _laurent_term,
+    st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(0, 1), st.integers(-2, 2)).filter(lambda x: 2 * x[1] + x[2] > 0),
+        max_size=3,
+    ),
+).map(lambda x: [x[0]] + [(c, x[0][1] + da, x[0][2] + db) for c, da, db in x[1]])
+
+
+def _formula_poly(q, w2, terms):
+    out = 0
+    for c, a, b in terms:
+        m = q**a * w2**b
+        out = out + c * m if c > 0 else out - (-c) * m
+    return out
+
+
+def _ref_laurent(terms, order):
+    return _ref_from_terms([(c, 4 * a + 2 * b, b) for c, a, b in terms], order)
+
+
 @settings(max_examples=40, deadline=None)
-@given(laurent_pair, monomial_lead_pair, coefficient_strategy.filter(lambda c: c != 0))
-def test_kernel_div_matches_fraction_reference(a, b, c):
-    # series / series multiplies by the reciprocal; a scalar divisor scales like *
-    assert_matches(a[0] / b[0], _ref_mul(a[1], _ref_reciprocal(b[1])))
-    assert_matches(c / b[0], _ref_shift(_ref_reciprocal(b[1]), 0, 0, Fraction(c)))
-    assert_matches(a[0] / c, _ref_shift(a[1], 0, 0, 1 / Fraction(c)))
-    with pytest.raises(TruncationError):
-        a[0] / 0
-    with pytest.raises(TruncationError):
-        a[0] / TruncatedSeries.zero(KERNEL_ORDER)
+@given(st.lists(_laurent_term, max_size=4), _denominator, st.integers(-4, _RATIO_MAX_ORDER))
+def test_rational_series_matches_fraction_reference(num, den, order):
+    # -(-N / D) runs + - * / ** and unary minus on the exact pairs
+    negated = [(-c, a, b) for c, a, b in num]
+    x = rational_series(lambda q, w2: -(_formula_poly(q, w2, negated) / _formula_poly(q, w2, den)), order)
+    ref_order, ref = _ref_mul(_ref_laurent(num, _REF_INF), _ref_reciprocal(_ref_laurent(den, _RATIO_REF_DEN_ORDER)))
+    assert ref_order >= order
+    assert_matches(x, (order, {d: p for d, p in ref.items() if d <= order}))
 
 
 @settings(max_examples=30, deadline=None)

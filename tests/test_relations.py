@@ -129,15 +129,43 @@ def _bump_first_entry(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "numer, identity", [("BULK_COUPLING_LAMBERT", "inversion_bulk"), ("SURFACE_LOG_LAMBERT", "inversion_surface_v")]
+    "numer, extra, order, failed",
+    [
+        pytest.param("BULK_COUPLING_LAMBERT", None, 12, ["inversion_bulk"], id="BULK_COUPLING_LAMBERT-inversion_bulk"),
+        pytest.param("SURFACE_LOG_LAMBERT", None, 12, ["inversion_surface_v"], id="SURFACE_LOG_LAMBERT-inversion_surface_v"),
+        # an extra entry (1, d, 0) adds t^d at n = 1 and nothing else through t^48,
+        # so these fail only if the row compares its top degrees too
+        pytest.param("BULK_COUPLING_LAMBERT", (1, 47, 0), 48, ["inversion_bulk"], id="BULK_COUPLING_LAMBERT-t47"),
+        pytest.param("BULK_COUPLING_LAMBERT", (1, 48, 0), 48, ["inversion_bulk"], id="BULK_COUPLING_LAMBERT-t48"),
+        pytest.param(
+            "SURFACE_H_LAMBERT",
+            (1, 48, 0),
+            48,
+            ["inversion_surface_h", "rotation_surface_sv", "rotation_surface_hs"],
+            id="SURFACE_H_LAMBERT-t48",
+        ),
+    ],
 )
-def test_inversion_row_fails_on_a_perturbed_lambert_list(monkeypatch, capsys, numer, identity):
+def test_inversion_row_fails_on_a_perturbed_lambert_list(monkeypatch, capsys, numer, extra, order, failed):
     # the lam - u list is mapped from the forward one, so one wrong forward
-    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u))
-    _bump_first_entry(monkeypatch, numer)
+    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u)); f_sp's
+    # image is a product form of its own, which a wrong f_sp list misses
+    if extra is None:
+        _bump_first_entry(monkeypatch, numer)
+    else:
+        entries, dstep, dsign = getattr(cf, numer)
+        monkeypatch.setattr(cf, numer, ((*entries, extra), dstep, dsign))
+    reports = relations.verify_free_energy_relations_series(order)
+    assert [r.identity for r in reports if not r.passed] == failed
+    assert cli.main(["verify", "--order", str(order)]) == 2
+
+
+def test_a_series_row_short_of_its_order_fails(monkeypatch):
+    # a row whose two sides are exact only through t^(T-1) checks nothing at t^T
+    full = cf.exp_minus_f_surface_h_inverted_series
+    monkeypatch.setattr(cf, "exp_minus_f_surface_h_inverted_series", lambda order: full(order).truncate(order - 1))
     failed = [r.identity for r in relations.verify_free_energy_relations_series(12) if not r.passed]
-    assert failed == [identity]
-    assert cli.main(["verify", "--order", "12"]) == 2
+    assert failed == ["inversion_surface_h"]
 
 
 @pytest.mark.parametrize("name", ["BULK_LAMBERT", "SURFACE_V_LAMBERT", "SURFACE_H_LAMBERT", "CORNER_LAMBERT"])
