@@ -230,9 +230,13 @@ def checked_eigenvalue(br: BetheRoots) -> tuple[complex, complex]:
     """``eigenvalue`` at the solved point, after checking that both forms are
     finite, that they agree to 1e-12 and that L2 is real to 1e-10 (both
     relative); raises ConvergenceError otherwise."""
-    lam2, lam2b = eigenvalue(br, br.q, br.w)
+    with np.errstate(all="ignore"):  # a product past float range is the error below, not warnings
+        try:
+            lam2, lam2b = eigenvalue(br, br.q, br.w)
+        except ZeroDivisionError:  # an over- or underflowed product divided
+            lam2 = lam2b = math.inf
     if not np.isfinite([lam2, lam2b]).all():
-        raise ConvergenceError("eigenvalue is not finite")
+        raise ConvergenceError(f"eigenvalue L2 is not finite at N = {br.N}")
     if abs(lam2 - lam2b) > 1e-12 * abs(lam2):
         raise ConvergenceError("eigenvalue representations disagree")
     if abs(lam2.imag) > 1e-10 * abs(lam2):

@@ -28,6 +28,13 @@ images of the Lambert sums S_b and log G are their numerator lists mapped
 by w^2 -> q^2/w^2.  f_sp's image, whose mapped list does not truncate, is
 its product continuation; that product's one non-truncating factor,
 1 - w^2/q, joins the row's rational factor.
+
+``ROWS`` lists every row ``verify`` prints, with its ring, tolerance and
+whether it is structural.  The group functions below measure ``Defect``s,
+building their shared inputs once; ``run_rows`` runs them all, and
+``report`` applies a row's tolerance.  A structural row holds by
+construction: f_c depends on q alone, so ``rotation_corner`` compares f_c
+with itself.  It is printed, marked, and left out of ``all_passed``.
 """
 
 from __future__ import annotations
@@ -56,6 +63,43 @@ from .qseries import lambert_sum
 
 NUMERIC_TOL = 1e-11
 
+# (identity, ring) -> (tol, structural), in the order ``verify`` prints the rows
+ROWS = {
+    ("transfer_inversion", "rational"): (0.0, False),
+    ("combined_transfer_inversion", "rational"): (0.0, False),
+    ("transfer_inversion", "float"): (NUMERIC_TOL, False),
+    ("combined_transfer_inversion", "float"): (NUMERIC_TOL, False),
+    ("inversion_bulk", "float"): (NUMERIC_TOL, False),
+    ("inversion_surface_v", "float"): (NUMERIC_TOL, False),
+    ("inversion_surface_h", "float"): (NUMERIC_TOL, False),
+    ("inversion_corner", "float"): (NUMERIC_TOL, False),
+    ("rotation_bulk", "float"): (NUMERIC_TOL, False),
+    ("rotation_surface_sv", "float"): (NUMERIC_TOL, False),
+    ("rotation_surface_hs", "float"): (NUMERIC_TOL, False),
+    ("rotation_corner", "float"): (NUMERIC_TOL, True),
+    ("inversion_bulk", "series"): (0.0, False),
+    ("inversion_surface_v", "series"): (0.0, False),
+    ("inversion_surface_h", "series"): (0.0, False),
+    ("inversion_corner", "series"): (0.0, False),
+    ("rotation_bulk", "series"): (0.0, False),
+    ("rotation_surface_sv", "series"): (0.0, False),
+    ("rotation_surface_hs", "series"): (0.0, False),
+    ("rotation_corner", "series"): (0.0, True),
+    ("corner_constant", "series"): (0.0, False),
+}
+
+
+@dataclass
+class Defect:
+    """One row as its group function measures it, before its tolerance."""
+
+    identity: str
+    ring: str
+    points: list
+    max_defect: float  # exact (a Fraction) in the rational ring
+    details: dict = field(default_factory=dict)
+    side_ok: bool = True  # the row's conditions that have no defect of their own
+
 
 @dataclass
 class IdentityReport:
@@ -66,6 +110,7 @@ class IdentityReport:
     passed: bool
     ring: str
     details: dict = field(default_factory=dict)
+    structural: bool = False
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,7 +121,37 @@ class IdentityReport:
             "passed": self.passed,
             "ring": self.ring,
             "details": {k: str(v) for k, v in self.details.items()},
+            **({"structural": True} if self.structural else {}),
         }
+
+
+def report(d: Defect) -> IdentityReport:
+    """``d`` against the tolerance of its row in ``ROWS``."""
+    tol, structural = ROWS[d.identity, d.ring]
+    return IdentityReport(
+        d.identity, d.points, float(d.max_defect), tol, d.max_defect <= tol and d.side_ok, d.ring, d.details, structural
+    )
+
+
+def run_rows(order: int) -> list[IdentityReport]:
+    """Every row of ``ROWS``, in order; the series rows run through t^order
+    and the lattice row through t^min(order, 12)."""
+    # a self-dual point at integer Q, so sp and the spin matrices agree
+    Q = 5
+    sp = _sp_from(solve_q_from_Q(Q), 0.3)
+    cp = couplings(sp)
+    defects = [
+        verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)),
+        verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)),
+        verify_matrix_inversion(3, Q, cp.eK1, cp.eK2, sp=sp),
+        verify_VV(2, Q, cp.eK1, cp.eK2, sp=sp),
+        *verify_free_energy_relations_numeric(),
+        *verify_free_energy_relations_series(order),
+        verify_fc_constant(min(order, 12)),
+    ]
+    # a defect outside ROWS, or a row no group measured, is a KeyError
+    reports = {(d.identity, d.ring): report(d) for d in defects}
+    return [reports[row] for row in ROWS]
 
 
 def default_grid():
@@ -120,12 +195,12 @@ def _inversion_image_defect(sp: SpectralParams, eK1i, eK2i, xival) -> float:
     return float(max(abs(a - b) / max(1.0, abs(a)) for a, b in ((eK1i, cpi.eK1), (eK2i, cpi.eK2))))
 
 
-def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> IdentityReport:
+def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Defect:
     """T1(u)T1(lam-u) = 1 and T2(u)T2(lam-u) = xi^N 1.
 
-    Exact (Fraction couplings -> zero defect demanded) or float.  When an
-    ``sp`` consistent with Q is supplied, the algebraic inverted couplings
-    must equal ``couplings(inversion_image(sp))`` to NUMERIC_TOL
+    Exact (Fraction couplings, rational ring) or float.  When an ``sp``
+    consistent with Q is supplied, the algebraic inverted couplings must
+    also equal ``couplings(inversion_image(sp))`` to NUMERIC_TOL
     (``_inversion_image_defect``); without that, T1(u)T1(lam-u) = 1 holds
     by construction.
     """
@@ -141,8 +216,7 @@ def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None 
     if exact:
         defects = []
         # T1 is diagonal with entries eK1^k; exact statement per spin row
-        states = range(Q**N)
-        for srow in states:
+        for srow in range(Q**N):
             digits = []
             x = srow
             for _ in range(N):
@@ -151,7 +225,6 @@ def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None 
             k = sum(1 for a, b in zip(digits, digits[1:]) if a == b)
             defects.append(abs(eK1**k * eK1i**k - 1))
         # site-level T2 identity: B(u) B(lam-u) = xi * I  (Q x Q, exact)
-        bb = [[None] * Q for _ in range(Q)]
         for a in range(Q):
             for b in range(Q):
                 acc = Fraction(0)
@@ -161,35 +234,19 @@ def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None 
                     acc += va * vb
                 target = xival if a == b else Fraction(0)
                 defects.append(abs(acc - target))
-        md = max(defects)
-        return IdentityReport(
-            identity="transfer_inversion",
-            points=[{"Q": str(Q), "eK1": str(eK1), "eK2": str(eK2)}],
-            max_defect=float(md),
-            tol=0.0,
-            passed=md == 0 and image_ok,
-            ring="rational",
-            details=details,
-        )
+        points = [{"Q": str(Q), "eK1": str(eK1), "eK2": str(eK2)}]
+        return Defect("transfer_inversion", "rational", points, max(defects), details, image_ok)
     t1 = potts_transfer_T1(N, Q, float(eK1))
     t1i = potts_transfer_T1(N, Q, float(eK1i))
     d1 = np.abs(np.diag(t1 @ t1i) - 1).max()
     prod = potts_transfer_T2(N, Q, eK2) @ potts_transfer_T2(N, Q, eK2i)
     target = xival**N * np.eye(Q**N)
     d2 = np.abs(prod - target).max() / max(abs(xival) ** N, 1e-300)
-    md = float(max(d1, d2))
-    return IdentityReport(
-        identity="transfer_inversion",
-        points=[{"Q": Q, "eK1": eK1, "eK2": eK2}],
-        max_defect=md,
-        tol=NUMERIC_TOL,
-        passed=md <= NUMERIC_TOL and image_ok,
-        ring="float",
-        details=details,
-    )
+    points = [{"Q": Q, "eK1": eK1, "eK2": eK2}]
+    return Defect("transfer_inversion", "float", points, float(max(d1, d2)), details, image_ok)
 
 
-def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> IdentityReport:
+def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Defect:
     """V(u)V(lam-u) = xi^N 1, plus the paired-eigenvalue corollary.
 
     Exact mode (Fraction inputs) verifies the square-root-free equivalent:
@@ -209,15 +266,8 @@ def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Ide
         dee = (eK2 - 1) * (eK2i - 1) - xival
         sign_ok = (eK2 + Q - 1) > 0 and (eK2i + Q - 1) < 0 and (eK2 - 1) > 0 and (eK2i - 1) < 0
         md = max(base.max_defect, abs(duu), abs(dee))
-        return IdentityReport(
-            identity="combined_transfer_inversion",
-            points=base.points,
-            max_defect=float(md),
-            tol=0.0,
-            passed=md == 0 and sign_ok and base.passed,
-            ring="rational",
-            details={"xi": xival, "branch_signs_ok": sign_ok},
-        )
+        details = {"xi": xival, "branch_signs_ok": sign_ok}
+        return Defect("combined_transfer_inversion", "rational", base.points, md, details, sign_ok and base.side_ok)
 
     v = potts_transfer_V(N, Q, eK1, eK2)
     vi = potts_transfer_V(N, Q, eK1i, eK2i, allow_complex=True)
@@ -229,21 +279,13 @@ def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Ide
     val, vec = max_eigenvalue(v)
     lam_inv = (vec @ (vi @ vec)) / (vec @ vec)
     corr = abs(val * lam_inv - xival**N) / abs(xival) ** N
-    passed = md <= NUMERIC_TOL and corr <= 1e-10
     sign_ok = (xival**N > 0) == (N % 2 == 0)
+    side_ok = corr <= 1e-10 and sign_ok
     details = {"eigen_corollary_defect": float(corr), "xi_sign_alternates": sign_ok}
     if sp is not None:
         details["inversion_image_defect"] = _inversion_image_defect(sp, eK1i, eK2i, xival)
-        passed = passed and details["inversion_image_defect"] <= NUMERIC_TOL
-    return IdentityReport(
-        identity="combined_transfer_inversion",
-        points=[{"Q": Q, "eK1": eK1, "eK2": eK2}],
-        max_defect=md,
-        tol=NUMERIC_TOL,
-        passed=passed and sign_ok,
-        ring="float",
-        details=details,
-    )
+        side_ok = side_ok and details["inversion_image_defect"] <= NUMERIC_TOL
+    return Defect("combined_transfer_inversion", "float", [{"Q": Q, "eK1": eK1, "eK2": eK2}], md, details, side_ok)
 
 
 # ----------------------------------------------------------------------------
@@ -276,25 +318,14 @@ def _numeric_defects(sp: SpectralParams) -> dict:
     out["rotation_bulk"] = abs(fb - cf.f_bulk(rot)) / max(abs(fb), 1e-300)
     out["rotation_surface_sv"] = abs(fs - cf.f_surface_h(rot)) / max(abs(fs), 1e-300)
     out["rotation_surface_hs"] = abs(fsp - cf.f_surface_v(rot)) / max(abs(fsp), 1e-300)
-    out["rotation_corner"] = 0.0
+    out["rotation_corner"] = 0.0  # structural: f_c(q) against itself
     return out
 
 
-IDENTITY_IDS = [
-    "inversion_bulk",
-    "inversion_surface_v",
-    "inversion_surface_h",
-    "inversion_corner",
-    "rotation_bulk",
-    "rotation_surface_sv",
-    "rotation_surface_hs",
-    "rotation_corner",
-]
-
-
-def verify_free_energy_relations_numeric():
-    """All eight relations on the ``default_grid`` of (q, u/lam) points; exponentiated forms."""
-    worst = {k: 0.0 for k in IDENTITY_IDS}
+def verify_free_energy_relations_numeric() -> list[Defect]:
+    """All eight relations on the ``default_grid`` of (q, u/lam) points, in
+    exponentiated forms; a point where any of them meets a pole is skipped."""
+    worst = {}
     used = []
     for (q, ufrac) in default_grid():
         sp = _sp_from(q, ufrac)
@@ -304,18 +335,8 @@ def verify_free_energy_relations_numeric():
             continue
         used.append((q, ufrac))
         for k, v in d.items():
-            worst[k] = max(worst[k], v)
-    return [
-        IdentityReport(
-            identity=k,
-            points=used,
-            max_defect=worst[k],
-            tol=NUMERIC_TOL,
-            passed=worst[k] <= NUMERIC_TOL,
-            ring="float",
-        )
-        for k in IDENTITY_IDS
-    ]
+            worst[k] = max(worst.get(k, 0.0), v)
+    return [Defect(k, "float", used, v) for k, v in worst.items()]
 
 
 # ----------------------------------------------------------------------------
@@ -329,7 +350,7 @@ def _inversion_lambert(lambert):
     return [(c, tstep + 4 * sstep, -sstep) for c, tstep, sstep in numer], dstep, dsign
 
 
-def verify_free_energy_relations_series(order: int = 24):
+def verify_free_energy_relations_series(order: int = 24) -> list[Defect]:
     """The eight relations as exact coefficient identities.
 
     Rotation is s -> 1/s on the series; inversion identities are asserted
@@ -337,22 +358,12 @@ def verify_free_energy_relations_series(order: int = 24):
     formulas the numeric rows use.  Every defect is an exact series that
     must vanish through t^order.
     """
-    reports = []
     rs = cf.rational_series
-
-    def rep(name, diff, details=None):
-        ok = diff.order >= order and diff.is_zero()
-        reports.append(
-            IdentityReport(
-                identity=name,
-                points=[{"order": order}],
-                max_defect=0.0 if ok else 1.0,
-                tol=0.0,
-                passed=ok,
-                ring="series",
-                details=details or {},
-            )
-        )
+    fb = cf.f_bulk_series(order)
+    fs = cf.f_surface_v_series(order)
+    fsp = cf.f_surface_h_series(order)
+    fc = cf.f_corner_series(order)
+    diffs = {}
 
     # inversion, bulk: F(u) F(lam-u) (xi - Q + 1) = xi, with
     # F = exp(-f_b - K1 - K2) = (1+q) exp(-S_b) and xi - Q + 1 = e^{K2(u)} e^{K2(lam-u)}, so
@@ -360,36 +371,35 @@ def verify_free_energy_relations_series(order: int = 24):
     sb = cf.BULK_COUPLING_LAMBERT
     lhs = (-lambert_sum(*sb, order) - lambert_sum(*_inversion_lambert(sb), order)).exp()
     rhs = rs(lambda q, w2: _xi(q, w2) / ((1 + q) ** 2 * _exp_K2(q, w2) * _exp_K2(q, q * q / w2)), order)
-    rep("inversion_bulk", lhs - rhs)
+    diffs["inversion_bulk"] = lhs - rhs
 
     # inversion, vertical surface: e^{-f_s(u)} e^{-f_s(lam-u)} = 1,
     # with e^{-f_s} = (1-w^2) G /(1-q^2/w^2) and pref(u)*pref(lam-u) = 1
     G = lambert_sum(*cf.SURFACE_LOG_LAMBERT, order).exp()
     Gi = lambert_sum(*_inversion_lambert(cf.SURFACE_LOG_LAMBERT), order).exp()
-    rep("inversion_surface_v", G * Gi - 1)
+    diffs["inversion_surface_v"] = G * Gi - 1
 
     # inversion, horizontal surface: e^{-f_sp(u)} Delta(u) = e^{-f_sp(lam-u)} Delta(lam-u),
     # with Delta(lam-u) = 1 - e^{K2(u)} as in the numeric row and
     # e^{-f_sp(lam-u)} = (1 - w^2/q) * exp_minus_f_surface_h_inverted_series
-    lhs = (-cf.f_surface_h_series(order)).exp()
     rhs = cf.exp_minus_f_surface_h_inverted_series(order) * rs(
         lambda q, w2: (1 - w2 / q) * (1 - _exp_K2(q, w2)) / _delta(q, w2), order
     )
-    rep("inversion_surface_h", lhs - rhs)
+    diffs["inversion_surface_h"] = (-fsp).exp() - rhs
 
     # inversion, corner: f_c depends on q alone (s-free series); the Lambert
     # sum must equal minus the log of the inverted product
-    fc = cf.f_corner_series(order)
-    rep("inversion_corner", fc - cf.f_corner_series(order, "product"), {"s_free": fc.s_free()})
+    diffs["inversion_corner"] = fc - cf.f_corner_series(order, "product")
 
-    fb = cf.f_bulk_series(order)
-    fs = cf.f_surface_v_series(order)
-    fsp = cf.f_surface_h_series(order)
-    rep("rotation_bulk", fb.series.subst_s_inv() - fb.series)
-    rep("rotation_surface_sv", fsp.subst_s_inv() - fs)
-    rep("rotation_surface_hs", fs.subst_s_inv() - fsp)
-    rep("rotation_corner", fc.subst_s_inv() - fc)
-    return reports
+    diffs["rotation_bulk"] = fb.series.subst_s_inv() - fb.series
+    diffs["rotation_surface_sv"] = fsp.subst_s_inv() - fs
+    diffs["rotation_surface_hs"] = fs.subst_s_inv() - fsp
+    diffs["rotation_corner"] = fc.subst_s_inv() - fc  # structural: fc is s-free
+    details = {"inversion_corner": {"s_free": fc.s_free()}}
+    return [
+        Defect(k, "series", [{"order": order}], 0.0 if d.order >= order and d.is_zero() else 1.0, details.get(k, {}))
+        for k, d in diffs.items()
+    ]
 
 
 def closed_form_matches(bundle, order: int) -> dict:
@@ -398,7 +408,7 @@ def closed_form_matches(bundle, order: int) -> dict:
     return {name: getattr(bundle, name) == getattr(ref, name) for name in ("f_b", "f_s", "f_sp", "f_c")}
 
 
-def verify_fc_constant(order: int = 16, table=None) -> IdentityReport:
+def verify_fc_constant(order: int = 16, table=None) -> Defect:
     """The lattice route against the closed forms: all four extracted free
     energies match, and the extracted corner term is s-free."""
     if table is None:
@@ -407,29 +417,10 @@ def verify_fc_constant(order: int = 16, table=None) -> IdentityReport:
     sfree = bundle.f_c.s_free()
     matches = closed_form_matches(bundle, order)
     match = all(matches.values())
-    passed = sfree and match
-    return IdentityReport(
-        identity="corner_constant",
-        points=[{"order": order, "sizes": sorted(table)}],
-        max_defect=0.0 if passed else 1.0,
-        tol=0.0,
-        passed=passed,
-        ring="series",
-        details={"s_free": sfree, "matches_closed_form": match, **matches},
+    return Defect(
+        "corner_constant",
+        "series",
+        [{"order": order, "sizes": sorted(table)}],
+        0.0 if sfree and match else 1.0,
+        {"s_free": sfree, "matches_closed_form": match, **matches},
     )
-
-
-def run_default_suite(order: int = 20):
-    """The verification battery the CLI exposes: matrix + scalar identities."""
-    reports = []
-    reports.append(verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
-    reports.append(verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)))
-    # a self-dual point at integer Q, so sp and the spin matrices agree
-    Q = 5
-    sp = _sp_from(solve_q_from_Q(Q), 0.3)
-    cp = couplings(sp)
-    reports.append(verify_matrix_inversion(3, Q, cp.eK1, cp.eK2, sp=sp))
-    reports.append(verify_VV(2, Q, cp.eK1, cp.eK2, sp=sp))
-    reports.extend(verify_free_energy_relations_numeric())
-    reports.extend(verify_free_energy_relations_series(order))
-    return reports

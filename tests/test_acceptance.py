@@ -198,18 +198,18 @@ def test_criterion_06_as_stated():
 # -- 7: identity suite ----------------------------------------------------------
 
 def test_criterion_07_identity_suite():
-    for r in relations.verify_free_energy_relations_series(20):
+    for r in map(relations.report, relations.verify_free_energy_relations_series(20)):
         assert r.passed, r.identity
-    for r in relations.verify_free_energy_relations_numeric():
+    for r in map(relations.report, relations.verify_free_energy_relations_numeric()):
         assert r.passed and r.max_defect <= 1e-11, (r.identity, r.max_defect)
-    r = relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5))
+    r = relations.report(relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
     assert r.passed and r.max_defect == 0.0
-    r = relations.verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5))
+    r = relations.report(relations.verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)))
     assert r.passed and r.max_defect == 0.0
     sp = relations._sp_from(0.2, 0.3)
     cp = couplings(sp)
-    assert relations.verify_matrix_inversion(3, 3, cp.eK1, cp.eK2).passed
-    assert relations.verify_VV(2, 3, cp.eK1, cp.eK2).passed
+    assert relations.report(relations.verify_matrix_inversion(3, 3, cp.eK1, cp.eK2)).passed
+    assert relations.report(relations.verify_VV(2, 3, cp.eK1, cp.eK2)).passed
     report(7, "8 relations exact-series + 1e-11 numeric; matrix identities exact")
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dominant_eigenvalue, double_row_matrix, limit_eigenvalue
 from potts_sd import bethe, closedform
-from potts_sd.errors import DomainError
+from potts_sd.errors import ConvergenceError, DomainError
 from potts_sd.params import SpectralParams, couplings
 
 
@@ -158,6 +159,27 @@ def test_two_eigenvalue_forms_agree_off_shell(seed):
 def test_eigenvalue_empty_roots():
     a, b = bethe.eigenvalue(np.array([]), 0.2, 0.5)
     assert a == 1.0 and b == 1.0
+
+
+@pytest.mark.parametrize(
+    "N, squeeze, s, division",
+    [
+        # angles squeezed towards z = 1: R(w) underflows to 0, as the solved
+        # roots at (0.2, 2, N = 256) make it, after numpy overflows in a product
+        (256, 8, 2.0, "complex division by zero"),
+        # (w^2/q)^N: q^N underflows to 0 at N = 512
+        (512, 1, 1.0, "float division by zero"),
+    ],
+)
+def test_an_eigenvalue_past_float_range_is_one_named_error(N, squeeze, s, division):
+    sp = SpectralParams.from_q_s(0.2, s)
+    br = bethe.BetheRoots(N=N, roots=np.exp(1j * bethe.initial_roots(N) / squeeze), residual=0.0, q=sp.q, w=sp.w)
+    with pytest.raises(ZeroDivisionError, match=division), np.errstate(all="ignore"):
+        bethe.eigenvalue(br, sp.q, sp.w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would surface here
+        with pytest.raises(ConvergenceError, match=f"eigenvalue L2 is not finite at N = {N}$"):
+            bethe.checked_eigenvalue(br)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
-"""Functional-identity verifiers: matrix level, numeric grid, exact series."""
+"""Functional-identity verifiers: matrix level, numeric grid, exact series,
+and the fault table that makes every row of ``verify`` fail."""
 
+import csv
+import functools
+import io
 import json
 from fractions import Fraction
 
@@ -8,18 +12,20 @@ import pytest
 from potts_sd import cli, closedform as cf
 from potts_sd import relations
 from potts_sd.lattice import extraction_table, max_eigenvalue, potts_transfer_V
-from potts_sd.params import SpectralParams, couplings, rotation_image, xi
+from potts_sd.params import SpectralParams, couplings, rotation_image
 from potts_sd.qseries import TruncatedSeries
+
+R, F, S = "rational", "float", "series"
 
 
 def test_matrix_inversion_exact():
-    r = relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5))
+    r = relations.report(relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
     assert r.passed and r.ring == "rational" and r.max_defect == 0.0
 
 
 def test_matrix_inversion_exact_various():
     for Q, eK1, eK2 in [(3, Fraction(9, 4), Fraction(11, 7)), (5, Fraction(2), Fraction(13, 6))]:
-        r = relations.verify_matrix_inversion(2, Q, eK1, eK2)
+        r = relations.report(relations.verify_matrix_inversion(2, Q, eK1, eK2))
         assert r.passed, (Q, r)
 
 
@@ -28,7 +34,7 @@ def test_matrix_inversion_float_with_consistent_sp():
     cp = couplings(sp)
     # Q = q + 2 + 1/q is not an integer; the matrix check runs at integer Q
     # with the same coupling values, which the identity allows
-    r = relations.verify_matrix_inversion(3, 3, cp.eK1, cp.eK2)
+    r = relations.report(relations.verify_matrix_inversion(3, 3, cp.eK1, cp.eK2))
     assert r.passed and r.max_defect <= 1e-11
 
 
@@ -38,23 +44,8 @@ def test_matrix_inversion_rejects_inconsistent_sp():
         relations.verify_matrix_inversion(2, 3, 1.5, 1.4, sp=sp)
 
 
-def test_transfer_inversion_row_checks_the_inversion_image(monkeypatch, capsys):
-    # e^{K1(lam-u)} = 1/e^{K1(u)} by construction, so T1(u)T1(lam-u) = 1 and
-    # V(u)V(lam-u) = xi^N 1 alone cannot fail; both float rows must also match
-    # the couplings at lam - u
-    rows = [r for r in relations.run_default_suite(8) if r.ring == "float" and "transfer_inversion" in r.identity]
-    assert [r.identity for r in rows] == ["transfer_inversion", "combined_transfer_inversion"]
-    for row in rows:
-        assert row.passed and row.points[0]["Q"] == 5
-        assert row.details["inversion_image_defect"] <= 1e-11
-    monkeypatch.setattr(relations, "inversion_image", rotation_image)
-    failed = [(r.identity, r.ring) for r in relations.run_default_suite(8) if not r.passed]
-    assert failed == [("transfer_inversion", "float"), ("combined_transfer_inversion", "float")]
-    assert cli.main(["verify", "--order", "8"]) == 2
-
-
 def test_vv_exact():
-    r = relations.verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5))
+    r = relations.report(relations.verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)))
     assert r.passed and r.max_defect == 0.0
     assert r.details["branch_signs_ok"]
 
@@ -62,7 +53,7 @@ def test_vv_exact():
 def test_vv_float_and_eigen_corollary():
     sp = relations._sp_from(0.25, 0.35)
     cp = couplings(sp)
-    r = relations.verify_VV(2, 3, cp.eK1, cp.eK2)
+    r = relations.report(relations.verify_VV(2, 3, cp.eK1, cp.eK2))
     assert r.passed
     assert r.details["eigen_corollary_defect"] <= 1e-10
     assert r.details["xi_sign_alternates"]
@@ -81,7 +72,7 @@ def test_vv_eigenvalue_pairing_detail():
 
 
 def test_numeric_grid_all_pass():
-    reports = relations.verify_free_energy_relations_numeric()
+    reports = [relations.report(d) for d in relations.verify_free_energy_relations_numeric()]
     assert len(reports) == 8
     for r in reports:
         assert r.passed, (r.identity, r.max_defect)
@@ -89,115 +80,15 @@ def test_numeric_grid_all_pass():
 
 
 def test_series_relations_all_pass():
-    for r in relations.verify_free_energy_relations_series(20):
+    for r in map(relations.report, relations.verify_free_energy_relations_series(20)):
         assert r.passed, r.identity
         assert r.ring == "series"
 
 
-def test_series_relations_catch_breakage():
-    # sanity of the harness itself: a wrong surface series must fail rotation
-    good = cf.f_surface_h_series(12)
-    bad = good + cf.f_corner_series(12)  # corner series is s-free, nonzero
-    assert not (bad.subst_s_inv() - cf.f_surface_v_series(12)).is_zero()
-
-
-def test_corner_inversion_check_fails_on_a_wrong_product_form(monkeypatch, capsys):
-    exact_series, exact_numeric = cf.f_corner_series, cf.f_corner
-
-    def off_by_t8(order, form="sum"):
-        out = exact_series(order, form)
-        return out + TruncatedSeries.term(1, 8, 0, order=order) if form == "product" else out
-
-    def off_by_1e9(q, form="sum"):
-        return exact_numeric(q, form) + (1e-9 if form == "product" else 0.0)
-
-    monkeypatch.setattr(cf, "f_corner_series", off_by_t8)
-    monkeypatch.setattr(cf, "f_corner", off_by_1e9)
-    for reports in (
-        relations.verify_free_energy_relations_series(12),
-        relations.verify_free_energy_relations_numeric(),
-    ):
-        failed = [r.identity for r in reports if not r.passed]
-        assert failed == ["inversion_corner"]
-    assert cli.main(["verify", "--order", "12"]) == 2
-
-
-def _bump_first_entry(monkeypatch, name):
-    """Replace closedform's Lambert list ``name`` by one whose first c is c + 1."""
-    ((c, tstep, sstep), *rest), dstep, dsign = getattr(cf, name)
-    monkeypatch.setattr(cf, name, (((c + 1, tstep, sstep), *rest), dstep, dsign))
-
-
-@pytest.mark.parametrize(
-    "numer, extra, order, failed",
-    [
-        pytest.param("BULK_COUPLING_LAMBERT", None, 12, ["inversion_bulk"], id="BULK_COUPLING_LAMBERT-inversion_bulk"),
-        pytest.param("SURFACE_LOG_LAMBERT", None, 12, ["inversion_surface_v"], id="SURFACE_LOG_LAMBERT-inversion_surface_v"),
-        # an extra entry (1, d, 0) adds t^d at n = 1 and nothing else through t^48,
-        # so these fail only if the row compares its top degrees too
-        pytest.param("BULK_COUPLING_LAMBERT", (1, 47, 0), 48, ["inversion_bulk"], id="BULK_COUPLING_LAMBERT-t47"),
-        pytest.param("BULK_COUPLING_LAMBERT", (1, 48, 0), 48, ["inversion_bulk"], id="BULK_COUPLING_LAMBERT-t48"),
-        pytest.param(
-            "SURFACE_H_LAMBERT",
-            (1, 48, 0),
-            48,
-            ["inversion_surface_h", "rotation_surface_sv", "rotation_surface_hs"],
-            id="SURFACE_H_LAMBERT-t48",
-        ),
-    ],
-)
-def test_inversion_row_fails_on_a_perturbed_lambert_list(monkeypatch, capsys, numer, extra, order, failed):
-    # the lam - u list is mapped from the forward one, so one wrong forward
-    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u)); f_sp's
-    # image is a product form of its own, which a wrong f_sp list misses
-    if extra is None:
-        _bump_first_entry(monkeypatch, numer)
-    else:
-        entries, dstep, dsign = getattr(cf, numer)
-        monkeypatch.setattr(cf, numer, ((*entries, extra), dstep, dsign))
-    reports = relations.verify_free_energy_relations_series(order)
-    assert [r.identity for r in reports if not r.passed] == failed
-    assert cli.main(["verify", "--order", str(order)]) == 2
-
-
-def test_a_series_row_short_of_its_order_fails(monkeypatch):
-    # a row whose two sides are exact only through t^(T-1) checks nothing at t^T
-    full = cf.exp_minus_f_surface_h_inverted_series
-    monkeypatch.setattr(cf, "exp_minus_f_surface_h_inverted_series", lambda order: full(order).truncate(order - 1))
-    failed = [r.identity for r in relations.verify_free_energy_relations_series(12) if not r.passed]
-    assert failed == ["inversion_surface_h"]
-
-
-@pytest.mark.parametrize("name", ["BULK_LAMBERT", "SURFACE_V_LAMBERT", "SURFACE_H_LAMBERT", "CORNER_LAMBERT"])
-def test_verify_fails_on_a_perturbed_sum_list(monkeypatch, capsys, name):
-    # one list feeds both the float sum and the exact series, so one wrong
-    # entry fails a float row and the lattice comparison alike
-    _bump_first_entry(monkeypatch, name)
-    assert cli.main(["verify", "--order", "12"]) == 2
-    failed = [r for r in json.loads(capsys.readouterr().out)["rows"] if not r["passed"]]
-    assert "corner_constant" in [r["identity"] for r in failed]
-    assert any(r["ring"] == "float" for r in failed)
-
-
 def test_fc_constant_report(gate_logz_table):
-    rep = relations.verify_fc_constant(16, table=gate_logz_table)
+    rep = relations.report(relations.verify_fc_constant(16, table=gate_logz_table))
     assert rep.passed
     assert rep.details["s_free"] and rep.details["matches_closed_form"]
-
-
-@pytest.mark.parametrize("energy", ["f_b", "f_s", "f_sp", "f_c"])
-def test_lattice_row_checks_each_free_energy(monkeypatch, capsys, energy):
-    # shift one free energy by t^10 s in every G(m, n) = -mn f_b - m f_s - n f'_s - f_c;
-    # the spare diagonal still vanishes, so only the closed-form comparison catches it
-    T = 12
-    weight = {"f_b": lambda m, n: m * n, "f_s": lambda m, n: m, "f_sp": lambda m, n: n, "f_c": lambda m, n: 1}
-    delta = TruncatedSeries.term(1, 10, 1, order=T)
-    table = {(m, n): g - weight[energy](m, n) * delta for (m, n), g in extraction_table(T).items()}
-    rep = relations.verify_fc_constant(T, table=table)
-    assert not rep.passed and not rep.details["matches_closed_form"]
-    assert [k for k in weight if not rep.details[k]] == [energy]
-    monkeypatch.setattr(relations, "extraction_table", lambda order: table)
-    assert cli.main(["verify", "--order", "12"]) == 2
 
 
 def test_verify_exits_two_on_one_perturbed_rectangle(monkeypatch, capsys):
@@ -217,8 +108,188 @@ def test_default_grid_shape():
     assert relations.default_grid() == pts
 
 
+STRUCTURAL = {row for row, (_, structural) in relations.ROWS.items() if structural}
+
+
 def test_identity_report_json():
-    r = relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5))
+    r = relations.report(relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
     d = r.to_json_dict()
     assert d["identity"] == "transfer_inversion"
     assert d["passed"] is True
+    # the structural marker is on the structural rows and on no other
+    marked = {(r.identity, r.ring) for r in relations.run_rows(8) if r.to_json_dict().get("structural") is True}
+    assert marked == STRUCTURAL == {("rotation_corner", F), ("rotation_corner", S)}
+
+
+def test_verify_csv_parses(capsys):
+    assert cli.main(["verify", "--order", "8", "--format", "csv"]) == 0
+    reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    rows = list(reader)
+    assert len(rows) == len(relations.ROWS) == 21
+    assert "structural" in reader.fieldnames
+    assert all(list(row) == reader.fieldnames and None not in row.values() for row in rows)
+    assert {(r["identity"], r["ring"]) for r in rows if r["structural"]} == STRUCTURAL
+
+
+# ----------------------------------------------------------------------------
+# faults: each perturbs one input and must fail exactly its declared rows
+# ----------------------------------------------------------------------------
+
+def _scaled(obj, name, factor):
+    """``obj.name`` with its value multiplied by ``factor``."""
+
+    def patch(mp):
+        f = getattr(obj, name)
+        mp.setattr(obj, name, lambda *a: f(*a) * factor)
+
+    return patch
+
+
+def _rational_xi_off(mp):
+    """xi off by 1e-9, in the rational ring only."""
+    dual = relations._dual_values
+
+    def off(Q, eK1, eK2):
+        eK1i, eK2i, x = dual(Q, eK1, eK2)
+        return eK1i, eK2i, (x + Fraction(1, 10**9) if isinstance(x, Fraction) else x)
+
+    mp.setattr(relations, "_dual_values", off)
+
+
+def _product_form_off(name, shift):
+    """closedform's ``name(x, form)`` with its product form off by ``shift(x)``."""
+
+    def patch(mp):
+        exact = getattr(cf, name)
+
+        def off(x, form="sum"):
+            return exact(x, form) + shift(x) if form == "product" else exact(x, form)
+
+        mp.setattr(cf, name, off)
+
+    return patch
+
+
+def _bump_first_entry(name):
+    """closedform's Lambert list ``name`` with its first c made c + 1."""
+
+    def patch(mp):
+        ((c, tstep, sstep), *rest), dstep, dsign = getattr(cf, name)
+        mp.setattr(cf, name, (((c + 1, tstep, sstep), *rest), dstep, dsign))
+
+    return patch
+
+
+def _extra_entry(name, tdeg):
+    """closedform's Lambert list ``name`` with an extra entry (1, tdeg, 0),
+    which adds t^tdeg at n = 1 and nothing else through t^48."""
+
+    def patch(mp):
+        entries, dstep, dsign = getattr(cf, name)
+        mp.setattr(cf, name, ((*entries, (1, tdeg, 0)), dstep, dsign))
+
+    return patch
+
+
+def _image_short_of_order(mp):
+    """The product form of e^{-f_sp(lam-u)} exact only through t^(T-1)."""
+    full = cf.exp_minus_f_surface_h_inverted_series
+    mp.setattr(cf, "exp_minus_f_surface_h_inverted_series", lambda order: full(order).truncate(order - 1))
+
+
+@functools.cache
+def _table12():
+    return extraction_table(12)
+
+
+def _lattice_shift(energy):
+    """One extracted free energy shifted by t^10 s in every
+    G(m, n) = -mn f_b - m f_s - n f'_s - f_c; the spare diagonal still
+    vanishes, so only the closed-form comparison sees it."""
+    weight = {"f_b": lambda m, n: m * n, "f_s": lambda m, n: m, "f_sp": lambda m, n: n, "f_c": lambda m, n: 1}[energy]
+
+    def patch(mp):
+        delta = TruncatedSeries.term(1, 10, 1, order=12)
+        table = {(m, n): g - weight(m, n) * delta for (m, n), g in _table12().items()}
+        mp.setattr(relations, "extraction_table", lambda order: table)
+
+    return patch
+
+
+# f_s(u) = f_sp(lam/2-u) and f_sp(u) = f_s(lam/2-u), in floats and in series
+ROTATION_SURFACE = {(k, ring) for k in ("rotation_surface_sv", "rotation_surface_hs") for ring in (F, S)}
+
+# (fault id, verify --order, the perturbation, the rows it must fail)
+FAULTS = [
+    ("rational-xi", 8, _rational_xi_off, {("transfer_inversion", R), ("combined_transfer_inversion", R)}),
+    # e^{K1(lam-u)} = 1/e^{K1(u)} by construction, so only the comparison with
+    # the couplings at lam - u can catch a wrong image
+    (
+        "inversion-image-is-rotation",
+        8,
+        lambda mp: mp.setattr(relations, "inversion_image", rotation_image),
+        {("transfer_inversion", F), ("combined_transfer_inversion", F)},
+    ),
+    ("bulk-product-1e-9", 8, _scaled(cf, "exp_minus_f_bulk", 1 + 1e-9), {("inversion_bulk", F)}),
+    ("surface-v-product-1e-9", 8, _scaled(cf, "exp_minus_f_surface_v", 1 + 1e-9), {("inversion_surface_v", F)}),
+    # a constant factor in e^{-f_sp} cancels from its inversion row; Delta's does not
+    ("delta-1e-9", 8, _scaled(relations, "delta", 1 + 1e-9), {("inversion_surface_h", F)}),
+    ("corner-product-1e-9", 12, _product_form_off("f_corner", lambda q: 1e-9), {("inversion_corner", F)}),
+    (
+        "corner-product-t8",
+        12,
+        _product_form_off("f_corner_series", lambda order: TruncatedSeries.term(1, 8, 0, order=order)),
+        {("inversion_corner", S)},
+    ),
+    # the lam - u list is mapped from the forward one, so one wrong forward
+    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u))
+    ("BULK_COUPLING_LAMBERT", 12, _bump_first_entry("BULK_COUPLING_LAMBERT"), {("inversion_bulk", S)}),
+    ("SURFACE_LOG_LAMBERT", 12, _bump_first_entry("SURFACE_LOG_LAMBERT"), {("inversion_surface_v", S)}),
+    # a row compares its top degrees too
+    ("BULK_COUPLING_LAMBERT-t47", 48, _extra_entry("BULK_COUPLING_LAMBERT", 47), {("inversion_bulk", S)}),
+    ("BULK_COUPLING_LAMBERT-t48", 48, _extra_entry("BULK_COUPLING_LAMBERT", 48), {("inversion_bulk", S)}),
+    # f_sp's image is a product form of its own, which a wrong f_sp list misses
+    (
+        "SURFACE_H_LAMBERT-t48",
+        48,
+        _extra_entry("SURFACE_H_LAMBERT", 48),
+        {("inversion_surface_h", S), *ROTATION_SURFACE},
+    ),
+    # a row whose two sides are exact only through t^(T-1) checks nothing at t^T
+    ("surface-h-image-short", 12, _image_short_of_order, {("inversion_surface_h", S)}),
+    # one list feeds the float sum and the exact series alike
+    (
+        "BULK_LAMBERT",
+        12,
+        _bump_first_entry("BULK_LAMBERT"),
+        {("rotation_bulk", F), ("rotation_bulk", S), ("corner_constant", S)},
+    ),
+    ("SURFACE_V_LAMBERT", 12, _bump_first_entry("SURFACE_V_LAMBERT"), {*ROTATION_SURFACE, ("corner_constant", S)}),
+    (
+        "SURFACE_H_LAMBERT",
+        12,
+        _bump_first_entry("SURFACE_H_LAMBERT"),
+        {("inversion_surface_h", S), *ROTATION_SURFACE, ("corner_constant", S)},
+    ),
+    (
+        "CORNER_LAMBERT",
+        12,
+        _bump_first_entry("CORNER_LAMBERT"),
+        {("inversion_corner", F), ("inversion_corner", S), ("corner_constant", S)},
+    ),
+    *[(f"lattice-{e}", 12, _lattice_shift(e), {("corner_constant", S)}) for e in ("f_b", "f_s", "f_sp", "f_c")],
+]
+
+
+@pytest.mark.parametrize("order, perturb, failing", [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
+def test_a_fault_fails_exactly_its_rows(monkeypatch, capsys, order, perturb, failing):
+    perturb(monkeypatch)
+    assert cli.main(["verify", "--order", str(order)]) == 2
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {(r["identity"], r["ring"]) for r in rows if not r["passed"]} == failing
+
+
+def test_every_row_is_structural_or_a_fault_target():
+    targets = set().union(*(f[3] for f in FAULTS))
+    assert not targets & STRUCTURAL
+    assert targets | STRUCTURAL == set(relations.ROWS)
