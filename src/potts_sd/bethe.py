@@ -326,7 +326,8 @@ def roots_to_json(br: BetheRoots) -> dict:
         "q": br.q,
         "w": br.w,
         "residual": br.residual,
-        "roots": [[z.real, z.imag] for z in br.roots],
+        # plain floats: a numpy scalar's str() is np.float64(...) in the CSV view
+        "roots": [[float(z.real), float(z.imag)] for z in br.roots],
         "trace": [[t, r] for t, r in br.trace],
         "newton_iterations": br.newton_iterations,
         "halvings": br.halvings,

@@ -168,7 +168,7 @@ def cmd_lattice(args) -> int:
     M, N = args.M, args.N
     spec = lattice.LatticeSpec(M, N)
     t0 = time.time()
-    s = lattice.series_logZ(spec, order)[-1]
+    (s,) = lattice.series_logZ(spec, order, [M])
     _emit(
         {
             "command": "lattice",
@@ -300,12 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, **{**FLAGS[flag], **one})
         sp.set_defaults(func=fn, **defaults)
     return p
-
-
-def subcommand_parsers(parser: argparse.ArgumentParser) -> dict:
-    """Subcommand name -> its parser, for a parser made by ``build_parser``."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sub.choices
 
 
 def _with_config(parser, args, argv):

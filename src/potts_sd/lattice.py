@@ -275,9 +275,11 @@ def _series_z_normalized(spec: LatticeSpec, order: int) -> list:
     return heights
 
 
-def series_logZ(spec: LatticeSpec, order: int) -> list:
-    """[log(q^{mN} Z_P) on m rows by N columns for m = 1..M], exact TruncatedSeries
-    (constant term 0), all from one sweep of ``_series_z_normalized``.
+def series_logZ(spec: LatticeSpec, order: int, heights=None) -> list:
+    """[log(q^{mN} Z_P) on m rows by N columns for m in ``heights``], exact
+    TruncatedSeries (constant term 0), all from one sweep of
+    ``_series_z_normalized``; ``heights`` defaults to 1..M, and only the
+    heights it names are logged.
 
     The ground-state factor q^{-mN} (minimal t-degree of Z_P) is the only
     non-series part of log Z_P and is factored out exactly:
@@ -287,10 +289,11 @@ def series_logZ(spec: LatticeSpec, order: int) -> list:
     log_u1 = log_geometric_inverse(1, 2, 1, order)
     log_u2 = log_geometric_inverse(1, 2, -1, order)
     log_1pt4 = -log_geometric_inverse(-1, 4, 0, order)
+    raws = _series_z_normalized(spec, order)
     out = []
-    for m, raw in enumerate(_series_z_normalized(spec, order), 1):
+    for m in range(1, spec.M + 1) if heights is None else heights:
         coeffs: dict = {}
-        for (td, sd), v in raw.items():
+        for (td, sd), v in raws[m - 1].items():
             p = coeffs.setdefault(td, {})
             p[sd] = p.get(sd, 0) + v
         zpoly = TruncatedSeries(order, {d: LaurentPolyS(p) for d, p in coeffs.items()})
@@ -305,19 +308,24 @@ def extraction_table(order: int, map=map) -> dict:
     With K = order//2 + 2 the table holds all m, n >= 1 with m + n <= K + 1;
     the last diagonal is the spare one.  One sweep per width n = 2 ..
     max(2, (K+1)//2), on ``LatticeSpec(K + 1 - n, n)`` through ``map``,
-    gives every height; (1, 2) and the cells with m >= n are kept, so no
-    contraction is wider than min(m, n).  (n, m) is the s -> 1/s image of
-    (m, n), G(1, 1) = log(q Q) = 2 log(1 + t^4), and one row is a free
-    chain, whose G(1, n) is linear in n.
+    gives every height; only (1, 2) and the cells with m >= n are logged
+    and kept, so no contraction is wider than min(m, n).  (n, m) is the
+    s -> 1/s image of (m, n), G(1, 1) = log(q Q) = 2 log(1 + t^4), and one
+    row is a free chain, whose G(1, n) is linear in n.
     """
     K = order // 2 + 2
     specs = [LatticeSpec(K + 1 - n, n) for n in range(2, max(2, (K + 1) // 2) + 1)]
     for spec in specs:
         _key_layout(spec, order)  # every sweep's keys fit before the first one starts
-    table = {}
-    for spec, column in zip(specs, map(lambda spec: series_logZ(spec, order), specs)):
+
+    def sweep(spec):
         n = spec.N
-        table.update({(m, n): g for m, g in enumerate(column, 1) if m >= n or (m, n) == (1, 2)})
+        heights = [m for m in range(1, spec.M + 1) if m >= n or (m, n) == (1, 2)]
+        return {(m, n): g for m, g in zip(heights, series_logZ(spec, order, heights))}
+
+    table = {}
+    for column in map(sweep, specs):
+        table.update(column)
     g11 = -2 * log_geometric_inverse(-1, 4, 0, order)
     step = table[(1, 2)] - g11
     table.update({(1, n): g11 + (n - 1) * step for n in (1, *range(3, K + 1))})

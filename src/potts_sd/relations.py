@@ -17,8 +17,9 @@ with real (sometimes negative) values.  Their matrix-level parents are
     V(u) V(lam-u) = xi(u)^N 1,  with V = T2^{1/2} T1 T2^{1/2},
 
 algebraic in (Q, e^{K1}, e^{K2}) with e^{K1(lam-u)} = 1/e^{K1(u)},
-e^{K2(lam-u)} = 2 - Q - e^{K2(u)} and xi = (e^{K2(u)}-1)(e^{K2(lam-u)}-1),
-hence verifiable exactly over the rationals.
+e^{K2(lam-u)} = 2 - Q - e^{K2(u)} and xi = (e^{K2(u)}-1)(e^{K2(lam-u)}-1).
+They are checked in floats at a self-dual point with integer Q, where
+the inverted couplings must also equal the couplings at lam - u.
 
 Series mode asserts the relations as exact coefficient identities on the
 (t, s) grid, every row through t^T: rotation is the substitution s -> 1/s.
@@ -41,12 +42,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from . import closedform as cf
-from .errors import DomainError, PoleError
+from .errors import PoleError
 from .lattice import (
     extract_free_energies,
     extraction_table,
@@ -65,8 +65,6 @@ NUMERIC_TOL = 1e-11
 
 # (identity, ring) -> (tol, structural), in the order ``verify`` prints the rows
 ROWS = {
-    ("transfer_inversion", "rational"): (0.0, False),
-    ("combined_transfer_inversion", "rational"): (0.0, False),
     ("transfer_inversion", "float"): (NUMERIC_TOL, False),
     ("combined_transfer_inversion", "float"): (NUMERIC_TOL, False),
     ("inversion_bulk", "float"): (NUMERIC_TOL, False),
@@ -96,7 +94,7 @@ class Defect:
     identity: str
     ring: str
     points: list
-    max_defect: float  # exact (a Fraction) in the rational ring
+    max_defect: float
     details: dict = field(default_factory=dict)
     side_ok: bool = True  # the row's conditions that have no defect of their own
 
@@ -137,14 +135,10 @@ def run_rows(order: int) -> list[IdentityReport]:
     """Every row of ``ROWS``, in order; the series rows run through t^order
     and the lattice row through t^min(order, 12)."""
     # a self-dual point at integer Q, so sp and the spin matrices agree
-    Q = 5
-    sp = _sp_from(solve_q_from_Q(Q), 0.3)
-    cp = couplings(sp)
+    sp = _sp_from(solve_q_from_Q(5), 0.3)
     defects = [
-        verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)),
-        verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)),
-        verify_matrix_inversion(3, Q, cp.eK1, cp.eK2, sp=sp),
-        verify_VV(2, Q, cp.eK1, cp.eK2, sp=sp),
+        verify_matrix_inversion(3, 5, sp),
+        verify_VV(2, 5, sp),
         *verify_free_energy_relations_numeric(),
         *verify_free_energy_relations_series(order),
         verify_fc_constant(min(order, 12)),
@@ -183,93 +177,41 @@ def _dual_values(Q, eK1, eK2):
     return eK1i, eK2i, x
 
 
-def _inversion_image_defect(sp: SpectralParams, eK1i, eK2i, xival) -> float:
-    """Relative distance of the algebraic inverted couplings from ``couplings(inversion_image(sp))``.
-
-    xi's hyperbolic product form is first cross-checked against the
-    algebraic (e^{K2}-route) value, so ``sp`` must be consistent with Q.
-    """
-    if abs(xi(sp) - xival) > 1e-11 * max(1.0, abs(xival)):
-        raise DomainError("sp inconsistent with the supplied couplings")
+def _inversion_image_defect(sp: SpectralParams, eK1i, eK2i) -> float:
+    """Relative distance of the algebraic inverted couplings from ``couplings(inversion_image(sp))``."""
     cpi = couplings(inversion_image(sp))
     return float(max(abs(a - b) / max(1.0, abs(a)) for a, b in ((eK1i, cpi.eK1), (eK2i, cpi.eK2))))
 
 
-def verify_matrix_inversion(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Defect:
-    """T1(u)T1(lam-u) = 1 and T2(u)T2(lam-u) = xi^N 1.
+def verify_matrix_inversion(N: int, Q: int, sp: SpectralParams) -> Defect:
+    """T1(u)T1(lam-u) = 1 and T2(u)T2(lam-u) = xi^N 1 at the couplings of ``sp``.
 
-    Exact (Fraction couplings, rational ring) or float.  When an ``sp``
-    consistent with Q is supplied, the algebraic inverted couplings must
-    also equal ``couplings(inversion_image(sp))`` to NUMERIC_TOL
-    (``_inversion_image_defect``); without that, T1(u)T1(lam-u) = 1 holds
-    by construction.
+    T1(u)T1(lam-u) = 1 holds by construction, so the algebraic inverted
+    couplings must also equal ``couplings(inversion_image(sp))`` to
+    NUMERIC_TOL (``_inversion_image_defect``); with the T2 product that
+    fixes xi, and a Q that is not the one of ``sp`` fails the row.
     """
-    exact = isinstance(eK1, Fraction) and isinstance(eK2, Fraction)
-    eK1i, eK2i, xival = _dual_values(Q, eK1, eK2)
-    details = {"xi": xival}
-    image_ok = True
-    if sp is not None:
-        image = _inversion_image_defect(sp, eK1i, eK2i, xival)
-        details["inversion_image_defect"] = image
-        image_ok = image <= NUMERIC_TOL
-
-    if exact:
-        defects = []
-        # T1 is diagonal with entries eK1^k; exact statement per spin row
-        for srow in range(Q**N):
-            digits = []
-            x = srow
-            for _ in range(N):
-                digits.append(x % Q)
-                x //= Q
-            k = sum(1 for a, b in zip(digits, digits[1:]) if a == b)
-            defects.append(abs(eK1**k * eK1i**k - 1))
-        # site-level T2 identity: B(u) B(lam-u) = xi * I  (Q x Q, exact)
-        for a in range(Q):
-            for b in range(Q):
-                acc = Fraction(0)
-                for c in range(Q):
-                    va = eK2 if a == c else Fraction(1)
-                    vb = eK2i if c == b else Fraction(1)
-                    acc += va * vb
-                target = xival if a == b else Fraction(0)
-                defects.append(abs(acc - target))
-        points = [{"Q": str(Q), "eK1": str(eK1), "eK2": str(eK2)}]
-        return Defect("transfer_inversion", "rational", points, max(defects), details, image_ok)
-    t1 = potts_transfer_T1(N, Q, float(eK1))
-    t1i = potts_transfer_T1(N, Q, float(eK1i))
+    cp = couplings(sp)
+    eK1i, eK2i, xival = _dual_values(Q, cp.eK1, cp.eK2)
+    image = _inversion_image_defect(sp, eK1i, eK2i)
+    t1 = potts_transfer_T1(N, Q, cp.eK1)
+    t1i = potts_transfer_T1(N, Q, eK1i)
     d1 = np.abs(np.diag(t1 @ t1i) - 1).max()
-    prod = potts_transfer_T2(N, Q, eK2) @ potts_transfer_T2(N, Q, eK2i)
+    prod = potts_transfer_T2(N, Q, cp.eK2) @ potts_transfer_T2(N, Q, eK2i)
     target = xival**N * np.eye(Q**N)
     d2 = np.abs(prod - target).max() / max(abs(xival) ** N, 1e-300)
-    points = [{"Q": Q, "eK1": eK1, "eK2": eK2}]
-    return Defect("transfer_inversion", "float", points, float(max(d1, d2)), details, image_ok)
+    points = [{"Q": Q, "eK1": cp.eK1, "eK2": cp.eK2}]
+    details = {"xi": xival, "inversion_image_defect": image}
+    return Defect("transfer_inversion", "float", points, float(max(d1, d2)), details, image <= NUMERIC_TOL)
 
 
-def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Defect:
-    """V(u)V(lam-u) = xi^N 1, plus the paired-eigenvalue corollary.
-
-    Exact mode (Fraction inputs) verifies the square-root-free equivalent:
-    the T1/T2 inversion identities together with the exact scalar identity
-    Delta(u)Delta(lam-u) = (e^{K2(u)}-1)(e^{K2(lam-u)}-1) = xi, which makes
-    T2(u)^{1/2} T2(lam-u)^{1/2} the scalar (i sqrt(-xi))^N (principal
-    branches; sign conditions asserted), from which the product collapses
-    to xi^N algebraically.  Float mode multiplies the complex matrices.
-    As in ``verify_matrix_inversion``, an ``sp`` consistent with Q makes the
-    inverted couplings meet ``couplings(inversion_image(sp))``.
-    """
-    exact = isinstance(eK1, Fraction) and isinstance(eK2, Fraction)
-    eK1i, eK2i, xival = _dual_values(Q, eK1, eK2)
-    if exact:
-        base = verify_matrix_inversion(N, Q, eK1, eK2, sp=sp)
-        duu = (eK2 + Q - 1) * (eK2i + Q - 1) - xival
-        dee = (eK2 - 1) * (eK2i - 1) - xival
-        sign_ok = (eK2 + Q - 1) > 0 and (eK2i + Q - 1) < 0 and (eK2 - 1) > 0 and (eK2i - 1) < 0
-        md = max(base.max_defect, abs(duu), abs(dee))
-        details = {"xi": xival, "branch_signs_ok": sign_ok}
-        return Defect("combined_transfer_inversion", "rational", base.points, md, details, sign_ok and base.side_ok)
-
-    v = potts_transfer_V(N, Q, eK1, eK2)
+def verify_VV(N: int, Q: int, sp: SpectralParams) -> Defect:
+    """V(u)V(lam-u) = xi^N 1 at the couplings of ``sp``, plus the
+    paired-eigenvalue corollary; as in ``verify_matrix_inversion``, the
+    inverted couplings must meet ``couplings(inversion_image(sp))``."""
+    cp = couplings(sp)
+    eK1i, eK2i, xival = _dual_values(Q, cp.eK1, cp.eK2)
+    v = potts_transfer_V(N, Q, cp.eK1, cp.eK2)
     vi = potts_transfer_V(N, Q, eK1i, eK2i, allow_complex=True)
     prod = v @ vi
     target = xival**N * np.eye(Q**N)
@@ -280,12 +222,11 @@ def verify_VV(N: int, Q: int, eK1, eK2, sp: SpectralParams | None = None) -> Def
     lam_inv = (vec @ (vi @ vec)) / (vec @ vec)
     corr = abs(val * lam_inv - xival**N) / abs(xival) ** N
     sign_ok = (xival**N > 0) == (N % 2 == 0)
-    side_ok = corr <= 1e-10 and sign_ok
-    details = {"eigen_corollary_defect": float(corr), "xi_sign_alternates": sign_ok}
-    if sp is not None:
-        details["inversion_image_defect"] = _inversion_image_defect(sp, eK1i, eK2i, xival)
-        side_ok = side_ok and details["inversion_image_defect"] <= NUMERIC_TOL
-    return Defect("combined_transfer_inversion", "float", [{"Q": Q, "eK1": eK1, "eK2": eK2}], md, details, side_ok)
+    image = _inversion_image_defect(sp, eK1i, eK2i)
+    details = {"eigen_corollary_defect": float(corr), "xi_sign_alternates": sign_ok, "inversion_image_defect": image}
+    side_ok = corr <= 1e-10 and sign_ok and image <= NUMERIC_TOL
+    points = [{"Q": Q, "eK1": cp.eK1, "eK2": cp.eK2}]
+    return Defect("combined_transfer_inversion", "float", points, md, details, side_ok)
 
 
 # ----------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from oracles import (
 )
 from potts_sd import bethe, closedform as cf, relations
 from potts_sd.lattice import LatticeSpec, extract_free_energies, extraction_table
-from potts_sd.params import SpectralParams, couplings
+from potts_sd.params import SpectralParams, solve_q_from_Q
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries
 
 GATE_ORDER = 16
@@ -202,15 +202,13 @@ def test_criterion_07_identity_suite():
         assert r.passed, r.identity
     for r in map(relations.report, relations.verify_free_energy_relations_numeric()):
         assert r.passed and r.max_defect <= 1e-11, (r.identity, r.max_defect)
-    r = relations.report(relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
-    assert r.passed and r.max_defect == 0.0
-    r = relations.report(relations.verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)))
-    assert r.passed and r.max_defect == 0.0
-    sp = relations._sp_from(0.2, 0.3)
-    cp = couplings(sp)
-    assert relations.report(relations.verify_matrix_inversion(3, 3, cp.eK1, cp.eK2)).passed
-    assert relations.report(relations.verify_VV(2, 3, cp.eK1, cp.eK2)).passed
-    report(7, "8 relations exact-series + 1e-11 numeric; matrix identities exact")
+    # the matrix identities at self-dual points with integer Q, the couplings checked at lam - u
+    for Q in (5, 6, 7):
+        sp = relations._sp_from(solve_q_from_Q(Q), 0.3)
+        for r in map(relations.report, (relations.verify_matrix_inversion(3, Q, sp), relations.verify_VV(2, Q, sp))):
+            assert r.passed and r.max_defect <= 1e-11, (Q, r.identity, r.max_defect)
+            assert r.details["inversion_image_defect"] <= 1e-11
+    report(7, "8 relations exact-series + 1e-11 numeric; matrix identities at self-dual Q = 5, 6, 7 to 1e-11")
 
 
 # -- 8: inversion-derived coefficients ------------------------------------------

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, output formats, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -149,6 +150,10 @@ def test_csv_format(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert "f_b" in header and "," in header
+    # the key,value view prints nested values as Python literals, not numpy reprs
+    code, out = run(capsys, "bethe", "--N", "2", "--format", "csv")
+    assert code == 0
+    assert "\nroots," in out and "np." not in out
 
 
 def test_reproducible_output_modulo_timestamp(capsys):
@@ -238,9 +243,10 @@ def test_the_parser_is_built_once_per_process():
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {
         name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
-        for name, sp in cli.subcommand_parsers(cli.build_parser()).items()
+        for name, sp in sub.choices.items()
     }
     io = {"--out", "--format"}
     assert options == {
@@ -315,10 +321,11 @@ def test_lattice_extract_rejects_zero_threads(capsys):
 def test_extraction_residual_exits_two(monkeypatch, capsys):
     exact = lattice.series_logZ
 
-    def corrupted(spec, order):
-        out = exact(spec, order)
+    def corrupted(spec, order, heights):
+        out = exact(spec, order, heights)
         if spec.N == 3:  # height 4 of the width-3 sweep is (4, 3), on the spare diagonal at order 8
-            out[3] = out[3] + TruncatedSeries.term(1, 6, 0, order=order)
+            i = heights.index(4)
+            out[i] = out[i] + TruncatedSeries.term(1, 6, 0, order=order)
         return out
 
     monkeypatch.setattr(lattice, "series_logZ", corrupted)

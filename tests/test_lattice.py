@@ -247,6 +247,21 @@ def test_series_logz_transpose_covariance():
     assert a[1].subst_s_inv() == series_logZ(LatticeSpec(4, 2), T)[-1]
 
 
+def test_series_logz_logs_only_the_heights_read(monkeypatch, capsys):
+    # the extraction table keeps (1, 2) and the cells m >= n of each sweep,
+    # and ``lattice --M --N`` prints one height: only those are logged
+    T = 10
+    assert series_logZ(LatticeSpec(4, 3), T, [4, 2]) == [series_logZ(LatticeSpec(4, 3), T)[m - 1] for m in (4, 2)]
+    logs = []
+    log = TruncatedSeries.log
+    monkeypatch.setattr(TruncatedSeries, "log", lambda self: logs.append(self.order) or log(self))
+    extraction_table(16)
+    assert logs == [16] * 21  # 9 + 6 + 4 + 2 heights of widths 2..5, not all 30
+    logs.clear()
+    assert cli.main(["lattice", "--M", "9", "--N", "9", "--order", "18"]) == 0
+    assert logs == [18]
+
+
 def test_series_logz_matches_numeric_evaluation():
     # evaluate the exact series at a small rational point and compare with
     # the float partition function

@@ -5,65 +5,48 @@ import csv
 import functools
 import io
 import json
-from fractions import Fraction
 
 import pytest
 
 from potts_sd import cli, closedform as cf
 from potts_sd import relations
 from potts_sd.lattice import extraction_table, max_eigenvalue, potts_transfer_V
-from potts_sd.params import SpectralParams, couplings, rotation_image
+from potts_sd.params import couplings, rotation_image, solve_q_from_Q
 from potts_sd.qseries import TruncatedSeries
 
-R, F, S = "rational", "float", "series"
+F, S = "float", "series"
 
 
-def test_matrix_inversion_exact():
-    r = relations.report(relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
-    assert r.passed and r.ring == "rational" and r.max_defect == 0.0
-
-
-def test_matrix_inversion_exact_various():
-    for Q, eK1, eK2 in [(3, Fraction(9, 4), Fraction(11, 7)), (5, Fraction(2), Fraction(13, 6))]:
-        r = relations.report(relations.verify_matrix_inversion(2, Q, eK1, eK2))
-        assert r.passed, (Q, r)
+# self-dual points at integer Q = 5, 6, 7, where sp and the spin matrices agree
+SELF_DUAL = {Q: relations._sp_from(solve_q_from_Q(Q), f) for Q, f in ((5, 0.3), (6, 0.35), (7, 0.2))}
 
 
 def test_matrix_inversion_float_with_consistent_sp():
-    sp = relations._sp_from(0.2, 0.3)
-    cp = couplings(sp)
-    # Q = q + 2 + 1/q is not an integer; the matrix check runs at integer Q
-    # with the same coupling values, which the identity allows
-    r = relations.report(relations.verify_matrix_inversion(3, 3, cp.eK1, cp.eK2))
-    assert r.passed and r.max_defect <= 1e-11
+    for Q, sp in SELF_DUAL.items():
+        r = relations.report(relations.verify_matrix_inversion(3, Q, sp))
+        assert r.passed and r.max_defect <= 1e-11, (Q, r)
+        assert r.details["inversion_image_defect"] <= 1e-11
 
 
 def test_matrix_inversion_rejects_inconsistent_sp():
-    sp = SpectralParams(0.2, 0.6)
-    with pytest.raises(Exception):
-        relations.verify_matrix_inversion(2, 3, 1.5, 1.4, sp=sp)
-
-
-def test_vv_exact():
-    r = relations.report(relations.verify_VV(2, 2, Fraction(3, 2), Fraction(7, 5)))
-    assert r.passed and r.max_defect == 0.0
-    assert r.details["branch_signs_ok"]
+    # Q = 6 at the Q = 5 point: e^{K2(lam-u)} = 2 - Q - e^{K2(u)} misses the couplings at lam - u
+    for d in (relations.verify_matrix_inversion(2, 6, SELF_DUAL[5]), relations.verify_VV(2, 6, SELF_DUAL[5])):
+        r = relations.report(d)
+        assert not r.passed and r.details["inversion_image_defect"] > 1e-3, r
 
 
 def test_vv_float_and_eigen_corollary():
-    sp = relations._sp_from(0.25, 0.35)
-    cp = couplings(sp)
-    r = relations.report(relations.verify_VV(2, 3, cp.eK1, cp.eK2))
-    assert r.passed
-    assert r.details["eigen_corollary_defect"] <= 1e-10
-    assert r.details["xi_sign_alternates"]
+    for Q, sp in SELF_DUAL.items():
+        r = relations.report(relations.verify_VV(2, Q, sp))
+        assert r.passed and r.max_defect <= 1e-11, (Q, r)
+        assert r.details["eigen_corollary_defect"] <= 1e-10
+        assert r.details["xi_sign_alternates"]
 
 
 def test_vv_eigenvalue_pairing_detail():
     # L(u)^2 L(lam-u)^2 = xi^N via the maximal eigenvector explicitly
-    N, Q = 2, 3
-    sp = relations._sp_from(0.2, 0.3)
-    cp = couplings(sp)
+    N, Q = 2, 5
+    cp = couplings(SELF_DUAL[Q])
     eK1i, eK2i, xival = relations._dual_values(Q, cp.eK1, cp.eK2)
     val, vec = max_eigenvalue(potts_transfer_V(N, Q, cp.eK1, cp.eK2))
     vi = potts_transfer_V(N, Q, eK1i, eK2i, allow_complex=True)
@@ -112,7 +95,7 @@ STRUCTURAL = {row for row, (_, structural) in relations.ROWS.items() if structur
 
 
 def test_identity_report_json():
-    r = relations.report(relations.verify_matrix_inversion(2, 2, Fraction(3, 2), Fraction(7, 5)))
+    r = relations.report(relations.verify_matrix_inversion(2, 5, SELF_DUAL[5]))
     d = r.to_json_dict()
     assert d["identity"] == "transfer_inversion"
     assert d["passed"] is True
@@ -125,7 +108,7 @@ def test_verify_csv_parses(capsys):
     assert cli.main(["verify", "--order", "8", "--format", "csv"]) == 0
     reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
     rows = list(reader)
-    assert len(rows) == len(relations.ROWS) == 21
+    assert len(rows) == len(relations.ROWS) == 19
     assert "structural" in reader.fieldnames
     assert all(list(row) == reader.fieldnames and None not in row.values() for row in rows)
     assert {(r["identity"], r["ring"]) for r in rows if r["structural"]} == STRUCTURAL
@@ -145,13 +128,13 @@ def _scaled(obj, name, factor):
     return patch
 
 
-def _rational_xi_off(mp):
-    """xi off by 1e-9, in the rational ring only."""
+def _xi_off(mp):
+    """xi off by a factor 1 + 1e-9 in the matrix rows."""
     dual = relations._dual_values
 
     def off(Q, eK1, eK2):
         eK1i, eK2i, x = dual(Q, eK1, eK2)
-        return eK1i, eK2i, (x + Fraction(1, 10**9) if isinstance(x, Fraction) else x)
+        return eK1i, eK2i, x * (1 + 1e-9)
 
     mp.setattr(relations, "_dual_values", off)
 
@@ -221,7 +204,8 @@ ROTATION_SURFACE = {(k, ring) for k in ("rotation_surface_sv", "rotation_surface
 
 # (fault id, verify --order, the perturbation, the rows it must fail)
 FAULTS = [
-    ("rational-xi", 8, _rational_xi_off, {("transfer_inversion", R), ("combined_transfer_inversion", R)}),
+    # the T2 and V products are compared with xi^N, so a wrong xi fails them
+    ("float-xi", 8, _xi_off, {("transfer_inversion", F), ("combined_transfer_inversion", F)}),
     # e^{K1(lam-u)} = 1/e^{K1(u)} by construction, so only the comparison with
     # the couplings at lam - u can catch a wrong image
     (
