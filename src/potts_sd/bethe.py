@@ -27,14 +27,20 @@ the logarithmic form of equation j is Phi_j = i F_j,
 
 with the branch integer of root j fixed to -j by the (q, w) -> 0 limit.
 Newton runs on the real N x N system F = 0 and stops at
-max |F_j| < max(NEWTON_TOL, 2 (2N+2) pi eps), F's rounding floor.  The
-continuation ramps t = q^{1/4} geometrically at fixed s = w^2/sqrt(q).
+max |F_j| < max(NEWTON_TOL, 2 (2N+2) pi eps), F's rounding floor.
 
-The continuation is a predictor-corrector loop: t grows by STEP_RATIO = 2
-per step from T_START; a secant through the last two accepted angle sets,
-linear in log t, predicts the angles at the next t; Newton corrects them at
-every step; a Newton failure or an invariant violation halves the ratio's
-excess over 1 and retries the step.  The last step solves at (q, w) itself.
+The continuation is a predictor-corrector loop in t = q^{1/4} at fixed
+s = w^2/sqrt(q), from t = 0, where theta_j = pi j/(N+1) exactly.  At
+t = 0 the Jacobian is -(2N+2) I and only the 4N A_w term moves to first
+order (w = sqrt(s) t), so the slope has the closed form
+theta_j'(0) = -(2N/(N+1)) sqrt(s) sin theta_j(0).  The first attempt is
+the target itself, min(T_START, t) with T_START = 1 > t, predicted by
+theta(0) + t theta'(0); a later attempt is predicted by the secant in t
+through the last two accepted angle sets.  Newton corrects each attempt
+in at most MAX_NEWTON = 12 steps; a failure or an invariant violation
+rejects it and halves its length in t.  After an accepted step the next
+attempt is at min(STEP_RATIO t, target).  The last step solves at (q, w)
+itself.
 One kernel, ``_defect``, gives F and, only while unconverged, the Jacobian.
 """
 
@@ -50,13 +56,14 @@ from .params import SpectralParams
 
 RESIDUAL_TOL = 1e-12
 COLLISION_TOL = 1e-8
-# continuation schedule: t starts at T_START and grows by STEP_RATIO per
-# step; each failed step halves the ratio's excess over 1, at most
-# MAX_HALVINGS times; each point takes at most MAX_NEWTON Newton steps
-T_START = 0.04
+# continuation schedule: the first attempt is at min(T_START, target) and,
+# after each accepted step, the next at min(STEP_RATIO t, target); each
+# attempt takes at most MAX_NEWTON Newton steps, and each failed one halves
+# its length in t, at most MAX_HALVINGS times in all
+T_START = 1.0
 STEP_RATIO = 2.0
 NEWTON_TOL = 1e-13
-MAX_NEWTON = 60
+MAX_NEWTON = 12
 MAX_HALVINGS = 40
 
 
@@ -70,8 +77,8 @@ class BetheRoots:
     q: float
     w: float
     trace: list = field(default_factory=list)
-    newton_iterations: int = 0  # Newton steps on the accepted continuation path
-    halvings: int = 0  # rejected continuation steps, each halving the step ratio
+    newton_iterations: int = 0  # Newton steps of every attempt, rejected ones included
+    halvings: int = 0  # rejected continuation steps, each halving the step in t
 
 
 def initial_roots(N: int) -> np.ndarray:
@@ -80,6 +87,14 @@ def initial_roots(N: int) -> np.ndarray:
     if N < 1:
         raise DomainError("N must be >= 1")
     return math.pi * np.arange(1, N + 1) / (N + 1)
+
+
+def initial_slope(N: int, s: float) -> np.ndarray:
+    """d theta_j/dt at t = 0 along fixed s: -(2N/(N+1)) sqrt(s) sin theta_j(0).
+
+    At t = 0 the Jacobian is -(2N+2) I, and only the 4N A_w term, about
+    -4N sqrt(s) t sin theta_j, moves to first order in t."""
+    return -(2 * N / (N + 1)) * math.sqrt(s) * np.sin(initial_roots(N))
 
 
 def _arg(r, phi):
@@ -132,69 +147,69 @@ def _check_invariants(theta: np.ndarray):
         raise ContinuationError("roots left (0, pi) or collided")
 
 
-def _newton(theta: np.ndarray, q: float, w: float) -> tuple[np.ndarray, float, int]:
-    """Newton on F from ``theta``: the solved angles, their residual
-    max |F_j| and the number of Newton steps taken.
+def _newton(theta: np.ndarray, q: float, w: float) -> tuple[np.ndarray | None, float, int]:
+    """Newton on F from ``theta``: the solved angles (None if MAX_NEWTON
+    steps do not reach the tolerance), their residual max |F_j| and the
+    number of Newton steps taken.
 
     It stops at F's rounding floor, about (2N+2) pi eps, or at NEWTON_TOL
     if that is larger."""
     tol = max(NEWTON_TOL, 2 * (2 * len(theta) + 2) * math.pi * np.finfo(float).eps)
-    for steps in range(MAX_NEWTON):
+    for steps in range(MAX_NEWTON + 1):
         F, jacobian = _defect(theta, q, w)
         res = float(np.max(np.abs(F)))
         if res < tol:
             return theta, res, steps
+        if steps == MAX_NEWTON:
+            return None, res, steps
         step = np.linalg.solve(jacobian(), F)
         # trust region: no angle moves by more than 0.3
         theta = theta - min(1.0, 0.3 / max(float(np.max(np.abs(step))), 1e-300)) * step
-    raise ConvergenceError("Newton iteration did not converge")
 
 
 def solve(N: int, q: float, w: float) -> BetheRoots:
     """Continue the roots from the (q, w) -> 0 configuration to (q, w).
 
-    The path fixes s = w^2/sqrt(q) and ramps t = q^{1/4} geometrically.
-    Each step predicts the angles at the next t by the secant through the
-    last two accepted sets, linear in log t, and corrects them by Newton;
-    Newton failures or invariant violations halve the step.  Root j keeps
-    its branch integer along the path, so no step re-matches the roots, and
-    the angles stay sorted.  The solved set is canonical: sorted by
-    argument, residual <= 1e-12.
+    The path fixes s = w^2/sqrt(q) and runs t = q^{1/4} from 0, where the
+    angles and their slope are exact (``initial_roots``, ``initial_slope``).
+    The first attempt is the target (T_START = 1 > t); each attempt
+    predicts the angles linearly in t, from that slope and later from the
+    secant through the last two accepted sets, and corrects them by at most
+    MAX_NEWTON Newton steps.  A failed attempt or an invariant violation
+    halves the step in t; after an accepted step the next attempt is at
+    min(STEP_RATIO t, target).  Root j keeps its branch integer along the
+    path, so no step re-matches the roots, and the angles stay sorted.  The
+    solved set is canonical: sorted by argument, residual <= 1e-12.
     """
     sp = SpectralParams(q, w)
     s = sp.s
     t_target = sp.t
-    t = min(T_START, t_target)
 
     def point(tv):
         # the last step solves at (q, w) itself, not at its rounded image
         return (q, w) if tv == t_target else (tv**4, math.sqrt(s * tv * tv))
 
-    theta, res, iterations = _newton(initial_roots(N), *point(t))
-    _check_invariants(theta)
-    trace = [(t, res)]
-
-    halvings = 0
-    ratio = STEP_RATIO
-    theta_prev = t_prev = None
+    theta, slope = initial_roots(N), initial_slope(N, s)
+    t, t_next = 0.0, min(T_START, t_target)
+    trace = []
+    iterations = halvings = 0
     while t < t_target:
-        t_next = min(t * ratio, t_target)
-        guess = theta
-        if theta_prev is not None:
-            guess = theta + (theta - theta_prev) * (math.log(t_next / t) / math.log(t / t_prev))
+        tn, res, steps = _newton(theta + (t_next - t) * slope, *point(t_next))
+        iterations += steps
         try:
-            tn, res, steps = _newton(guess, *point(t_next))
+            if tn is None:
+                raise ConvergenceError("Newton iteration did not converge")
             _check_invariants(tn)
         except (ConvergenceError, ContinuationError):
             halvings += 1
             if halvings > MAX_HALVINGS:
                 raise ContinuationError("continuation step underflow", trace)
-            ratio = 1 + (ratio - 1) / 2
+            t_next = t + (t_next - t) / 2
             continue
-        theta_prev, t_prev = theta, t
+        slope = (tn - theta) / (t_next - t)
         theta, t = tn, t_next
-        iterations += steps
         trace.append((t, res))
+        t_next = min(t * STEP_RATIO, t_target)
 
     if res > RESIDUAL_TOL:
         raise ConvergenceError(f"final residual {res} exceeds {RESIDUAL_TOL}")
@@ -321,6 +336,9 @@ def surface_convergence(Nmax: int, q: float, w: float) -> SurfaceConvergenceTabl
 
 
 def roots_to_json(br: BetheRoots) -> dict:
+    """``br`` as JSON: ``trace`` lists the accepted (t, residual) steps,
+    ``newton_iterations`` counts the Newton steps of every attempt, rejected
+    ones included, and ``halvings`` the rejected attempts."""
     return {
         "N": br.N,
         "q": br.q,

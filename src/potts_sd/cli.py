@@ -110,7 +110,8 @@ def cmd_eval(args) -> int:
                 row.update({"f_b": b.f_b, "f_s": b.f_s, "f_sp": b.f_sp, "f_c": b.f_c})
             elif route == "bethe":
                 br = bethe.solve(args.N, sp.q, sp.w)
-                row["f_s_bethe_N%d" % args.N] = bethe.surface_free_energy(br, closedform.f_bulk(sp), cp)
+                fb = row["f_b"] if "f_b" in row else closedform.f_bulk(sp)  # the closedform route's, if it ran
+                row["f_s_bethe_N%d" % args.N] = bethe.surface_free_energy(br, fb, cp)
                 row["bethe_residual"] = br.residual
             else:
                 raise DomainError(f"unknown route {route!r}")

@@ -117,8 +117,11 @@ def _at_u_frac(q, f):
     + [(SpectralParams.from_q_s(0.3, 0.5), 8), (_at_u_frac(0.2, 0.6), 12)],
 )
 def test_step_schedule_does_not_change_the_roots(monkeypatch, sp, N):
-    # the default ramp and a fine one (ratio 1.05) reach the same root set
+    # the default path and a fine ramp (from t = 0.04 by ratio 1.05) reach
+    # the same root set; the ratio alone does not refine the path, because
+    # the first attempt is the target
     default = bethe.solve(N, sp.q, sp.w).roots
+    monkeypatch.setattr(bethe, "T_START", 0.04)
     monkeypatch.setattr(bethe, "STEP_RATIO", 1.05)
     fine = bethe.solve(N, sp.q, sp.w).roots
     assert np.max(np.abs(default - fine)) <= 1e-10
@@ -265,10 +268,11 @@ def test_every_continuation_step_solves_its_own_equations(q, s, N):
     assert max(r for _, r in br.trace) <= bethe.NEWTON_TOL
 
 
-def test_every_strip_point_solves():
+def test_every_strip_point_solves(monkeypatch):
     # 200 seeded points of the physical strip q < w^2 < 1, up to q = 0.8
     # and u -> 0, where the roots crowd towards z = 1; the last point
-    # leaves 1.7e-12 at (q, w) if solved at its rounded image (t^4, sqrt(s t^2))
+    # leaves 1.7e-12 at (q, w) if solved at its rounded image (t^4, sqrt(s t^2));
+    # each root set equals the one a ratio-2 ramp from t = 0.04 reaches
     rng = np.random.default_rng(20160606)
     points = [(rng.uniform(0.01, 0.8), rng.uniform(0, 0.5), int(rng.integers(1, 25))) for _ in range(200)]
     for q, f, N in points + [(0.745, 0.011, 24)]:
@@ -277,6 +281,44 @@ def test_every_strip_point_solves():
         bethe.checked_eigenvalue(br)
         res = np.max(np.abs(bethe._defect(np.angle(br.roots), sp.q, sp.w)[0]))
         assert max(br.residual, res) <= 1e-12, (q, f, N)
+        with monkeypatch.context() as m:
+            m.setattr(bethe, "T_START", 0.04)
+            m.setattr(bethe, "STEP_RATIO", 2.0)
+            ramp = bethe.solve(N, sp.q, sp.w).roots
+        assert np.max(np.abs(br.roots - ramp)) <= 1e-10, (q, f, N)
+
+
+@pytest.mark.parametrize("N", [1, 4, 16])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_closed_form_slope_at_t0(N, s):
+    # theta_j'(0) = -(2N/(N+1)) sqrt(s) sin theta_j(0), the first predictor,
+    # against the difference quotient of a Newton solve from theta(0)
+    t = 1e-6
+    theta0 = bethe.initial_roots(N)
+    theta, _, _ = bethe._newton(theta0, t**4, math.sqrt(s) * t)
+    slope = bethe.initial_slope(N, s)
+    assert slope == pytest.approx(-(2 * N / (N + 1)) * math.sqrt(s) * np.sin(theta0), rel=1e-15)
+    assert np.max(np.abs((theta - theta0) / t - slope)) <= 1e-5 * np.max(np.abs(slope))
+
+
+def test_newton_iterations_count_every_attempt(monkeypatch):
+    # near u = 0 the target attempt fails and the step halves; each attempt
+    # evaluates F once per Newton step plus once more, converged or not
+    sp = SpectralParams.from_q_s(0.8, 1.1177)
+    calls = []
+    defect = bethe._defect
+    monkeypatch.setattr(bethe, "_defect", lambda *a: calls.append(1) or defect(*a))
+    br = bethe.solve(24, sp.q, sp.w)
+    assert br.halvings > 0
+    assert br.newton_iterations == len(calls) - len(br.trace) - br.halvings
+
+
+def test_a_strip_point_solves_at_the_target_first():
+    # from theta(0) + t theta'(0), one Newton run at the target solves (0.2, 1, 16)
+    sp = SpectralParams.from_q_s(0.2, 1.0)
+    br = bethe.solve(16, sp.q, sp.w)
+    assert br.trace[0][0] == sp.t
+    assert len(br.trace) == 1 and br.halvings == 0
 
 
 def _large_N_deviation(q, N):
