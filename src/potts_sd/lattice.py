@@ -275,6 +275,12 @@ def _series_z_normalized(spec: LatticeSpec, order: int) -> list:
     return heights
 
 
+def _numerators(log_series: TruncatedSeries) -> dict:
+    """{(n, sdeg): n times the t^n s^sdeg coefficient} of a series whose t^n
+    coefficients are integers over n, as ``log_geometric_inverse``'s are."""
+    return {(n, e): (n * v).numerator for n, p in log_series.coeffs.items() for e, v in p.c.items()}
+
+
 def series_logZ(spec: LatticeSpec, order: int, heights=None) -> list:
     """[log(q^{mN} Z_P) on m rows by N columns for m in ``heights``], exact
     TruncatedSeries (constant term 0), all from one sweep of
@@ -284,21 +290,31 @@ def series_logZ(spec: LatticeSpec, order: int, heights=None) -> list:
     The ground-state factor q^{-mN} (minimal t-degree of Z_P) is the only
     non-series part of log Z_P and is factored out exactly:
     log Z_P = -mN log q + series_logZ(spec, order)[m - 1].
+
+    Every t^n coefficient is summed as an integer numerator over n: the
+    contraction's ``log_numerators`` plus n times the t^n coefficients of
+    m(N-1) log u1, N(m-1) log u2 and mN log(1 + t^4)^{-1}, each of which
+    is integral too.  Each coefficient is divided by n once, at the end.
     """
     N = spec.N
-    log_u1 = log_geometric_inverse(1, 2, 1, order)
-    log_u2 = log_geometric_inverse(1, 2, -1, order)
-    log_1pt4 = -log_geometric_inverse(-1, 4, 0, order)
+    log_u1 = _numerators(log_geometric_inverse(1, 2, 1, order))
+    log_u2 = _numerators(log_geometric_inverse(1, 2, -1, order))
+    log_1pt4 = _numerators(-log_geometric_inverse(-1, 4, 0, order))
     raws = _series_z_normalized(spec, order)
     out = []
     for m in range(1, spec.M + 1) if heights is None else heights:
         coeffs: dict = {}
         for (td, sd), v in raws[m - 1].items():
-            p = coeffs.setdefault(td, {})
-            p[sd] = p.get(sd, 0) + v
+            coeffs.setdefault(td, {})[sd] = v
         zpoly = TruncatedSeries(order, {d: LaurentPolyS(p) for d, p in coeffs.items()})
-        # log of the contraction plus the factored unit denominators
-        out.append(zpoly.log() + m * (N - 1) * log_u1 + N * (m - 1) * log_u2 + m * N * log_1pt4)
+        h = {n: dict(hn.c) for n, hn in zpoly.log_numerators().items()}
+        # the factored unit denominators
+        for weight, unit in ((m * (N - 1), log_u1), (N * (m - 1), log_u2), (m * N, log_1pt4)):
+            for (n, e), v in unit.items():
+                p = h.setdefault(n, {})
+                p[e] = p.get(e, 0) + weight * v
+        g = {n: LaurentPolyS({e: Fraction(v, n) for e, v in p.items()}) for n, p in h.items()}
+        out.append(TruncatedSeries(order, g))
     return out
 
 
@@ -343,8 +359,14 @@ def _cluster_weights(m: int, n: int) -> dict:
     return {(m - i, n - j): ci * cj for i, ci in enumerate(_D2) for j, cj in enumerate(_D2) if i < m and j < n}
 
 
-def _weighted_sum(table: dict, weights: dict, order: int) -> TruncatedSeries:
-    return sum((w * table[cell] for cell, w in weights.items() if w), TruncatedSeries.zero(order))
+def _weighted_sum(cells: dict, weights: dict) -> dict:
+    """sum of w * cell over the nonzero weights, each cell a list of ((tdeg, sdeg), int) terms."""
+    acc: dict = {}
+    for cell, w in weights.items():
+        if w:
+            for key, v in cells[cell]:
+                acc[key] = acc.get(key, 0) + w * v
+    return acc
 
 
 def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
@@ -358,6 +380,12 @@ def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
     sums over m + n <= K = order//2 + 2 are exact through ``order``, and
     every phi on the spare diagonal m + n = K + 1 must vanish through
     ``order``, else an ExtractionError carries the lowest failing t-order.
+
+    The sums run over integers.  Every coefficient the cells hold through
+    ``order`` (or through the lowest order of a cell, if that is lower) is
+    scaled once by L, the lcm of their denominators; each phi and each free
+    energy is summed as {(tdeg, sdeg): int}, and each coefficient of a free
+    energy is divided by L once.
     """
     K = order // 2 + 2
     rectangles = [(m, n) for m in range(1, K) for n in range(1, K + 1 - m)]
@@ -366,11 +394,22 @@ def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
     if missing:
         raise DomainError(f"order {order} needs every rectangle with m + n <= {K + 1}; missing {missing}")
 
+    top = min(order, *(table[mn].order for mn in rectangles + spare))
+    cells = {
+        mn: [((d, e), v) for d, p in table[mn].coeffs.items() if d <= top for e, v in p.c.items()]
+        for mn in rectangles + spare
+    }
+    L = math.lcm(*(v.denominator for terms in cells.values() for _, v in terms if type(v) is Fraction))
+    cells = {
+        mn: [(key, v.numerator * (L // v.denominator) if type(v) is Fraction else v * L) for key, v in terms]
+        for mn, terms in cells.items()
+    }
+
     failing = []
     for mn in spare:
-        phi = _weighted_sum(table, _cluster_weights(*mn), order)
-        if not phi.is_zero():
-            failing.append((phi.min_deg, mn))
+        degrees = [d for (d, _), v in _weighted_sum(cells, _cluster_weights(*mn)).items() if v]
+        if degrees:
+            failing.append((min(degrees), mn))
     if failing:
         d, mn = min(failing)
         raise ExtractionError(
@@ -382,7 +421,11 @@ def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
         for m, n in rectangles:
             for cell, c in _cluster_weights(m, n).items():
                 folded[cell] = folded.get(cell, 0) - weight(m, n) * c
-        return _weighted_sum(table, folded, order)
+        coeffs: dict = {}
+        for (d, e), v in _weighted_sum(cells, folded).items():
+            if v:
+                coeffs.setdefault(d, {})[e] = Fraction(v, L)
+        return TruncatedSeries(top, {d: LaurentPolyS(p) for d, p in coeffs.items()})
 
     return FreeEnergyBundle(
         f_b=LogSeries(Fraction(1), energy(lambda m, n: 1)),

@@ -327,17 +327,31 @@ class TruncatedSeries:
 
     __pow__ = pow
 
-    def log(self) -> "TruncatedSeries":
-        """log of a series with constant term exactly 1."""
+    def log_numerators(self) -> dict:
+        """{n: h_n} with h_n = n g_n the nonzero LaurentPolyS numerators of
+        g = log(self), for a series with constant term exactly 1.
+
+        h_n = n f_n - sum_{k<n} h_k f_{n-k}, so h is integral when f is.
+        ``log`` divides each h_n by n; ``lattice.series_logZ`` adds integer
+        numerators of its own to h before it divides.
+        """
         if self.coeff(0) != LaurentPolyS.const(1) or (self.min_deg is not None and self.min_deg < 0):
             raise TruncationError("log requires constant term 1 and no negative degrees")
-        # h_n = n g_n = n f_n - sum_{k<n} h_k f_{n-k}: integral when f is
-        h, g = {}, {}
+        h = {}
         for n in range(1, self.order + 1):
-            hn = self.coeff(n) * n - LaurentPolyS(_conv(h, self.coeffs, n))
+            acc = {e: -v for e, v in _conv(h, self.coeffs, n).items()}
+            fn = self.coeffs.get(n)
+            if fn is not None:
+                for e, v in fn.c.items():
+                    acc[e] = acc.get(e, 0) + n * v
+            hn = LaurentPolyS(acc)
             if not hn.is_zero():
                 h[n] = hn
-                g[n] = LaurentPolyS({e: Fraction(v, n) for e, v in hn.c.items()})
+        return h
+
+    def log(self) -> "TruncatedSeries":
+        """log of a series with constant term exactly 1."""
+        g = {n: LaurentPolyS({e: Fraction(v, n) for e, v in hn.c.items()}) for n, hn in self.log_numerators().items()}
         return TruncatedSeries(self.order, g)
 
     def exp(self) -> "TruncatedSeries":

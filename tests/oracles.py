@@ -5,7 +5,10 @@ operators of ``potts_sd.lattice`` (Z_P = Q^{MN/2} Z_6V against the two
 enumerations) and checks the gauged series kernel at exact ``RationalPoint``s.
 ``dict_z_normalized`` is the same gauged contraction as dicts of Python ints,
 with the top boundary as a row of vertex moves: the coefficient-for-coefficient
-reference of the packed int64 kernel.
+reference of the packed int64 kernel.  ``fraction_series_logZ`` and
+``fraction_extract_free_energies`` are the lattice route's logarithms and
+de Neef-Enting sums in ``TruncatedSeries`` arithmetic: the references of its
+integer sums over one denominator.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from fractions import Fraction
 import numpy as np
 
 from potts_sd import lattice
+from potts_sd.bundle import FreeEnergyBundle, LogSeries
 from potts_sd.errors import ConvergenceError, DomainError, SizeGuardError, TruncationError
 from potts_sd.lattice import LatticeSpec
 from potts_sd.params import SpectralParams, couplings
-from potts_sd.qseries import DEFAULT_ORDER, TruncatedSeries
+from potts_sd.qseries import DEFAULT_ORDER, TruncatedSeries, log_geometric_inverse
 
 BRUTE_FORCE_MAX_CONFIGS = 2_100_000
 FK_MAX_EDGES = 24
@@ -375,6 +379,49 @@ def dict_z_normalized(spec: LatticeSpec, order: int) -> list:
             top = _apply_vertex_poly(top, i, j, table, order)
         heights.append(top.get(dominant, {}))
     return heights
+
+
+# ----------------------------------------------------------------------------
+# the lattice route's logarithms and de Neef-Enting sums as series arithmetic
+# ----------------------------------------------------------------------------
+
+
+def fraction_series_logZ(raws: list, N: int, order: int) -> list:
+    """``lattice.series_logZ`` on every height of the width-N sweep ``raws``
+    (``lattice._series_z_normalized``'s output) as ``TruncatedSeries`` sums:
+    the log of each contraction plus its three unit logarithms."""
+    log_u1 = log_geometric_inverse(1, 2, 1, order)
+    log_u2 = log_geometric_inverse(1, 2, -1, order)
+    log_1pt4 = -log_geometric_inverse(-1, 4, 0, order)
+    out = []
+    for m, raw in enumerate(raws, 1):
+        zpoly = TruncatedSeries.from_terms(((v, td, sd) for (td, sd), v in raw.items()), order=order)
+        out.append(zpoly.log() + m * (N - 1) * log_u1 + N * (m - 1) * log_u2 + m * N * log_1pt4)
+    return out
+
+
+def fraction_extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
+    """``lattice.extract_free_energies``, without its spare-diagonal check, as
+    ``TruncatedSeries`` sums: every free energy is the fold of w * G(cell)
+    over its cell weights."""
+    K = order // 2 + 2
+    rectangles = [(m, n) for m in range(1, K) for n in range(1, K + 1 - m)]
+
+    def energy(weight):
+        folded: dict = {}
+        for m, n in rectangles:
+            for cell, c in lattice._cluster_weights(m, n).items():
+                folded[cell] = folded.get(cell, 0) - weight(m, n) * c
+        return sum((w * table[cell] for cell, w in folded.items() if w), TruncatedSeries.zero(order))
+
+    return FreeEnergyBundle(
+        f_b=LogSeries(Fraction(1), energy(lambda m, n: 1)),
+        f_s=energy(lambda m, n: 1 - n),
+        f_sp=energy(lambda m, n: 1 - m),
+        f_c=energy(lambda m, n: (1 - m) * (1 - n)),
+        route="lattice",
+        meta={"rectangles": rectangles, "spare_diagonal": [(m, K + 1 - m) for m in range(1, K + 1)], "order": order},
+    )
 
 
 # ----------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from oracles import (
     dominant_eigenvalue,
     double_row_matrix,
     fk_partition,
+    fraction_extract_free_energies,
+    fraction_series_logZ,
     potts_bruteforce,
     sector_states,
     sixvertex_equivalent_potts,
@@ -253,13 +255,27 @@ def test_series_logz_logs_only_the_heights_read(monkeypatch, capsys):
     T = 10
     assert series_logZ(LatticeSpec(4, 3), T, [4, 2]) == [series_logZ(LatticeSpec(4, 3), T)[m - 1] for m in (4, 2)]
     logs = []
-    log = TruncatedSeries.log
-    monkeypatch.setattr(TruncatedSeries, "log", lambda self: logs.append(self.order) or log(self))
+    log_numerators = TruncatedSeries.log_numerators  # the recursion every log runs
+    monkeypatch.setattr(TruncatedSeries, "log_numerators", lambda self: logs.append(self.order) or log_numerators(self))
     extraction_table(16)
     assert logs == [16] * 21  # 9 + 6 + 4 + 2 heights of widths 2..5, not all 30
     logs.clear()
     assert cli.main(["lattice", "--M", "9", "--N", "9", "--order", "18"]) == 0
     assert logs == [18]
+
+
+def exact_form(series):
+    """The order and every coefficient with its type: equal forms are bit-identical series."""
+    return series.order, {d: {e: (type(v), v) for e, v in p.c.items()} for d, p in series.coeffs.items()}
+
+
+@pytest.mark.parametrize("M, N", [(4, 3), (9, 5), (9, 9)])
+def test_series_logz_equals_the_fraction_oracle(monkeypatch, M, N):
+    T = 18
+    sweep = lattice._series_z_normalized(LatticeSpec(M, N), T)
+    monkeypatch.setattr(lattice, "_series_z_normalized", lambda spec, order: sweep)  # one sweep for both sides
+    expected = fraction_series_logZ(sweep, N, T)
+    assert [exact_form(g) for g in series_logZ(LatticeSpec(M, N), T)] == [exact_form(g) for g in expected]
 
 
 def test_series_logz_matches_numeric_evaluation():
@@ -323,6 +339,27 @@ def test_extraction_synthetic_round_trip():
     assert bundle.f_s == cf.f_surface_v_series(T)
     assert bundle.f_sp == cf.f_surface_h_series(T)
     assert bundle.f_c == cf.f_corner_series(T)
+
+
+@pytest.mark.parametrize("T", [*range(2, 21, 2), pytest.param(24, marks=pytest.mark.slow)])
+def test_extraction_equals_the_fraction_oracle(T):
+    def form(b):
+        return b.f_b.logq_coeff, *(exact_form(s) for s in (b.f_b.series, b.f_s, b.f_sp, b.f_c)), b.route, b.meta
+
+    table = extraction_table(T)
+    assert form(extract_free_energies(table, T)) == form(fraction_extract_free_energies(table, T))
+
+
+def test_extraction_reads_the_denominators_of_its_cells():
+    # shifting f_c by t^4/11 shifts every G by -t^4/11 and keeps the spare
+    # diagonal at zero; 11 divides no denominator of the t^8 closed forms
+    T = 8
+    delta = TruncatedSeries.term(Fraction(1, 11), 4, 0, order=T)
+    bundle = extract_free_energies({mn: g - delta for mn, g in ansatz_table(T).items()}, T)
+    assert bundle.f_c == cf.f_corner_series(T) + delta
+    assert bundle.f_b == cf.f_bulk_series(T)
+    assert bundle.f_s == cf.f_surface_v_series(T)
+    assert bundle.f_sp == cf.f_surface_h_series(T)
 
 
 def test_extraction_detects_nonstabilized_input():
