@@ -3,8 +3,9 @@
 Subcommands: eval | series | lattice | bethe | verify | critical.
 JSON is the machine format (exact rationals as decimal strings inside the
 series payloads); CSV is a lossy convenience view.  Exit codes: 0 success,
-1 domain/config/usage error, 2 identity-check failure (including a nonzero
-extraction residual), 3 numeric non-convergence or disagreeing numeric routes.
+1 domain/config/usage error or a closed stdout, 2 identity-check failure
+(including a nonzero extraction residual), 3 numeric non-convergence or
+disagreeing numeric routes.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -337,7 +339,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = _with_config(parser, args, argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): what is left unwritten goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("output error: stdout was closed before the output was written", file=sys.stderr)
+        return EXIT_DOMAIN
     except SystemExit as e:  # argparse: --help exits 0, a usage error 2
         return EXIT_OK if e.code == 0 else EXIT_DOMAIN
     except DomainError as e:

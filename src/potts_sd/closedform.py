@@ -42,8 +42,8 @@ from .qseries import (
     DEFAULT_ORDER,
     TruncatedSeries,
     _Ratio,
-    expand_product,
     lambert_sum,
+    log_product,
 )
 
 _SUM_RTOL = 1e-16
@@ -150,6 +150,10 @@ SURFACE_H_LAMBERT = (((1, 2, -1), (-1, 6, 1), (-1, 6, -1), (1, 10, 1)), 8, +1)
 CORNER_LAMBERT = (((-1, 4, 0), (-4, 8, 0), (-1, 12, 0)), 16, -1)
 BULK_ISOTROPIC_LAMBERT = (((2, 2, 0), (-2, 6, 0)), 4, +1)
 SURFACE_ISOTROPIC_LAMBERT = (((1, 2, 0), (-2, 6, 0), (1, 10, 0)), 8, +1)
+
+# the exact product forms, as families (sdeg, t0deg, tstep, expo) of ``log_product``
+CORNER_PRODUCT = ((0, 4, 16, -1), (0, 8, 16, -4), (0, 12, 16, -1))  # exp(-f_c)
+SURFACE_H_IMAGE_PRODUCT = ((1, 14, 16, 1), (1, 10, 16, 1), (1, 2, 16, -1), (1, 6, 16, -1))  # exp(-B(w^2/q))
 
 
 # ----------------------------------------------------------------------------
@@ -329,10 +333,7 @@ def f_corner_series(order: int = DEFAULT_ORDER, form: str = "sum") -> TruncatedS
     if form == "sum":
         return lambert_sum(*CORNER_LAMBERT, order)
     if form == "product":
-        inv = expand_product(
-            [(1, 0, 4, 16, -1), (1, 0, 8, 16, -4), (1, 0, 12, 16, -1)], order
-        )  # exp(-f_c)
-        return -inv.log()
+        return -log_product(CORNER_PRODUCT, order)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -371,12 +372,12 @@ def exp_minus_f_surface_h_inverted_series(order: int = DEFAULT_ORDER) -> Truncat
     exp(-f_sp(lam-u)) = exp(B(q^3/w^2)) * exp(-B(w^2/q)), and the second
     factor only exists as the product (x;q^4)(xq^3;q^4) / ((xq;q^4)(xq^2;q^4))
     with x = w^2/q.  Its first factor 1 - w^2/q = 1 - s/t^2 does not
-    truncate, so it is left out here; the ``inversion_surface_h`` row moves
-    it into its rational factor.
+    truncate, so it is left out of ``SURFACE_H_IMAGE_PRODUCT``; the
+    ``inversion_surface_h`` row moves it into its rational factor.  The two
+    factors' logarithms are summed and exponentiated once.
     """
     b_small = lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1, order)
-    rest = expand_product([(1, 1, 14, 16, 1), (1, 1, 10, 16, 1), (1, 1, 2, 16, -1), (1, 1, 6, 16, -1)], order)
-    return b_small.exp() * rest
+    return (b_small + log_product(SURFACE_H_IMAGE_PRODUCT, order)).exp()
 
 
 # ----------------------------------------------------------------------------

@@ -9,8 +9,8 @@ this module.
 Storage invariant: a coefficient whose value is an integer is stored as an
 ``int``, and a ``Fraction`` only for a non-integer.  ``LaurentPolyS``
 construction enforces it, so integer operands stay on integer arithmetic
-and only the genuine fractions (the 1/n of ``log``, ``exp`` and the Lambert
-sums) pay for gcds.
+and only the genuine fractions (the 1/n of ``log``, ``exp``, the Lambert
+sums and the logarithms of binomial products) pay for gcds.
 
 A ``TruncatedSeries`` knows the largest degree it is exact through
 (``order``); arithmetic propagates that bound, including the shift that
@@ -505,31 +505,6 @@ class _Ratio:
 DEFAULT_ORDER = 36  # t^36 = q^9
 
 
-def expand_product(factors, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Expand a finite-by-truncation infinite product.
-
-    Each factor is (coeff, sdeg, t0deg, tstep, expo) and contributes
-
-        prod_{k>=0} (1 - coeff * s**sdeg * t**(t0deg + tstep*k)) ** expo
-
-    Only the finitely many k with t0deg + tstep*k <= order matter.  A factor
-    whose k=0 monomial has t-degree <= 0, or with tstep <= 0, cannot truncate
-    and is rejected.
-    """
-    out = TruncatedSeries.one(order)
-    for coeff, sdeg, t0, tstep, expo in factors:
-        if t0 <= 0 or tstep <= 0:
-            raise TruncationError("non-truncating product factor (t-degree <= 0)")
-        k = 0
-        while t0 + tstep * k <= order:
-            base = TruncatedSeries.one(order) - TruncatedSeries.term(
-                coeff, t0 + tstep * k, sdeg, order=order
-            )
-            out = out * base.pow(expo)
-            k += 1
-    return out
-
-
 def lambert_sum(numer, denom_tstep: int, denom_sign: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Exact expansion of sums of the recurring Lambert type.
 
@@ -584,3 +559,17 @@ def log_geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDE
         k += 1
         c = c * coeff
     return TruncatedSeries.from_terms(terms, order=order)
+
+
+def log_product(families, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """log prod_{k>=0} (1 - s**sdeg * t**(t0deg + tstep*k)) ** expo, multiplied
+    over the families (sdeg, t0deg, tstep, expo): one ``-expo *
+    log_geometric_inverse`` per factor of t-degree <= order.  A family with
+    t0deg <= 0 or tstep <= 0 does not truncate and is rejected."""
+    out = TruncatedSeries.zero(order)
+    for sdeg, t0, tstep, expo in families:
+        if t0 <= 0 or tstep <= 0:
+            raise TruncationError("non-truncating product factor (t-degree <= 0)")
+        for tdeg in range(t0, order + 1, tstep):
+            out = out - expo * log_geometric_inverse(1, tdeg, sdeg, order)
+    return out

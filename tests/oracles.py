@@ -8,7 +8,9 @@ with the top boundary as a row of vertex moves: the coefficient-for-coefficient
 reference of the packed int64 kernel.  ``fraction_series_logZ`` and
 ``fraction_extract_free_energies`` are the lattice route's logarithms and
 de Neef-Enting sums in ``TruncatedSeries`` arithmetic: the references of its
-integer sums over one denominator.
+integer sums over one denominator.  ``expand_product`` multiplies an infinite
+product out factor by factor, with ``pow`` and ``reciprocal``: the reference
+of ``qseries.log_product``.
 """
 
 from __future__ import annotations
@@ -460,7 +462,8 @@ def dominant_eigenvalue(mat: np.ndarray) -> float:
 
 
 # ----------------------------------------------------------------------------
-# exact points, the coupling duality, the Bethe start and a direct series inverse
+# exact points, the coupling duality, the Bethe start, a direct series inverse
+# and a direct product expansion
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -537,3 +540,27 @@ def geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDER) -
         c = c * coeff
     return TruncatedSeries.from_terms(terms, order=order)
 
+
+def expand_product(factors, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Expand a finite-by-truncation infinite product.
+
+    Each factor is (coeff, sdeg, t0deg, tstep, expo) and contributes
+
+        prod_{k>=0} (1 - coeff * s**sdeg * t**(t0deg + tstep*k)) ** expo
+
+    Only the finitely many k with t0deg + tstep*k <= order matter.  A factor
+    whose k=0 monomial has t-degree <= 0, or with tstep <= 0, cannot truncate
+    and is rejected.
+    """
+    out = TruncatedSeries.one(order)
+    for coeff, sdeg, t0, tstep, expo in factors:
+        if t0 <= 0 or tstep <= 0:
+            raise TruncationError("non-truncating product factor (t-degree <= 0)")
+        k = 0
+        while t0 + tstep * k <= order:
+            base = TruncatedSeries.one(order) - TruncatedSeries.term(
+                coeff, t0 + tstep * k, sdeg, order=order
+            )
+            out = out * base.pow(expo)
+            k += 1
+    return out

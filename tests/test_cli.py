@@ -420,3 +420,15 @@ def test_no_command_needs_scipy():
     src = str(Path(potts_sd.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("order", [4, 48])
+def test_a_closed_stdout_exits_one_with_one_line(order):
+    # t^4's 2 kB waits in stdout's buffer for the flush; print writes t^48's 38 kB
+    src = str(Path(potts_sd.__file__).parents[1])
+    argv = [sys.executable, "-m", "potts_sd.cli", "series", "--order", str(order)]
+    proc = subprocess.Popen(argv, cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()  # no reader left: every write to stdout fails
+    err = proc.stderr.read()
+    assert proc.wait() == 1, err
+    assert err.splitlines() == ["output error: stdout was closed before the output was written"]

@@ -288,16 +288,16 @@ def test_singular_decay_rate():
 
 def test_isotropic_product_expansions_as_series():
     # bulk: q exp(-f_b) = (1+q)(1-q^{1/2})^{-2} prod_k [(1-q^{2k-1/2})/(1-q^{2k+1/2})]^4
-    from potts_sd.qseries import TruncatedSeries, expand_product
+    from potts_sd.qseries import TruncatedSeries, log_product
 
     T = 24
     one = TruncatedSeries.one(T)
     q = TruncatedSeries.term(1, 4, 0, order=T)
     half = TruncatedSeries.term(1, 2, 0, order=T)  # q^{1/2} = t^2
-    prod_b = expand_product([(1, 0, 6, 8, 4), (1, 0, 10, 8, -4)], T)
+    prod_b = log_product([(0, 6, 8, 4), (0, 10, 8, -4)], T).exp()
     rhs_b = (one + q) * (one - half).reciprocal().pow(2) * prod_b
     assert (-cf.f_bulk_isotropic_series(T).series).exp() == rhs_b
     # surface: exp(-f_s) = (1-q^{1/2}) prod_k [(1-q^{4k-1/2})/(1-q^{4k-5/2})]^2
-    prod_s = expand_product([(1, 0, 14, 16, 2), (1, 0, 6, 16, -2)], T)
+    prod_s = log_product([(0, 14, 16, 2), (0, 6, 16, -2)], T).exp()
     rhs_s = (one - half) * prod_s
     assert (-cf.f_surface_isotropic_series(T)).exp() == rhs_s

@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import geometric_inverse
+from oracles import expand_product, geometric_inverse
+from potts_sd import closedform as cf
 from potts_sd.closedform import rational_series
 from potts_sd.errors import TruncationError
 from potts_sd.qseries import (
     LaurentPolyS,
     TruncatedSeries,
-    expand_product,
     lambert_sum,
     log_geometric_inverse,
+    log_product,
 )
 
 ORDER = 20
@@ -187,31 +188,55 @@ def test_log_requires_unit_constant():
         TruncatedSeries.from_terms([(1, 0, 0), (1, 0, 1)], order=ORDER).exp()
 
 
-def test_expand_product_odd_q_powers():
+def test_log_product_odd_q_powers():
     # prod_k (1 - q^{2k+1}) through q^4: 1 - q - q^3 + q^4
-    got = expand_product([(1, 0, 4, 8, 1)], 16)
+    got = log_product([(0, 4, 8, 1)], 16).exp()
     expected = TruncatedSeries.from_terms([(1, 0, 0), (-1, 4, 0), (-1, 12, 0), (1, 16, 0)], order=16)
-    assert got == expected
+    assert got.to_json_dict() == expected.to_json_dict()
 
 
-def test_expand_product_empty():
-    assert expand_product([], 12) == TruncatedSeries.one(12)
+def test_log_product_empty():
+    assert log_product([], 12).to_json_dict() == TruncatedSeries.zero(12).to_json_dict()
 
 
-def test_expand_product_rejects_nontruncating():
+def test_log_product_rejects_nontruncating():
     with pytest.raises(TruncationError):
-        expand_product([(1, 0, 0, 4, 1)], 12)
+        log_product([(0, 0, 4, 1)], 12)
     with pytest.raises(TruncationError):
-        expand_product([(1, 0, 4, 0, 1)], 12)
+        log_product([(0, 4, 0, 1)], 12)
 
 
 def test_corner_product_log_equals_sum():
     # log prod (1-q^{4k-3})^{-1}(1-q^{4k-2})^{-4}(1-q^{4k-1})^{-1}
     #   = sum_n (q^n + 4 q^{2n} + q^{3n})/(n (1 - q^{4n}))
     order = 32
-    prod = expand_product([(1, 0, 4, 16, -1), (1, 0, 8, 16, -4), (1, 0, 12, 16, -1)], order)
     lam = lambert_sum([(1, 4, 0), (4, 8, 0), (1, 12, 0)], 16, -1, order)
-    assert prod.log() == lam
+    assert log_product([(0, 4, 16, -1), (0, 8, 16, -4), (0, 12, 16, -1)], order) == lam
+
+
+def test_log_product_equals_the_log_of_the_expanded_product():
+    # both of closedform's product forms, coefficients and order, at every T
+    for T in range(1, 61):
+        for families in (cf.CORNER_PRODUCT, cf.SURFACE_H_IMAGE_PRODUCT):
+            prod = expand_product([(1, *f) for f in families], T)
+            got = log_product(families, T)
+            assert got.to_json_dict() == prod.log().to_json_dict(), (families, T)
+            assert got.exp().to_json_dict() == prod.to_json_dict(), (families, T)
+        # the f_sp image as the parent builder multiplied it
+        b_small = lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1, T)
+        image = b_small.exp() * expand_product([(1, *f) for f in cf.SURFACE_H_IMAGE_PRODUCT], T)
+        assert cf.exp_minus_f_surface_h_inverted_series(T).to_json_dict() == image.to_json_dict(), T
+
+
+@pytest.mark.parametrize("sdeg", [-1, 0, 1])
+@pytest.mark.parametrize("expo", [1, -1, 2, -2, 4, -4])
+def test_log_product_is_a_lambert_sum(sdeg, expo):
+    # log prod_k (1 - s^b t^(t0 + k tstep))^e = sum_n -e s^(bn) t^(n t0) / (n (1 - t^(n tstep)))
+    for t0, tstep in ((1, 1), (2, 4), (6, 16), (14, 8)):
+        for T in (1, 7, 24, 48):
+            got = log_product([(sdeg, t0, tstep, expo)], T)
+            expected = lambert_sum([(-expo, t0, sdeg)], tstep, -1, T)
+            assert got.to_json_dict() == expected.to_json_dict(), (t0, tstep, T)
 
 
 def test_lambert_zero_numerator():

@@ -174,6 +174,17 @@ def _extra_entry(name, tdeg):
     return patch
 
 
+def _family(name, i, family):
+    """closedform's product families ``name`` with entry ``i`` made ``family``."""
+
+    def patch(mp):
+        families = list(getattr(cf, name))
+        families[i] = family
+        mp.setattr(cf, name, tuple(families))
+
+    return patch
+
+
 def _image_short_of_order(mp):
     """The product form of e^{-f_sp(lam-u)} exact only through t^(T-1)."""
     full = cf.exp_minus_f_surface_h_inverted_series
@@ -224,6 +235,15 @@ FAULTS = [
         12,
         _product_form_off("f_corner_series", lambda order: TruncatedSeries.term(1, 8, 0, order=order)),
         {("inversion_corner", S)},
+    ),
+    # the product forms are data too: one wrong exponent, or a family moved
+    # from t^14 to t^30, which --order 12 cannot see
+    ("CORNER_PRODUCT", 12, _family("CORNER_PRODUCT", 1, (0, 8, 16, -3)), {("inversion_corner", S)}),
+    (
+        "SURFACE_H_IMAGE_PRODUCT-t30",
+        24,
+        _family("SURFACE_H_IMAGE_PRODUCT", 0, (1, 30, 16, 1)),
+        {("inversion_surface_h", S)},
     ),
     # the lam - u list is mapped from the forward one, so one wrong forward
     # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u))
