@@ -289,6 +289,9 @@ SUBCOMMANDS = {
 # bethe solves at one point: its --q and --s take exactly one value
 ONE_VALUE = {"bethe": ("--q", "--s")}
 
+# eval places its points by --s or by --u-frac, never by both
+EXCLUSIVE = {"eval": ("--s", "--u-frac")}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -298,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (fn, flags, defaults) in SUBCOMMANDS.items():
         sp = sub.add_parser(name)
+        exclusive = sp.add_mutually_exclusive_group() if name in EXCLUSIVE else sp
         for flag in flags + ["--out", "--format"]:
             one = {"nargs": None} if flag in ONE_VALUE.get(name, ()) else {}
-            sp.add_argument(flag, **{**FLAGS[flag], **one})
+            (exclusive if flag in EXCLUSIVE.get(name, ()) else sp).add_argument(flag, **{**FLAGS[flag], **one})
         sp.set_defaults(func=fn, **defaults)
     return p
 

@@ -20,8 +20,8 @@ implemented in both, and the pair is cross-checked by the test suite:
         = log prod_k (1-q^{4k-3})(1-q^{4k-2})^4 (1-q^{4k-1})
 
 Each sum is one Lambert list, giving the exact series and the float value
-with a rigorous geometric tail bound.  The exponentiated product forms
-(exp(-f)) converge in an annulus that contains both u and lam-u, which is
+with a rigorous geometric tail bound.  Each list is also a product, whose
+exp(-f) converges in an annulus that contains both u and lam-u, which is
 what the functional-relation checks evaluate.
 """
 
@@ -42,6 +42,7 @@ from .qseries import (
     DEFAULT_ORDER,
     TruncatedSeries,
     _Ratio,
+    lambert_families,
     lambert_sum,
     log_product,
 )
@@ -125,12 +126,27 @@ def _qprod(num, den, r, tiny, what: str):
     return out
 
 
+def _symbols(families, q, w2=1):
+    """Each ``log_product`` family (b, t0, tstep, e) as (a, r, e), the symbol
+    (a; r)_inf^e with ``lambert_sum``'s map inverted: a = q^{(t0-2b)/4} w^{2b},
+    r = q^{tstep/4}."""
+    return [(q ** ((t0 - 2 * b) / 4) * w2**b, q ** (tstep / 4), e) for b, t0, tstep, e in families]
+
+
+def _exp_lambert(lambert, q: float, w2: float) -> float:
+    """exp of the Lambert list's sum as the product of its ``lambert_families``,
+    which share one ratio r: one ``_qprod``, so the product stays near 1."""
+    num, den = [], []
+    for a, r, e in _symbols(lambert_families(*lambert), q, w2):
+        (num if e > 0 else den).extend([a] * abs(e))
+    return _qprod(num, den, r, 1e-19, f"q = {q}")
+
+
 def _corner_log(q, tiny, what: str):
-    """f_c = log[(q;q^4)(q^2;q^4)^4(q^3;q^4)] for a float or an mpmath q; one
-    log per product keeps a float q in range up to 0.9994, not 0.9965."""
+    """f_c = -log of the ``CORNER_PRODUCT``, for a float or an mpmath q; one
+    log per family keeps a float q in range up to 0.9994, not 0.9965."""
     log = getattr(q, "context", math).log
-    p = lambda a: log(_qprod([a], [], q**4, tiny, what))
-    return p(q) + 4 * p(q * q) + p(q**3)
+    return sum(-e * log(_qprod([a], [], r, tiny, what)) for a, r, e in _symbols(CORNER_PRODUCT, q))
 
 
 # ----------------------------------------------------------------------------
@@ -139,8 +155,9 @@ def _corner_log(q, tiny, what: str):
 #
 # Each sum is written once, as the arguments (numer, denom_tstep, denom_sign)
 # of ``lambert_sum``, which expands it exactly; ``_lambert_float`` evaluates
-# it.  The f'_s and isotropic lists are typed out, not derived from f_s or
-# from s = 1, so the rotation and isotropic checks compare independent lists.
+# it, and ``_exp_lambert`` continues exp of it.  The f'_s and isotropic lists
+# are typed out, not derived from f_s or from s = 1, so the rotation and
+# isotropic checks compare independent lists.
 
 BULK_LAMBERT = (((1, 2, 1), (-1, 6, 1), (1, 2, -1), (-1, 6, -1)), 4, +1)
 BULK_COUPLING_LAMBERT = (((1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1)), 4, +1)  # S_b
@@ -239,39 +256,23 @@ def f_surface_isotropic_product(q: float) -> float:
 #
 # The sums above converge only for q < w^2 < 1.  The functional relations
 # pair u with lam - u, whose w^2 lies in (q^2, q), so the identity checks
-# need evaluations there.  Rewriting each Lambert-type sum as an infinite
-# product of rational factors gives the analytic continuation to the
-# annulus q^2 < w^2 < 1/q (single-valued, real, possibly negative).  Each
-# product is a ratio of q-Pochhammer symbols (a; r)_inf, all from ``_qprod``.
-
-def _expL(x: float, q: float) -> float:
-    """exp(sum_n x^n (1-q^n)/(n(1+q^n))) = (xq;q^2)^2 / ((x;q^2)(xq^2;q^2))."""
-    return _qprod([x * q, x * q], [x, x * q * q], q * q, 1e-19, f"q = {q}")
-
-
-def _expA(x: float, q: float) -> float:
-    """exp(sum_n x^n (1+q^n)/(n(1+q^{2n}))) = (xq^2;q^4)(xq^3;q^4) / ((x;q^4)(xq;q^4))."""
-    return _qprod([x * q * q, x * q**3], [x, x * q], q**4, 1e-19, f"q = {q}")
-
-
-def _expB(x: float, q: float) -> float:
-    """exp(sum_n x^n (1-q^n)/(n(1+q^{2n}))) = (xq;q^4)(xq^2;q^4) / ((x;q^4)(xq^3;q^4))."""
-    return _qprod([x * q, x * q * q], [x, x * q**3], q**4, 1e-19, f"q = {q}")
-
+# need evaluations there.  Each Lambert list is the log of a product, a ratio
+# of q-Pochhammer symbols (``_exp_lambert``), which continues exp of the sum
+# to the annulus q^2 < w^2 < 1/q (single-valued, real, possibly negative).
 
 def exp_minus_f_bulk(q: float, w2: float) -> float:
     """exp(-f_b) as an analytic continuation; negative for w^2 in (q^2, q)."""
-    return _exp_K1(q, w2) * _exp_K2(q, w2) * (1 + q) / (_expL(q * w2, q) * _expL(q * q / w2, q))
+    return _exp_K1(q, w2) * _exp_K2(q, w2) * (1 + q) / _exp_lambert(BULK_COUPLING_LAMBERT, q, w2)
 
 
 def exp_minus_f_surface_v(q: float, w2: float) -> float:
     """exp(-f_s) continued to the annulus q^2 < w^2 < 1/q."""
-    return (1 - w2) / (1 - q * q / w2) * _expA(q * w2, q) / _expA(q**3 / w2, q)
+    return (1 - w2) / (1 - q * q / w2) * _exp_lambert(SURFACE_LOG_LAMBERT, q, w2)
 
 
 def exp_minus_f_surface_h(q: float, w2: float) -> float:
     """exp(-f_sp) continued; real and negative once w^2 < q."""
-    return _expB(q * w2, q) / _expB(q / w2, q)
+    return 1 / _exp_lambert(SURFACE_H_LAMBERT, q, w2)
 
 
 # ----------------------------------------------------------------------------

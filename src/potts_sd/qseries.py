@@ -72,9 +72,6 @@ class LaurentPolyS:
             return self.c == ({0: other} if other != 0 else {})
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
     def __neg__(self) -> "LaurentPolyS":
         return LaurentPolyS({e: -v for e, v in self.c.items()})
 
@@ -223,9 +220,6 @@ class TruncatedSeries:
         a = {d: p for d, p in self.coeffs.items() if d <= t}
         b = {d: p for d, p in other.coeffs.items() if d <= t}
         return a == b
-
-    def __hash__(self):
-        return hash((self.order, frozenset((d, p) for d, p in self.coeffs.items())))
 
     # -- ring operations ----------------------------------------------------
 
@@ -505,6 +499,29 @@ class _Ratio:
 DEFAULT_ORDER = 36  # t^36 = q^9
 
 
+def lambert_families(numer, denom_tstep: int, denom_sign: int) -> list:
+    """The Lambert list as ``log_product`` families: by 1/(1 + sign y^n) =
+    sum_m (-sign y^n)^m, with y = t^D and D = denom_tstep, a numerator
+    (c, a, b) is log prod_m (1 - s^b t^(a + D m))^(-c (-sign)^m), the family
+    (b, a, D, -c) for sign -1 and, for sign +1, (b, a, 2D, -c) (even m) and
+    (b, a + D, 2D, c) (odd m).  Zero numerators are dropped."""
+    if denom_sign not in (1, -1):
+        raise ValueError("denom_sign must be +1 or -1")
+    if denom_tstep <= 0:
+        raise TruncationError("denominator power must carry positive t-degree")
+    families = []
+    for c, tstep, sstep in numer:
+        if c == 0:
+            continue
+        if tstep <= 0:
+            raise TruncationError("numerator term with nonpositive t-degree; sum does not truncate")
+        if denom_sign < 0:
+            families.append((sstep, tstep, denom_tstep, -c))
+        else:
+            families += [(sstep, tstep, 2 * denom_tstep, -c), (sstep, tstep + denom_tstep, 2 * denom_tstep, c)]
+    return families
+
+
 def lambert_sum(numer, denom_tstep: int, denom_sign: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Exact expansion of sums of the recurring Lambert type.
 
@@ -514,37 +531,10 @@ def lambert_sum(numer, denom_tstep: int, denom_sign: int, order: int = DEFAULT_O
     ``numer`` is a list of (c_j, tstep_j, sstep_j); every tstep_j must be
     positive so the n-sum truncates.  In q/w notation a numerator monomial
     q**(a n) w**(2 b n) has tstep = 4a + 2b and sstep = b; the float
-    evaluator ``closedform._lambert_float`` uses the inverse map, t^a s^b ->
-    q^{(a-2b)/4} w^{2b}.
+    evaluators of ``closedform`` use the inverse map, t^a s^b ->
+    q^{(a-2b)/4} w^{2b}.  The sum is expanded as its ``lambert_families``.
     """
-    if denom_sign not in (1, -1):
-        raise ValueError("denom_sign must be +1 or -1")
-    if denom_tstep <= 0:
-        raise TruncationError("denominator power must carry positive t-degree")
-    terms = []
-    for c, tstep, sstep in numer:
-        if c == 0:
-            continue
-        if tstep <= 0:
-            raise TruncationError("numerator term with nonpositive t-degree; sum does not truncate")
-        terms.append((c, tstep, sstep))
-    out = TruncatedSeries.zero(order)
-    if not terms:
-        return out
-    acc: list[tuple] = []
-    n = 1
-    while any(tstep * n <= order for _, tstep, _ in terms):
-        for c, tstep, sstep in terms:
-            base = tstep * n
-            if base > order:
-                continue
-            m = 0
-            while base + denom_tstep * n * m <= order:
-                coeff = Fraction(c, n) * (-denom_sign) ** m
-                acc.append((coeff, base + denom_tstep * n * m, sstep * n))
-                m += 1
-        n += 1
-    return TruncatedSeries.from_terms(acc, order=order)
+    return log_product(lambert_families(numer, denom_tstep, denom_sign), order)
 
 
 def log_geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -563,13 +553,13 @@ def log_geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDE
 
 def log_product(families, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """log prod_{k>=0} (1 - s**sdeg * t**(t0deg + tstep*k)) ** expo, multiplied
-    over the families (sdeg, t0deg, tstep, expo): one ``-expo *
-    log_geometric_inverse`` per factor of t-degree <= order.  A family with
-    t0deg <= 0 or tstep <= 0 does not truncate and is rejected."""
-    out = TruncatedSeries.zero(order)
+    over the families (sdeg, t0deg, tstep, expo): each factor of t-degree
+    d <= order adds -expo s^(sdeg j) t^(d j) / j for j >= 1, one term list for
+    ``from_terms``.  t0deg <= 0 or tstep <= 0 does not truncate; it raises."""
+    terms = []
     for sdeg, t0, tstep, expo in families:
         if t0 <= 0 or tstep <= 0:
             raise TruncationError("non-truncating product factor (t-degree <= 0)")
         for tdeg in range(t0, order + 1, tstep):
-            out = out - expo * log_geometric_inverse(1, tdeg, sdeg, order)
-    return out
+            terms += [(Fraction(-expo, j), tdeg * j, sdeg * j) for j in range(1, order // tdeg + 1)]
+    return TruncatedSeries.from_terms(terms, order=order)

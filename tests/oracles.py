@@ -10,7 +10,11 @@ reference of the packed int64 kernel.  ``fraction_series_logZ`` and
 de Neef-Enting sums in ``TruncatedSeries`` arithmetic: the references of its
 integer sums over one denominator.  ``expand_product`` multiplies an infinite
 product out factor by factor, with ``pow`` and ``reciprocal``: the reference
-of ``qseries.log_product``.
+of ``qseries.log_product``.  ``lambert_sum_loop`` expands a Lambert sum
+by its double loop, and the ``typed_*`` continuations and the corner log
+take their q-Pochhammer symbols as typed by hand: the references of
+``qseries.lambert_sum`` and of ``closedform``'s product forms, which read
+both off the Lambert lists.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ import numpy as np
 
 from potts_sd import lattice
 from potts_sd.bundle import FreeEnergyBundle, LogSeries
+from potts_sd.closedform import _qprod
 from potts_sd.errors import ConvergenceError, DomainError, SizeGuardError, TruncationError
 from potts_sd.lattice import LatticeSpec
-from potts_sd.params import SpectralParams, couplings
+from potts_sd.params import SpectralParams, _exp_K1, _exp_K2, couplings
 from potts_sd.qseries import DEFAULT_ORDER, TruncatedSeries, log_geometric_inverse
 
 BRUTE_FORCE_MAX_CONFIGS = 2_100_000
@@ -564,3 +569,80 @@ def expand_product(factors, order: int = DEFAULT_ORDER) -> TruncatedSeries:
             out = out * base.pow(expo)
             k += 1
     return out
+
+
+# ----------------------------------------------------------------------------
+# the Lambert sums by their double loop, and the hand-typed product forms
+# ----------------------------------------------------------------------------
+
+def lambert_sum_loop(numer, denom_tstep: int, denom_sign: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """sum_{n>=1} (sum_j c_j s^(sstep_j n) t^(tstep_j n)) / (n (1 + denom_sign t^(denom_tstep n))),
+    expanded term by term over n and the geometric series of the denominator:
+    the reference of ``qseries.lambert_sum``, which expands the same list as
+    a product."""
+    if denom_sign not in (1, -1):
+        raise ValueError("denom_sign must be +1 or -1")
+    if denom_tstep <= 0:
+        raise TruncationError("denominator power must carry positive t-degree")
+    terms = []
+    for c, tstep, sstep in numer:
+        if c == 0:
+            continue
+        if tstep <= 0:
+            raise TruncationError("numerator term with nonpositive t-degree; sum does not truncate")
+        terms.append((c, tstep, sstep))
+    out = TruncatedSeries.zero(order)
+    if not terms:
+        return out
+    acc: list[tuple] = []
+    n = 1
+    while any(tstep * n <= order for _, tstep, _ in terms):
+        for c, tstep, sstep in terms:
+            base = tstep * n
+            if base > order:
+                continue
+            m = 0
+            while base + denom_tstep * n * m <= order:
+                coeff = Fraction(c, n) * (-denom_sign) ** m
+                acc.append((coeff, base + denom_tstep * n * m, sstep * n))
+                m += 1
+        n += 1
+    return TruncatedSeries.from_terms(acc, order=order)
+
+
+# The continuations of exp(-f_b), exp(-f_s), exp(-f'_s) and the corner
+# product with their q-Pochhammer symbols typed by hand: the references of
+# ``closedform``'s, which read the symbols off the Lambert lists.
+
+def _expL(x: float, q: float) -> float:
+    """exp(sum_n x^n (1-q^n)/(n(1+q^n))) = (xq;q^2)^2 / ((x;q^2)(xq^2;q^2))."""
+    return _qprod([x * q, x * q], [x, x * q * q], q * q, 1e-19, f"q = {q}")
+
+
+def _expA(x: float, q: float) -> float:
+    """exp(sum_n x^n (1+q^n)/(n(1+q^{2n}))) = (xq^2;q^4)(xq^3;q^4) / ((x;q^4)(xq;q^4))."""
+    return _qprod([x * q * q, x * q**3], [x, x * q], q**4, 1e-19, f"q = {q}")
+
+
+def _expB(x: float, q: float) -> float:
+    """exp(sum_n x^n (1-q^n)/(n(1+q^{2n}))) = (xq;q^4)(xq^2;q^4) / ((x;q^4)(xq^3;q^4))."""
+    return _qprod([x * q, x * q * q], [x, x * q**3], q**4, 1e-19, f"q = {q}")
+
+
+def typed_exp_minus_f_bulk(q: float, w2: float) -> float:
+    return _exp_K1(q, w2) * _exp_K2(q, w2) * (1 + q) / (_expL(q * w2, q) * _expL(q * q / w2, q))
+
+
+def typed_exp_minus_f_surface_v(q: float, w2: float) -> float:
+    return (1 - w2) / (1 - q * q / w2) * _expA(q * w2, q) / _expA(q**3 / w2, q)
+
+
+def typed_exp_minus_f_surface_h(q: float, w2: float) -> float:
+    return _expB(q * w2, q) / _expB(q / w2, q)
+
+
+def typed_corner_log(q, tiny, what: str):
+    """f_c = log[(q;q^4)(q^2;q^4)^4(q^3;q^4)] for a float or an mpmath q."""
+    log = getattr(q, "context", math).log
+    p = lambda a: log(_qprod([a], [], q**4, tiny, what))
+    return p(q) + 4 * p(q * q) + p(q**3)

@@ -211,6 +211,25 @@ def test_config_entries_meet_flag_types_and_choices(tmp_path, capsys, entries, a
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entries, argv",
+    [
+        ({}, ["eval", "--q", "0.2", "--s", "2", "--u-frac", "0.3"]),
+        ({}, ["eval", "--u-frac", "0.3", "--s", "1"]),
+        ({"u_frac": [0.3]}, ["eval", "--s", "2"]),
+        ({"s": 2}, ["eval", "--u-frac", "0.3"]),
+        ({"s": [1.0], "u_frac": [0.3]}, ["eval"]),
+    ],
+)
+def test_eval_takes_s_or_u_frac_not_both(tmp_path, capsys, entries, argv):
+    # the points come from one of the two; the other was dropped, and echoed
+    cfgf = tmp_path / "run.json"
+    cfgf.write_text(json.dumps(entries))
+    assert cli.main(["--config", str(cfgf), *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "not allowed with argument" in err
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfgf = tmp_path / "run.json"
     cfgf.write_text(json.dumps({"threads": 2}))

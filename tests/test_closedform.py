@@ -2,14 +2,18 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
+import oracles
 from potts_sd import closedform as cf
 from potts_sd.errors import ConvergenceError, DomainError, TruncationError
 from potts_sd.params import SpectralParams, _Q, _delta, _exp_K2, _xi
+from potts_sd.relations import _sp_from, default_grid
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries
 
 POINTS = [(0.2, 1.0), (0.15, 1.7), (0.3, 0.8), (0.25, 0.6)]
@@ -87,6 +91,33 @@ def test_product_continuations_equal_the_sums(q, s):
     # below the strip, q^2 < w^2 < q (the inversion image among them), exp(-f_sp) is negative
     for w2_below in (q * q / w2, q * q + 0.01 * (q - q * q), (q * q + q) / 2, q - 0.01 * (q - q * q)):
         assert cf.exp_minus_f_surface_h(q, w2_below) < 0, w2_below
+
+
+def test_continuations_match_the_typed_products():
+    # the products read off the Lambert lists against the hand-typed symbols,
+    # at the verify grid and the grid's lam - u images
+    for q, f in default_grid():
+        w2 = _sp_from(q, f).w2
+        for x in (w2, q * q / w2):
+            for name in ("bulk", "surface_v", "surface_h"):
+                got = getattr(cf, "exp_minus_f_" + name)(q, x)
+                assert got == pytest.approx(getattr(oracles, "typed_exp_minus_f_" + name)(q, x), rel=1e-14), (name, q, x)
+
+
+def test_corner_product_matches_the_typed_symbols():
+    # bit for bit at the verify grid's q, at q = 0.01 .. 0.99 and in mpmath; a
+    # random float q can differ in the last bit (7 in 20000 on glibc), where
+    # the symbol q**2.0 (C pow) rounds apart from the typed q*q
+    for q in [q for q, _ in default_grid()] + [k / 100 for k in range(1, 100)] + [0.999]:
+        assert cf.f_corner(q, "product") == oracles.typed_corner_log(q, 1e-19, f"q = {q}"), q
+    rng = random.Random(20161)
+    for q in (rng.uniform(0.001, 0.999) for _ in range(2000)):
+        assert cf.f_corner(q, "product") == pytest.approx(oracles.typed_corner_log(q, 1e-19, ""), rel=1e-15), q
+    for eps in (0.005, 0.011, 0.02, 0.05, 0.1, 0.5, 1.0, 2.0):
+        with mpmath.workprec(128):
+            qm = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(eps))
+            typed = float(oracles.typed_corner_log(qm, mpmath.mpf(10) ** -40, ""))
+        assert cf.fc_asymptote(eps)[0] == typed, eps
 
 
 def test_isotropic_equals_general_at_s1():

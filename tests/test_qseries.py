@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import expand_product, geometric_inverse
+from oracles import expand_product, geometric_inverse, lambert_sum_loop
 from potts_sd import closedform as cf
+from potts_sd import relations
 from potts_sd.closedform import rational_series
 from potts_sd.errors import TruncationError
 from potts_sd.qseries import (
     LaurentPolyS,
     TruncatedSeries,
+    lambert_families,
     lambert_sum,
     log_geometric_inverse,
     log_product,
@@ -237,6 +239,49 @@ def test_log_product_is_a_lambert_sum(sdeg, expo):
             got = log_product([(sdeg, t0, tstep, expo)], T)
             expected = lambert_sum([(-expo, t0, sdeg)], tstep, -1, T)
             assert got.to_json_dict() == expected.to_json_dict(), (t0, tstep, T)
+
+
+# every Lambert list closedform and relations expand: the eight closedform
+# lists, the lam - u images of S_b and log G, and f_sp's image's b_small
+ALL_LAMBERT = [
+    *(getattr(cf, name) for name in dir(cf) if name.endswith("_LAMBERT")),
+    relations._inversion_lambert(cf.BULK_COUPLING_LAMBERT),
+    relations._inversion_lambert(cf.SURFACE_LOG_LAMBERT),
+    ([(1, 10, -1), (-1, 14, -1)], 8, +1),
+]
+
+
+def test_lambert_sum_equals_the_double_loop():
+    # the product expansion against the term-by-term loop: coefficients, their
+    # int or Fraction type, and the order, at every T
+    assert len(ALL_LAMBERT) == 11
+    for T in range(1, 61):
+        for lam in ALL_LAMBERT:
+            got, ref = lambert_sum(*lam, T), lambert_sum_loop(*lam, T)
+            assert got.to_json_dict() == ref.to_json_dict(), (lam, T)
+            assert {(d, e): type(v) for d, p in got.coeffs.items() for e, v in p.c.items()} == {
+                (d, e): type(v) for d, p in ref.coeffs.items() for e, v in p.c.items()
+            }, (lam, T)
+
+
+def test_lambert_families():
+    # 1/(1 + t^(4n)) = sum_m (-t^(4n))^m splits by the parity of m; 1/(1 - y^n) does not
+    assert lambert_families([(3, 2, 1), (0, 6, 1)], 4, +1) == [(1, 2, 8, -3), (1, 6, 8, 3)]
+    assert lambert_families([(3, 2, 1)], 4, -1) == [(1, 2, 4, -3)]
+    with pytest.raises(ValueError):
+        lambert_families([(1, 2, 1)], 4, 0)
+    with pytest.raises(TruncationError):
+        lambert_families([(1, 2, 1)], 0, 1)
+
+
+def test_series_types_are_unhashable():
+    # equal series may differ in order, and a constant LaurentPolyS equals its
+    # int, so no hash can agree with ==
+    assert TruncatedSeries.term(1, 2, 0, order=4) == TruncatedSeries.term(1, 2, 0, order=8)
+    assert LaurentPolyS.const(3) == 3
+    for x in (TruncatedSeries.term(1, 2, 0, order=4), LaurentPolyS.const(3)):
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 def test_lambert_zero_numerator():

@@ -236,9 +236,15 @@ FAULTS = [
         _product_form_off("f_corner_series", lambda order: TruncatedSeries.term(1, 8, 0, order=order)),
         {("inversion_corner", S)},
     ),
-    # the product forms are data too: one wrong exponent, or a family moved
-    # from t^14 to t^30, which --order 12 cannot see
-    ("CORNER_PRODUCT", 12, _family("CORNER_PRODUCT", 1, (0, 8, 16, -3)), {("inversion_corner", S)}),
+    # the product forms are data too: one wrong exponent, which the float
+    # corner log reads as well, or a family moved from t^14 to t^30, which
+    # --order 12 cannot see
+    (
+        "CORNER_PRODUCT",
+        12,
+        _family("CORNER_PRODUCT", 1, (0, 8, 16, -3)),
+        {("inversion_corner", F), ("inversion_corner", S)},
+    ),
     (
         "SURFACE_H_IMAGE_PRODUCT-t30",
         24,
@@ -246,13 +252,37 @@ FAULTS = [
         {("inversion_surface_h", S)},
     ),
     # the lam - u list is mapped from the forward one, so one wrong forward
-    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u))
-    ("BULK_COUPLING_LAMBERT", 12, _bump_first_entry("BULK_COUPLING_LAMBERT"), {("inversion_bulk", S)}),
-    ("SURFACE_LOG_LAMBERT", 12, _bump_first_entry("SURFACE_LOG_LAMBERT"), {("inversion_surface_v", S)}),
-    # a row compares its top degrees too
-    ("BULK_COUPLING_LAMBERT-t47", 48, _extra_entry("BULK_COUPLING_LAMBERT", 47), {("inversion_bulk", S)}),
-    ("BULK_COUPLING_LAMBERT-t48", 48, _extra_entry("BULK_COUPLING_LAMBERT", 48), {("inversion_bulk", S)}),
-    # f_sp's image is a product form of its own, which a wrong f_sp list misses
+    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u)); the
+    # float continuation is the same list's product, so its row fails too
+    (
+        "BULK_COUPLING_LAMBERT",
+        12,
+        _bump_first_entry("BULK_COUPLING_LAMBERT"),
+        {("inversion_bulk", F), ("inversion_bulk", S)},
+    ),
+    (
+        "SURFACE_LOG_LAMBERT",
+        12,
+        _bump_first_entry("SURFACE_LOG_LAMBERT"),
+        {("inversion_surface_v", F), ("inversion_surface_v", S)},
+    ),
+    # a row compares its top degrees too; in floats the extra q^(47/4) or
+    # q^12 term is far above the tolerance
+    (
+        "BULK_COUPLING_LAMBERT-t47",
+        48,
+        _extra_entry("BULK_COUPLING_LAMBERT", 47),
+        {("inversion_bulk", F), ("inversion_bulk", S)},
+    ),
+    (
+        "BULK_COUPLING_LAMBERT-t48",
+        48,
+        _extra_entry("BULK_COUPLING_LAMBERT", 48),
+        {("inversion_bulk", F), ("inversion_bulk", S)},
+    ),
+    # f_sp's image is a product form of its own, which a wrong f_sp list
+    # misses; the extra entry is s-free, so its float factor is the same at
+    # u and lam - u and cancels from the float row
     (
         "SURFACE_H_LAMBERT-t48",
         48,
@@ -261,7 +291,8 @@ FAULTS = [
     ),
     # a row whose two sides are exact only through t^(T-1) checks nothing at t^T
     ("surface-h-image-short", 12, _image_short_of_order, {("inversion_surface_h", S)}),
-    # one list feeds the float sum and the exact series alike
+    # one list feeds the float sum, its float continuation and the exact
+    # series alike
     (
         "BULK_LAMBERT",
         12,
@@ -273,7 +304,7 @@ FAULTS = [
         "SURFACE_H_LAMBERT",
         12,
         _bump_first_entry("SURFACE_H_LAMBERT"),
-        {("inversion_surface_h", S), *ROTATION_SURFACE, ("corner_constant", S)},
+        {("inversion_surface_h", F), ("inversion_surface_h", S), *ROTATION_SURFACE, ("corner_constant", S)},
     ),
     (
         "CORNER_LAMBERT",
