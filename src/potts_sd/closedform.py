@@ -61,10 +61,15 @@ class _Undetermined:
 UNDETERMINED = _Undetermined()
 
 
+def _float_monomial(a: int, b: int, q, w2=1):
+    """t^a s^b at (q, w^2), ``lambert_sum``'s map inverted: q^{(a-2b)/4} w^{2b}."""
+    return q ** ((a - 2 * b) / 4) * w2**b
+
+
 def _lambert_float(lambert, q: float, w2: float = 1.0) -> float:
     """The Lambert list (numer, denom_tstep, denom_sign) as a float at (q, w^2).
 
-    ``lambert_sum``'s map inverted sends t^a s^b to r = q^{(a-2b)/4} w^{2b}.
+    Each numerator t^a s^b becomes its ratio r = ``_float_monomial(a, b)``.
     With D = q^{denom_tstep/4}, every 1 + sign D^n is at least m = min(1, 1-D),
     so the tail after n is at most sum_j |c_j| r_j^{n+1} / (m (n+1)(1-r_j)).
     The terms n <= n0 are one array, n0 from the largest ratio and doubled
@@ -72,7 +77,7 @@ def _lambert_float(lambert, q: float, w2: float = 1.0) -> float:
     1e-16 of the partial sum; the sum stops there.
     """
     numer, dstep, dsign = lambert
-    ratios = [q ** ((a - 2 * b) / 4) * w2**b for _, a, b in numer]
+    ratios = [_float_monomial(a, b, q, w2) for _, a, b in numer]
     for r in ratios:
         if not 0 <= r < 1:
             raise DomainError(f"summand ratio {r} outside [0,1): sum diverges")
@@ -128,9 +133,8 @@ def _qprod(num, den, r, tiny, what: str):
 
 def _symbols(families, q, w2=1):
     """Each ``log_product`` family (b, t0, tstep, e) as (a, r, e), the symbol
-    (a; r)_inf^e with ``lambert_sum``'s map inverted: a = q^{(t0-2b)/4} w^{2b},
-    r = q^{tstep/4}."""
-    return [(q ** ((t0 - 2 * b) / 4) * w2**b, q ** (tstep / 4), e) for b, t0, tstep, e in families]
+    (a; r)_inf^e with a = s^b t^t0 and r = t^tstep as ``_float_monomial``s."""
+    return [(_float_monomial(t0, b, q, w2), _float_monomial(tstep, 0, q), e) for b, t0, tstep, e in families]
 
 
 def _exp_lambert(lambert, q: float, w2: float) -> float:

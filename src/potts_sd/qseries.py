@@ -537,29 +537,28 @@ def lambert_sum(numer, denom_tstep: int, denom_sign: int, order: int = DEFAULT_O
     return log_product(lambert_families(numer, denom_tstep, denom_sign), order)
 
 
-def log_geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """log(1 / (1 - coeff * s**sdeg * t**tdeg)) = sum_k (coeff*s^sdeg*t^tdeg)^k / k."""
+def _log_geometric_terms(coeff, tdeg: int, sdeg: int, order: int, scale=1) -> list:
+    """The terms (scale coeff^k / k, tdeg k, sdeg k) with tdeg k <= order of
+    scale * log(1 / (1 - coeff * s**sdeg * t**tdeg)), for ``from_terms``."""
     if tdeg <= 0:
         raise TruncationError("needs positive t-degree")
-    terms = []
-    k = 1
-    c = coeff
-    while tdeg * k <= order:
-        terms.append((Fraction(c, k), tdeg * k, sdeg * k))
-        k += 1
-        c = c * coeff
-    return TruncatedSeries.from_terms(terms, order=order)
+    return [(Fraction(scale * coeff**k, k), tdeg * k, sdeg * k) for k in range(1, order // tdeg + 1)]
+
+
+def log_geometric_inverse(coeff, tdeg: int, sdeg: int, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """log(1 / (1 - coeff * s**sdeg * t**tdeg)) = sum_k (coeff*s^sdeg*t^tdeg)^k / k."""
+    return TruncatedSeries.from_terms(_log_geometric_terms(coeff, tdeg, sdeg, order), order=order)
 
 
 def log_product(families, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """log prod_{k>=0} (1 - s**sdeg * t**(t0deg + tstep*k)) ** expo, multiplied
     over the families (sdeg, t0deg, tstep, expo): each factor of t-degree
-    d <= order adds -expo s^(sdeg j) t^(d j) / j for j >= 1, one term list for
-    ``from_terms``.  t0deg <= 0 or tstep <= 0 does not truncate; it raises."""
+    d <= order adds its ``_log_geometric_terms`` scaled by -expo, one term
+    list for ``from_terms``.  t0deg <= 0 or tstep <= 0 does not truncate; it raises."""
     terms = []
     for sdeg, t0, tstep, expo in families:
         if t0 <= 0 or tstep <= 0:
             raise TruncationError("non-truncating product factor (t-degree <= 0)")
         for tdeg in range(t0, order + 1, tstep):
-            terms += [(Fraction(-expo, j), tdeg * j, sdeg * j) for j in range(1, order // tdeg + 1)]
+            terms += _log_geometric_terms(1, tdeg, sdeg, order, -expo)
     return TruncatedSeries.from_terms(terms, order=order)

@@ -212,7 +212,7 @@ def test_corner_product_log_equals_sum():
     # log prod (1-q^{4k-3})^{-1}(1-q^{4k-2})^{-4}(1-q^{4k-1})^{-1}
     #   = sum_n (q^n + 4 q^{2n} + q^{3n})/(n (1 - q^{4n}))
     order = 32
-    lam = lambert_sum([(1, 4, 0), (4, 8, 0), (1, 12, 0)], 16, -1, order)
+    lam = lambert_sum_loop([(1, 4, 0), (4, 8, 0), (1, 12, 0)], 16, -1, order)
     assert log_product([(0, 4, 16, -1), (0, 8, 16, -4), (0, 12, 16, -1)], order) == lam
 
 
@@ -225,7 +225,7 @@ def test_log_product_equals_the_log_of_the_expanded_product():
             assert got.to_json_dict() == prod.log().to_json_dict(), (families, T)
             assert got.exp().to_json_dict() == prod.to_json_dict(), (families, T)
         # the f_sp image as the parent builder multiplied it
-        b_small = lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1, T)
+        b_small = lambert_sum_loop([(1, 10, -1), (-1, 14, -1)], 8, +1, T)
         image = b_small.exp() * expand_product([(1, *f) for f in cf.SURFACE_H_IMAGE_PRODUCT], T)
         assert cf.exp_minus_f_surface_h_inverted_series(T).to_json_dict() == image.to_json_dict(), T
 
@@ -237,7 +237,7 @@ def test_log_product_is_a_lambert_sum(sdeg, expo):
     for t0, tstep in ((1, 1), (2, 4), (6, 16), (14, 8)):
         for T in (1, 7, 24, 48):
             got = log_product([(sdeg, t0, tstep, expo)], T)
-            expected = lambert_sum([(-expo, t0, sdeg)], tstep, -1, T)
+            expected = lambert_sum_loop([(-expo, t0, sdeg)], tstep, -1, T)
             assert got.to_json_dict() == expected.to_json_dict(), (t0, tstep, T)
 
 
@@ -262,6 +262,16 @@ def test_lambert_sum_equals_the_double_loop():
             assert {(d, e): type(v) for d, p in got.coeffs.items() for e, v in p.c.items()} == {
                 (d, e): type(v) for d, p in ref.coeffs.items() for e, v in p.c.items()
             }, (lam, T)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("dstep", [1, 3, 8])
+def test_lambert_sum_equals_the_double_loop_off_the_lists(sign, dstep):
+    # numerators, s-degrees and denominator steps that no list above uses
+    numer = [(1, 1, 0), (-2, 3, 1), (3, 6, -1), (5, 2, 2)]
+    for T in (1, 7, 24, 48):
+        got, ref = lambert_sum(numer, dstep, sign, T), lambert_sum_loop(numer, dstep, sign, T)
+        assert got.to_json_dict() == ref.to_json_dict(), T
 
 
 def test_lambert_families():
