@@ -282,7 +282,6 @@ class SurfaceConvergenceTable:
     f_s_closed: float
     decay_rate: float | None
     extrapolated: float | None
-    extrapolated_power: float | None
 
 
 def surface_convergence(Nmax: int, q: float, w: float) -> SurfaceConvergenceTable:
@@ -293,8 +292,8 @@ def surface_convergence(Nmax: int, q: float, w: float) -> SurfaceConvergenceTabl
     the finite-width terms vanish exponentially; closer to Q = 4 the
     correlation length exp(pi^2/(2 lam)) exceeds any practical width and
     the corrections follow an effectively-critical a/N^2 + b/N^3 law.  The
-    table therefore reports both an Aitken (geometric) extrapolation and a
-    power-law Richardson one, plus the last deviation ratio.
+    table reports an Aitken (geometric) extrapolation and the last
+    deviation ratio.
     """
     from . import closedform
     from .params import couplings
@@ -318,20 +317,11 @@ def surface_convergence(Nmax: int, q: float, w: float) -> SurfaceConvergenceTabl
         denom = (f3 - f2) - (f2 - f1)
         if denom != 0:
             extra = f3 - (f3 - f2) ** 2 / denom
-    extra_pow = None
-    if len(rows) >= 3:
-        # solve f_N = f + b/N^2 + c/N^3 on the last three widths
-        (n1, g1), (n2, g2), (n3, g3) = ((r.N, r.f_s_N) for r in rows[-3:])
-        m = np.array(
-            [[1.0, n1**-2, n1**-3], [1.0, n2**-2, n2**-3], [1.0, n3**-2, n3**-3]]
-        )
-        extra_pow = float(np.linalg.solve(m, np.array([g1, g2, g3]))[0])
     return SurfaceConvergenceTable(
         rows=rows,
         f_s_closed=fs_closed,
         decay_rate=decay,
         extrapolated=extra,
-        extrapolated_power=extra_pow,
     )
 
 

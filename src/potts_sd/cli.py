@@ -170,7 +170,7 @@ def cmd_lattice(args) -> int:
         return EXIT_OK
     M, N = args.M, args.N
     spec = lattice.LatticeSpec(M, N)
-    t0 = time.time()
+    t0 = time.perf_counter()
     (s,) = lattice.series_logZ(spec, order, [M])
     _emit(
         {
@@ -180,7 +180,7 @@ def cmd_lattice(args) -> int:
             "ring": "series",
             "order": order,
             "log_q^MN_Z": s.to_json_dict(),
-            "seconds": round(time.time() - t0, 3),
+            "seconds": round(time.perf_counter() - t0, 3),
         },
         args,
     )
@@ -211,10 +211,9 @@ def cmd_bethe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = relations.run_rows(args.order)
-    # a structural row holds by construction, so it does not count
-    all_pass = all(r.passed for r in reports if not r.structural)
-    _emit({"command": "verify", "all_passed": all_pass, "rows": [r.to_json_dict() for r in reports]}, args)
+    rows = relations.run_rows(args.order)
+    all_pass = all(r.passed for r in rows)
+    _emit({"command": "verify", "all_passed": all_pass, "rows": [r.to_json_dict() for r in rows]}, args)
     return EXIT_OK if all_pass else EXIT_IDENTITY
 
 

@@ -3,8 +3,8 @@
 Sign convention: log Z = -M*N*f_b - M*f_s - N*f_sp - f_c, so the f's here
 are the quantities multiplying the lattice dimensions with a minus sign.
 
-Every free energy the model admits in two printed representations is
-implemented in both, and the pair is cross-checked by the test suite:
+f_b and f_s are implemented in both of their printed representations,
+and the pair is cross-checked by the test suite; f_sp and f_c have one:
 
     f_b : log(q/(1+q)) - sum_n (1-q^n)(w^{2n}+q^n w^{-2n}) / (n(1+q^n))
         = -K1 - K2 - log(1+q)
@@ -22,7 +22,9 @@ implemented in both, and the pair is cross-checked by the test suite:
 Each sum is one Lambert list, giving the exact series and the float value
 with a rigorous geometric tail bound.  Each list is also a product, whose
 exp(-f) converges in an annulus that contains both u and lam-u, which is
-what the functional-relation checks evaluate.
+what the functional-relation checks evaluate.  f_c's product above is not
+typed: it is derived from ``CORNER_LAMBERT`` (``lambert_families``), and
+evaluated as such near Q -> 4+ (``fc_asymptote``).
 """
 
 from __future__ import annotations
@@ -147,10 +149,12 @@ def _exp_lambert(lambert, q: float, w2: float) -> float:
 
 
 def _corner_log(q, tiny, what: str):
-    """f_c = -log of the ``CORNER_PRODUCT``, for a float or an mpmath q; one
-    log per family keeps a float q in range up to 0.9994, not 0.9965."""
+    """f_c as the log of the product of ``CORNER_LAMBERT``'s families, for a
+    float or an mpmath q; one log per family keeps a float q in range up to
+    0.9994, not 0.9965."""
     log = getattr(q, "context", math).log
-    return sum(-e * log(_qprod([a], [], r, tiny, what)) for a, r, e in _symbols(CORNER_PRODUCT, q))
+    families = lambert_families(*CORNER_LAMBERT)
+    return sum(e * log(_qprod([a], [], r, tiny, what)) for a, r, e in _symbols(families, q))
 
 
 # ----------------------------------------------------------------------------
@@ -172,8 +176,7 @@ CORNER_LAMBERT = (((-1, 4, 0), (-4, 8, 0), (-1, 12, 0)), 16, -1)
 BULK_ISOTROPIC_LAMBERT = (((2, 2, 0), (-2, 6, 0)), 4, +1)
 SURFACE_ISOTROPIC_LAMBERT = (((1, 2, 0), (-2, 6, 0), (1, 10, 0)), 8, +1)
 
-# the exact product forms, as families (sdeg, t0deg, tstep, expo) of ``log_product``
-CORNER_PRODUCT = ((0, 4, 16, -1), (0, 8, 16, -4), (0, 12, 16, -1))  # exp(-f_c)
+# f_sp's lam - u image as families (sdeg, t0deg, tstep, expo) of ``log_product``
 SURFACE_H_IMAGE_PRODUCT = ((1, 14, 16, 1), (1, 10, 16, 1), (1, 2, 16, -1), (1, 6, 16, -1))  # exp(-B(w^2/q))
 
 
@@ -211,15 +214,11 @@ def f_surface_h(sp: SpectralParams) -> float:
     return _lambert_float(SURFACE_H_LAMBERT, sp.q, sp.w2)
 
 
-def f_corner(q: float, form: str = "sum") -> float:
+def f_corner(q: float) -> float:
     """Corner free energy: a function of q alone."""
     if not 0 < q < 1:
         raise DomainError(f"q must lie in (0,1), got {q}")
-    if form == "sum":
-        return _lambert_float(CORNER_LAMBERT, q)
-    if form == "product":
-        return _corner_log(q, 1e-19, f"q = {q}")
-    raise ValueError(f"unknown form {form!r}")
+    return _lambert_float(CORNER_LAMBERT, q)
 
 
 def free_energies(sp: SpectralParams) -> FreeEnergyBundle:
@@ -334,12 +333,8 @@ def f_surface_h_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return lambert_sum(*SURFACE_H_LAMBERT, order)
 
 
-def f_corner_series(order: int = DEFAULT_ORDER, form: str = "sum") -> TruncatedSeries:
-    if form == "sum":
-        return lambert_sum(*CORNER_LAMBERT, order)
-    if form == "product":
-        return -log_product(CORNER_PRODUCT, order)
-    raise ValueError(f"unknown form {form!r}")
+def f_corner_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    return lambert_sum(*CORNER_LAMBERT, order)
 
 
 def f_bulk_isotropic_series(order: int = DEFAULT_ORDER) -> LogSeries:

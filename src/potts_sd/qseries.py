@@ -367,15 +367,6 @@ class TruncatedSeries:
         """s -> 1/s on every coefficient (the lattice-rotation image)."""
         return TruncatedSeries(self.order, {d: p.subst_s_inv() for d, p in self.coeffs.items()})
 
-    def eval_s(self, s) -> "TruncatedSeries":
-        """Substitute an exact value for s, keeping the t-grading."""
-        out = {}
-        for d, p in self.coeffs.items():
-            v = p.eval(s)
-            if v != 0:
-                out[d] = LaurentPolyS.const(v)
-        return TruncatedSeries(self.order, out)
-
     def eval(self, t, s):
         """Full evaluation (exact for int/Fraction arguments, numeric else)."""
         if isinstance(t, int):

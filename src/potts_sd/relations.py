@@ -1,13 +1,17 @@
 """Machine verification of the functional identities.
 
-Eight scalar relations tie the free energies at u to those at lam-u
+Six scalar relations tie the free energies at u to those at lam-u
 (coupling inversion) and at lam/2-u (lattice rotation):
 
     f_b(u) + f_b(lam-u) = -log xi(u)        f_b(u) = f_b(lam/2-u)
     f_s(u) + f_s(lam-u) = 0                 f_s(u) = f_sp(lam/2-u)
     f_sp(lam-u) - f_sp(u) = log[Delta(lam-u)/Delta(u)]
                                             f_sp(u) = f_s(lam/2-u)
-    f_c(u) = f_c(lam-u)                     f_c(u) = f_c(lam/2-u)
+
+f_c's two, f_c(u) = f_c(lam-u) = f_c(lam/2-u), say that f_c depends on q
+alone; the closed form's f_c has no s to move, so they are checked where
+they can fail, on the lattice (``corner_constant``): the extracted f_c
+must be s-free and equal the closed form.
 
 xi is negative in the strip, so every log above is asserted in its
 exponentiated (multiplicative) form, where the identity is literally true
@@ -30,12 +34,10 @@ by w^2 -> q^2/w^2.  f_sp's image, whose mapped list does not truncate, is
 its product continuation; that product's one non-truncating factor,
 1 - w^2/q, joins the row's rational factor.
 
-``ROWS`` lists every row ``verify`` prints, with its ring, tolerance and
-whether it is structural.  The group functions below measure ``Defect``s,
-building their shared inputs once; ``run_rows`` runs them all, and
-``report`` applies a row's tolerance.  A structural row holds by
-construction: f_c depends on q alone, so ``rotation_corner`` compares f_c
-with itself.  It is printed, marked, and left out of ``all_passed``.
+``ROWS`` lists every row ``verify`` prints, with its ring and tolerance.
+The group functions below measure ``Defect``s, building their shared
+inputs once, and a ``Defect`` reads its tolerance from ``ROWS``;
+``run_rows`` runs them all.
 """
 
 from __future__ import annotations
@@ -63,33 +65,30 @@ from .qseries import lambert_sum
 
 NUMERIC_TOL = 1e-11
 
-# (identity, ring) -> (tol, structural), in the order ``verify`` prints the rows
+# (identity, ring) -> tol, in the order ``verify`` prints the rows
 ROWS = {
-    ("transfer_inversion", "float"): (NUMERIC_TOL, False),
-    ("combined_transfer_inversion", "float"): (NUMERIC_TOL, False),
-    ("inversion_bulk", "float"): (NUMERIC_TOL, False),
-    ("inversion_surface_v", "float"): (NUMERIC_TOL, False),
-    ("inversion_surface_h", "float"): (NUMERIC_TOL, False),
-    ("inversion_corner", "float"): (NUMERIC_TOL, False),
-    ("rotation_bulk", "float"): (NUMERIC_TOL, False),
-    ("rotation_surface_sv", "float"): (NUMERIC_TOL, False),
-    ("rotation_surface_hs", "float"): (NUMERIC_TOL, False),
-    ("rotation_corner", "float"): (NUMERIC_TOL, True),
-    ("inversion_bulk", "series"): (0.0, False),
-    ("inversion_surface_v", "series"): (0.0, False),
-    ("inversion_surface_h", "series"): (0.0, False),
-    ("inversion_corner", "series"): (0.0, False),
-    ("rotation_bulk", "series"): (0.0, False),
-    ("rotation_surface_sv", "series"): (0.0, False),
-    ("rotation_surface_hs", "series"): (0.0, False),
-    ("rotation_corner", "series"): (0.0, True),
-    ("corner_constant", "series"): (0.0, False),
+    ("transfer_inversion", "float"): NUMERIC_TOL,
+    ("combined_transfer_inversion", "float"): NUMERIC_TOL,
+    ("inversion_bulk", "float"): NUMERIC_TOL,
+    ("inversion_surface_v", "float"): NUMERIC_TOL,
+    ("inversion_surface_h", "float"): NUMERIC_TOL,
+    ("rotation_bulk", "float"): NUMERIC_TOL,
+    ("rotation_surface_sv", "float"): NUMERIC_TOL,
+    ("rotation_surface_hs", "float"): NUMERIC_TOL,
+    ("inversion_bulk", "series"): 0.0,
+    ("inversion_surface_v", "series"): 0.0,
+    ("inversion_surface_h", "series"): 0.0,
+    ("rotation_bulk", "series"): 0.0,
+    ("rotation_surface_sv", "series"): 0.0,
+    ("rotation_surface_hs", "series"): 0.0,
+    ("corner_constant", "series"): 0.0,
 }
 
 
 @dataclass
 class Defect:
-    """One row as its group function measures it, before its tolerance."""
+    """One row as its group function measures it, passed when the defect is
+    within its row's tolerance in ``ROWS`` and ``side_ok``."""
 
     identity: str
     ring: str
@@ -98,40 +97,27 @@ class Defect:
     details: dict = field(default_factory=dict)
     side_ok: bool = True  # the row's conditions that have no defect of their own
 
+    @property
+    def tol(self) -> float:
+        return ROWS[self.identity, self.ring]
 
-@dataclass
-class IdentityReport:
-    identity: str
-    points: list
-    max_defect: float
-    tol: float
-    passed: bool
-    ring: str
-    details: dict = field(default_factory=dict)
-    structural: bool = False
+    @property
+    def passed(self) -> bool:
+        return self.max_defect <= self.tol and self.side_ok
 
     def to_json_dict(self) -> dict:
         return {
             "identity": self.identity,
             "points": self.points,
-            "max_defect": self.max_defect,
+            "max_defect": float(self.max_defect),
             "tol": self.tol,
             "passed": self.passed,
             "ring": self.ring,
             "details": {k: str(v) for k, v in self.details.items()},
-            **({"structural": True} if self.structural else {}),
         }
 
 
-def report(d: Defect) -> IdentityReport:
-    """``d`` against the tolerance of its row in ``ROWS``."""
-    tol, structural = ROWS[d.identity, d.ring]
-    return IdentityReport(
-        d.identity, d.points, float(d.max_defect), tol, d.max_defect <= tol and d.side_ok, d.ring, d.details, structural
-    )
-
-
-def run_rows(order: int) -> list[IdentityReport]:
+def run_rows(order: int) -> list[Defect]:
     """Every row of ``ROWS``, in order; the series rows run through t^order
     and the lattice row through t^min(order, 12)."""
     # a self-dual point at integer Q, so sp and the spin matrices agree
@@ -143,9 +129,10 @@ def run_rows(order: int) -> list[IdentityReport]:
         *verify_free_energy_relations_series(order),
         verify_fc_constant(min(order, 12)),
     ]
-    # a defect outside ROWS, or a row no group measured, is a KeyError
-    reports = {(d.identity, d.ring): report(d) for d in defects}
-    return [reports[row] for row in ROWS]
+    measured = {(d.identity, d.ring): d for d in defects}
+    if measured.keys() != ROWS.keys():
+        raise KeyError(f"measured rows and ROWS differ in {measured.keys() ^ ROWS.keys()}")
+    return [measured[row] for row in ROWS]
 
 
 def default_grid():
@@ -251,20 +238,16 @@ def _numeric_defects(sp: SpectralParams) -> dict:
     rhs = cf.exp_minus_f_surface_h(q, w2i) * dli
     out["inversion_surface_h"] = abs(lhs / rhs - 1)
 
-    # f_c depends on q alone, so u -> lam-u leaves it fixed; check its sum against its product
-    out["inversion_corner"] = abs(cf.f_corner(q) - cf.f_corner(q, "product"))
-
     rot = rotation_image(sp)
     fb, fs, fsp = cf.f_bulk(sp), cf.f_surface_v(sp), cf.f_surface_h(sp)
     out["rotation_bulk"] = abs(fb - cf.f_bulk(rot)) / max(abs(fb), 1e-300)
     out["rotation_surface_sv"] = abs(fs - cf.f_surface_h(rot)) / max(abs(fs), 1e-300)
     out["rotation_surface_hs"] = abs(fsp - cf.f_surface_v(rot)) / max(abs(fsp), 1e-300)
-    out["rotation_corner"] = 0.0  # structural: f_c(q) against itself
     return out
 
 
 def verify_free_energy_relations_numeric() -> list[Defect]:
-    """All eight relations on the ``default_grid`` of (q, u/lam) points, in
+    """All six relations on the ``default_grid`` of (q, u/lam) points, in
     exponentiated forms; a point where any of them meets a pole is skipped."""
     worst = {}
     used = []
@@ -292,7 +275,7 @@ def _inversion_lambert(lambert):
 
 
 def verify_free_energy_relations_series(order: int = 24) -> list[Defect]:
-    """The eight relations as exact coefficient identities.
+    """The six relations as exact coefficient identities.
 
     Rotation is s -> 1/s on the series; inversion identities are asserted
     multiplicatively, with the rational factors built by the same ``params``
@@ -303,7 +286,6 @@ def verify_free_energy_relations_series(order: int = 24) -> list[Defect]:
     fb = cf.f_bulk_series(order)
     fs = cf.f_surface_v_series(order)
     fsp = cf.f_surface_h_series(order)
-    fc = cf.f_corner_series(order)
     diffs = {}
 
     # inversion, bulk: F(u) F(lam-u) (xi - Q + 1) = xi, with
@@ -328,17 +310,11 @@ def verify_free_energy_relations_series(order: int = 24) -> list[Defect]:
     )
     diffs["inversion_surface_h"] = (-fsp).exp() - rhs
 
-    # inversion, corner: f_c depends on q alone (s-free series); the Lambert
-    # sum must equal minus the log of the inverted product
-    diffs["inversion_corner"] = fc - cf.f_corner_series(order, "product")
-
     diffs["rotation_bulk"] = fb.series.subst_s_inv() - fb.series
     diffs["rotation_surface_sv"] = fsp.subst_s_inv() - fs
     diffs["rotation_surface_hs"] = fs.subst_s_inv() - fsp
-    diffs["rotation_corner"] = fc.subst_s_inv() - fc  # structural: fc is s-free
-    details = {"inversion_corner": {"s_free": fc.s_free()}}
     return [
-        Defect(k, "series", [{"order": order}], 0.0 if d.order >= order and d.is_zero() else 1.0, details.get(k, {}))
+        Defect(k, "series", [{"order": order}], 0.0 if d.order >= order and d.is_zero() else 1.0)
         for k, d in diffs.items()
     ]
 

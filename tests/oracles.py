@@ -31,7 +31,7 @@ from potts_sd.closedform import _qprod
 from potts_sd.errors import ConvergenceError, DomainError, SizeGuardError, TruncationError
 from potts_sd.lattice import LatticeSpec
 from potts_sd.params import SpectralParams, _exp_K1, _exp_K2, couplings
-from potts_sd.qseries import DEFAULT_ORDER, TruncatedSeries, log_geometric_inverse
+from potts_sd.qseries import DEFAULT_ORDER, LaurentPolyS, TruncatedSeries, log_geometric_inverse
 
 BRUTE_FORCE_MAX_CONFIGS = 2_100_000
 FK_MAX_EDGES = 24
@@ -466,6 +466,13 @@ def dominant_eigenvalue(mat: np.ndarray) -> float:
     return float(v.real)
 
 
+def power_law_limit(rows) -> float:
+    """The f of f_N = f + b/N^2 + c/N^3 solved on the last three of the
+    ``bethe.surface_convergence`` rows: a Richardson extrapolation."""
+    m = np.array([[1.0, r.N**-2.0, r.N**-3.0] for r in rows[-3:]])
+    return float(np.linalg.solve(m, np.array([r.f_s_N for r in rows[-3:]]))[0])
+
+
 # ----------------------------------------------------------------------------
 # exact points, the coupling duality, the Bethe start, a direct series inverse
 # and a direct product expansion
@@ -571,6 +578,16 @@ def expand_product(factors, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return out
 
 
+def eval_s(series: TruncatedSeries, s) -> TruncatedSeries:
+    """``series`` with an exact value substituted for s, keeping the t-grading."""
+    out = {}
+    for d, p in series.coeffs.items():
+        v = p.eval(s)
+        if v != 0:
+            out[d] = LaurentPolyS.const(v)
+    return TruncatedSeries(series.order, out)
+
+
 # ----------------------------------------------------------------------------
 # the Lambert sums by their double loop, and the hand-typed product forms
 # ----------------------------------------------------------------------------
@@ -639,6 +656,11 @@ def typed_exp_minus_f_surface_v(q: float, w2: float) -> float:
 
 def typed_exp_minus_f_surface_h(q: float, w2: float) -> float:
     return _expB(q * w2, q) / _expB(q / w2, q)
+
+
+# VJ's corner product, exp(-f_c) = 1 / prod_k (1-q^{4k-3})(1-q^{4k-2})^4 (1-q^{4k-1}),
+# as the families (sdeg, t0deg, tstep, expo) of ``qseries.log_product``
+CORNER_PRODUCT = ((0, 4, 16, -1), (0, 8, 16, -4), (0, 12, 16, -1))
 
 
 def typed_corner_log(q, tiny, what: str):

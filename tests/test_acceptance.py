@@ -32,8 +32,10 @@ from oracles import (
     _apply_t2,
     dominant_eigenvalue,
     double_row_matrix,
+    eval_s,
     fk_partition,
     potts_bruteforce,
+    power_law_limit,
     sector_states,
     sixvertex_partition,
 )
@@ -116,8 +118,8 @@ def test_criterion_03_corner_properties(gate_bundle):
 
 
 def test_criterion_04_isotropic_agreement(gate_bundle):
-    assert gate_bundle.f_b.series.eval_s(1) == cf.f_bulk_isotropic_series(GATE_ORDER).series
-    assert gate_bundle.f_s.eval_s(1) == cf.f_surface_isotropic_series(GATE_ORDER)
+    assert eval_s(gate_bundle.f_b.series, 1) == cf.f_bulk_isotropic_series(GATE_ORDER).series
+    assert eval_s(gate_bundle.f_s, 1) == cf.f_surface_isotropic_series(GATE_ORDER)
     report(4, "s=1 series equal the isotropic product expansions exactly")
 
 
@@ -183,7 +185,7 @@ def test_criterion_06_surface_convergence_attainable():
     devs = [abs(r.deviation) for r in tab.rows]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     assert 0.3 < devs[-1] * 144 < 0.6  # ~0.48/N^2
-    assert abs(tab.extrapolated_power - tab.f_s_closed) <= 2e-4
+    assert abs(power_law_limit(tab.rows) - tab.f_s_closed) <= 2e-4
     report(6, "geometric + 1e-6 at q=0.02 (s=1,2); 1/N^2 law and extrapolation at q=0.2")
 
 
@@ -198,17 +200,17 @@ def test_criterion_06_as_stated():
 # -- 7: identity suite ----------------------------------------------------------
 
 def test_criterion_07_identity_suite():
-    for r in map(relations.report, relations.verify_free_energy_relations_series(20)):
+    for r in relations.verify_free_energy_relations_series(20):
         assert r.passed, r.identity
-    for r in map(relations.report, relations.verify_free_energy_relations_numeric()):
+    for r in relations.verify_free_energy_relations_numeric():
         assert r.passed and r.max_defect <= 1e-11, (r.identity, r.max_defect)
     # the matrix identities at self-dual points with integer Q, the couplings checked at lam - u
     for Q in (5, 6, 7):
         sp = relations._sp_from(solve_q_from_Q(Q), 0.3)
-        for r in map(relations.report, (relations.verify_matrix_inversion(3, Q, sp), relations.verify_VV(2, Q, sp))):
+        for r in (relations.verify_matrix_inversion(3, Q, sp), relations.verify_VV(2, Q, sp)):
             assert r.passed and r.max_defect <= 1e-11, (Q, r.identity, r.max_defect)
             assert r.details["inversion_image_defect"] <= 1e-11
-    report(7, "8 relations exact-series + 1e-11 numeric; matrix identities at self-dual Q = 5, 6, 7 to 1e-11")
+    report(7, "6 relations exact-series + 1e-11 numeric; matrix identities at self-dual Q = 5, 6, 7 to 1e-11")
 
 
 # -- 8: inversion-derived coefficients ------------------------------------------

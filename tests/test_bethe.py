@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dominant_eigenvalue, double_row_matrix, limit_eigenvalue
+from oracles import dominant_eigenvalue, double_row_matrix, limit_eigenvalue, power_law_limit
 from potts_sd import bethe, closedform
 from potts_sd.errors import ConvergenceError, DomainError
 from potts_sd.params import SpectralParams, couplings
@@ -223,7 +223,7 @@ def test_surface_convergence_effectively_critical_regime():
     devs = [abs(r.deviation) for r in tab.rows]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     assert 0.2 < devs[-1] * 81 < 0.8  # ~ 0.5/N^2 at N = 9
-    assert abs(tab.extrapolated_power - tab.f_s_closed) < 0.2 * devs[-1]
+    assert abs(power_law_limit(tab.rows) - tab.f_s_closed) < 0.2 * devs[-1]
 
 
 def test_surface_convergence_exponential_regime():

@@ -109,6 +109,18 @@ def test_verify_exit_zero_when_all_pass(capsys):
         assert d["all_passed"] is True
 
 
+def test_bethe_convergence_prints_falling_deviations(capsys):
+    # q = 0.02 is deep in the exponential regime: |f_s^(N) - f_s| falls geometrically
+    code, out = run(capsys, "bethe", "--q", "0.02", "--s", "1", "--N", "8", "--convergence")
+    assert code == 0
+    conv = json.loads(out)["surface_convergence"]
+    assert sorted(conv) == ["decay_rate", "extrapolated", "f_s_closed", "rows"]
+    devs = [abs(r["deviation"]) for r in conv["rows"]]
+    assert [r["N"] for r in conv["rows"]] == list(range(2, 9))
+    assert all(a > b for a, b in zip(devs, devs[1:]))
+    assert conv["decay_rate"] < 0.5
+
+
 def test_critical_subcommand(capsys):
     code, out = run(capsys, "critical", "--eps", "0.05")
     assert code == 0

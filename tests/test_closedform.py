@@ -14,7 +14,7 @@ from potts_sd import closedform as cf
 from potts_sd.errors import ConvergenceError, DomainError, TruncationError
 from potts_sd.params import SpectralParams, _Q, _delta, _exp_K2, _xi
 from potts_sd.relations import _sp_from, default_grid
-from potts_sd.qseries import LaurentPolyS, TruncatedSeries
+from potts_sd.qseries import LaurentPolyS, TruncatedSeries, lambert_families, log_product
 
 POINTS = [(0.2, 1.0), (0.15, 1.7), (0.3, 0.8), (0.25, 0.6)]
 
@@ -34,7 +34,7 @@ def test_surface_two_representations(q, s):
 
 
 def test_corner_two_representations():
-    a, b = cf.f_corner(0.3), cf.f_corner(0.3, form="product")
+    a, b = cf.f_corner(0.3), cf._corner_log(0.3, 1e-19, "q = 0.3")
     assert b == pytest.approx(a, rel=1e-13)
 
 
@@ -42,9 +42,9 @@ def test_corner_product_stops_at_the_float_range():
     # near q = 1 the float products of exp(f_c) shrink towards the float range:
     # inside it the product form matches the sum, beyond it (q > 0.9994) it is
     # refused instead of returning a value that lost its digits
-    assert cf.f_corner(0.999, form="product") == pytest.approx(cf.f_corner(0.999), rel=1e-12)
+    assert cf._corner_log(0.999, 1e-19, "q = 0.999") == pytest.approx(cf.f_corner(0.999), rel=1e-12)
     with pytest.raises(DomainError, match="below the smallest float"):
-        cf.f_corner(0.9995, form="product")
+        cf._corner_log(0.9995, 1e-19, "q = 0.9995")
 
 
 def test_surface_vanishes_at_w2_equals_q():
@@ -109,10 +109,10 @@ def test_corner_product_matches_the_typed_symbols():
     # random float q can differ in the last bit (7 in 20000 on glibc), where
     # the symbol q**2.0 (C pow) rounds apart from the typed q*q
     for q in [q for q, _ in default_grid()] + [k / 100 for k in range(1, 100)] + [0.999]:
-        assert cf.f_corner(q, "product") == oracles.typed_corner_log(q, 1e-19, f"q = {q}"), q
+        assert cf._corner_log(q, 1e-19, "") == oracles.typed_corner_log(q, 1e-19, ""), q
     rng = random.Random(20161)
     for q in (rng.uniform(0.001, 0.999) for _ in range(2000)):
-        assert cf.f_corner(q, "product") == pytest.approx(oracles.typed_corner_log(q, 1e-19, ""), rel=1e-15), q
+        assert cf._corner_log(q, 1e-19, "") == pytest.approx(oracles.typed_corner_log(q, 1e-19, ""), rel=1e-15), q
     for eps in (0.005, 0.011, 0.02, 0.05, 0.1, 0.5, 1.0, 2.0):
         with mpmath.workprec(128):
             qm = mpmath.exp(-2 * mpmath.pi * mpmath.mpf(eps))
@@ -153,7 +153,16 @@ def test_series_two_representations():
     for T in (12, 20):
         assert cf.f_bulk_series(T) == cf.f_bulk_series(T, form="coupling")
         assert cf.f_surface_v_series(T) == cf.f_surface_v_series(T, form="log")
-        assert cf.f_corner_series(T) == cf.f_corner_series(T, form="product")
+
+
+def test_corner_list_is_vjs_product():
+    # f_c has one list; VJ's product, typed in the oracles, is its families negated
+    assert [(b, t0, tstep, -e) for b, t0, tstep, e in lambert_families(*cf.CORNER_LAMBERT)] == list(
+        oracles.CORNER_PRODUCT
+    )
+    for T in range(1, 61):
+        got = -log_product(oracles.CORNER_PRODUCT, T)
+        assert got.to_json_dict() == cf.f_corner_series(T).to_json_dict(), T
 
 
 def test_series_rotation_covariance():
@@ -189,8 +198,8 @@ def test_corner_vanishes_at_small_q():
 
 def test_vj_isotropic_series():
     T = 24
-    assert cf.f_bulk_series(T).series.eval_s(1) == cf.f_bulk_isotropic_series(T).series
-    assert cf.f_surface_v_series(T).eval_s(1) == cf.f_surface_isotropic_series(T)
+    assert oracles.eval_s(cf.f_bulk_series(T).series, 1) == cf.f_bulk_isotropic_series(T).series
+    assert oracles.eval_s(cf.f_surface_v_series(T), 1) == cf.f_surface_isotropic_series(T)
 
 
 def test_inversion_derivation_bulk_coefficients():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import expand_product, geometric_inverse, lambert_sum_loop
+from oracles import CORNER_PRODUCT, expand_product, geometric_inverse, lambert_sum_loop
 from potts_sd import closedform as cf
 from potts_sd import relations
 from potts_sd.closedform import rational_series
@@ -219,7 +219,7 @@ def test_corner_product_log_equals_sum():
 def test_log_product_equals_the_log_of_the_expanded_product():
     # both of closedform's product forms, coefficients and order, at every T
     for T in range(1, 61):
-        for families in (cf.CORNER_PRODUCT, cf.SURFACE_H_IMAGE_PRODUCT):
+        for families in (CORNER_PRODUCT, cf.SURFACE_H_IMAGE_PRODUCT):
             prod = expand_product([(1, *f) for f in families], T)
             got = log_product(families, T)
             assert got.to_json_dict() == prod.log().to_json_dict(), (families, T)

@@ -23,21 +23,20 @@ SELF_DUAL = {Q: relations._sp_from(solve_q_from_Q(Q), f) for Q, f in ((5, 0.3), 
 
 def test_matrix_inversion_float_with_consistent_sp():
     for Q, sp in SELF_DUAL.items():
-        r = relations.report(relations.verify_matrix_inversion(3, Q, sp))
+        r = relations.verify_matrix_inversion(3, Q, sp)
         assert r.passed and r.max_defect <= 1e-11, (Q, r)
         assert r.details["inversion_image_defect"] <= 1e-11
 
 
 def test_matrix_inversion_rejects_inconsistent_sp():
     # Q = 6 at the Q = 5 point: e^{K2(lam-u)} = 2 - Q - e^{K2(u)} misses the couplings at lam - u
-    for d in (relations.verify_matrix_inversion(2, 6, SELF_DUAL[5]), relations.verify_VV(2, 6, SELF_DUAL[5])):
-        r = relations.report(d)
+    for r in (relations.verify_matrix_inversion(2, 6, SELF_DUAL[5]), relations.verify_VV(2, 6, SELF_DUAL[5])):
         assert not r.passed and r.details["inversion_image_defect"] > 1e-3, r
 
 
 def test_vv_float_and_eigen_corollary():
     for Q, sp in SELF_DUAL.items():
-        r = relations.report(relations.verify_VV(2, Q, sp))
+        r = relations.verify_VV(2, Q, sp)
         assert r.passed and r.max_defect <= 1e-11, (Q, r)
         assert r.details["eigen_corollary_defect"] <= 1e-10
         assert r.details["xi_sign_alternates"]
@@ -55,21 +54,21 @@ def test_vv_eigenvalue_pairing_detail():
 
 
 def test_numeric_grid_all_pass():
-    reports = [relations.report(d) for d in relations.verify_free_energy_relations_numeric()]
-    assert len(reports) == 8
-    for r in reports:
+    rows = relations.verify_free_energy_relations_numeric()
+    assert len(rows) == 6
+    for r in rows:
         assert r.passed, (r.identity, r.max_defect)
         assert r.max_defect <= 1e-11
 
 
 def test_series_relations_all_pass():
-    for r in map(relations.report, relations.verify_free_energy_relations_series(20)):
+    for r in relations.verify_free_energy_relations_series(20):
         assert r.passed, r.identity
         assert r.ring == "series"
 
 
 def test_fc_constant_report(gate_logz_table):
-    rep = relations.report(relations.verify_fc_constant(16, table=gate_logz_table))
+    rep = relations.verify_fc_constant(16, table=gate_logz_table)
     assert rep.passed
     assert rep.details["s_free"] and rep.details["matches_closed_form"]
 
@@ -91,27 +90,37 @@ def test_default_grid_shape():
     assert relations.default_grid() == pts
 
 
-STRUCTURAL = {row for row, (_, structural) in relations.ROWS.items() if structural}
-
-
 def test_identity_report_json():
-    r = relations.report(relations.verify_matrix_inversion(2, 5, SELF_DUAL[5]))
-    d = r.to_json_dict()
-    assert d["identity"] == "transfer_inversion"
-    assert d["passed"] is True
-    # the structural marker is on the structural rows and on no other
-    marked = {(r.identity, r.ring) for r in relations.run_rows(8) if r.to_json_dict().get("structural") is True}
-    assert marked == STRUCTURAL == {("rotation_corner", F), ("rotation_corner", S)}
+    d = relations.verify_matrix_inversion(2, 5, SELF_DUAL[5]).to_json_dict()
+    assert list(d) == ["identity", "points", "max_defect", "tol", "passed", "ring", "details"]
+    assert d["identity"] == "transfer_inversion" and d["ring"] == F
+    assert d["tol"] == relations.NUMERIC_TOL and d["passed"] is True
+    # every row reads its tolerance from ROWS and prints the same keys
+    rows = relations.run_rows(8)
+    assert [(r.identity, r.ring) for r in rows] == list(relations.ROWS)
+    assert all(r.to_json_dict()["tol"] == relations.ROWS[r.identity, r.ring] for r in rows)
+    assert all(list(r.to_json_dict()) == list(d) for r in rows)
+
+
+def test_a_defect_passes_within_its_rows_tolerance():
+    row = ("inversion_bulk", F)
+    assert relations.Defect(*row, [], relations.NUMERIC_TOL).passed
+    assert not relations.Defect(*row, [], 2 * relations.NUMERIC_TOL).passed
+    assert not relations.Defect(*row, [], 0.0, side_ok=False).passed
+    # a series row tolerates no defect at all
+    assert not relations.Defect("inversion_bulk", S, [], 1e-300).passed
+    with pytest.raises(KeyError):
+        relations.Defect("inversion_corner", F, [], 0.0).passed
 
 
 def test_verify_csv_parses(capsys):
     assert cli.main(["verify", "--order", "8", "--format", "csv"]) == 0
     reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
     rows = list(reader)
-    assert len(rows) == len(relations.ROWS) == 19
-    assert "structural" in reader.fieldnames
+    assert len(rows) == len(relations.ROWS) == 15
+    assert sorted(reader.fieldnames) == ["details", "identity", "max_defect", "passed", "points", "ring", "tol"]
     assert all(list(row) == reader.fieldnames and None not in row.values() for row in rows)
-    assert {(r["identity"], r["ring"]) for r in rows if r["structural"]} == STRUCTURAL
+    assert all(row["passed"] == "True" for row in rows)
 
 
 # ----------------------------------------------------------------------------
@@ -137,20 +146,6 @@ def _xi_off(mp):
         return eK1i, eK2i, x * (1 + 1e-9)
 
     mp.setattr(relations, "_dual_values", off)
-
-
-def _product_form_off(name, shift):
-    """closedform's ``name(x, form)`` with its product form off by ``shift(x)``."""
-
-    def patch(mp):
-        exact = getattr(cf, name)
-
-        def off(x, form="sum"):
-            return exact(x, form) + shift(x) if form == "product" else exact(x, form)
-
-        mp.setattr(cf, name, off)
-
-    return patch
 
 
 def _bump_first_entry(name):
@@ -229,22 +224,8 @@ FAULTS = [
     ("surface-v-product-1e-9", 8, _scaled(cf, "exp_minus_f_surface_v", 1 + 1e-9), {("inversion_surface_v", F)}),
     # a constant factor in e^{-f_sp} cancels from its inversion row; Delta's does not
     ("delta-1e-9", 8, _scaled(relations, "delta", 1 + 1e-9), {("inversion_surface_h", F)}),
-    ("corner-product-1e-9", 12, _product_form_off("f_corner", lambda q: 1e-9), {("inversion_corner", F)}),
-    (
-        "corner-product-t8",
-        12,
-        _product_form_off("f_corner_series", lambda order: TruncatedSeries.term(1, 8, 0, order=order)),
-        {("inversion_corner", S)},
-    ),
-    # the product forms are data too: one wrong exponent, which the float
-    # corner log reads as well, or a family moved from t^14 to t^30, which
-    # --order 12 cannot see
-    (
-        "CORNER_PRODUCT",
-        12,
-        _family("CORNER_PRODUCT", 1, (0, 8, 16, -3)),
-        {("inversion_corner", F), ("inversion_corner", S)},
-    ),
+    # the image's product form is data too: a family moved from t^14 to
+    # t^30, which --order 12 cannot see
     (
         "SURFACE_H_IMAGE_PRODUCT-t30",
         24,
@@ -306,12 +287,7 @@ FAULTS = [
         _bump_first_entry("SURFACE_H_LAMBERT"),
         {("inversion_surface_h", F), ("inversion_surface_h", S), *ROTATION_SURFACE, ("corner_constant", S)},
     ),
-    (
-        "CORNER_LAMBERT",
-        12,
-        _bump_first_entry("CORNER_LAMBERT"),
-        {("inversion_corner", F), ("inversion_corner", S), ("corner_constant", S)},
-    ),
+    ("CORNER_LAMBERT", 12, _bump_first_entry("CORNER_LAMBERT"), {("corner_constant", S)}),
     *[(f"lattice-{e}", 12, _lattice_shift(e), {("corner_constant", S)}) for e in ("f_b", "f_s", "f_sp", "f_c")],
 ]
 
@@ -324,7 +300,5 @@ def test_a_fault_fails_exactly_its_rows(monkeypatch, capsys, order, perturb, fai
     assert {(r["identity"], r["ring"]) for r in rows if not r["passed"]} == failing
 
 
-def test_every_row_is_structural_or_a_fault_target():
-    targets = set().union(*(f[3] for f in FAULTS))
-    assert not targets & STRUCTURAL
-    assert targets | STRUCTURAL == set(relations.ROWS)
+def test_every_row_is_a_fault_target():
+    assert set().union(*(f[3] for f in FAULTS)) == set(relations.ROWS)
