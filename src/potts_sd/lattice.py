@@ -453,6 +453,7 @@ def _spin_dim(N: int, Q: int) -> int:
 
 
 def _t1_diagonal(N: int, Q: int, eK1: float) -> np.ndarray:
+    """The diagonal of the K1 row factor T1: exp(K1 * equal horizontal pairs)."""
     states = np.arange(_spin_dim(N, Q))
     digits = (states[:, None] // (Q ** np.arange(N))[None, :]) % Q
     eq = (digits[:, :-1] == digits[:, 1:]).sum(axis=1)
@@ -502,11 +503,6 @@ def potts_transfer_V(N: int, Q: int, eK1, eK2, *, allow_complex: bool = False) -
     """
     S = _kron_power(_site_sqrt(Q, eK2, allow_complex), N)
     return S @ (_t1_diagonal(N, Q, eK1)[:, None] * S)
-
-
-def potts_transfer_T1(N: int, Q: int, eK1) -> np.ndarray:
-    """The diagonal K1 row factor: exp(K1 * equal horizontal pairs)."""
-    return np.diag(_t1_diagonal(N, Q, eK1))
 
 
 def potts_transfer_T2(N: int, Q: int, eK2) -> np.ndarray:

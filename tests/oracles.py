@@ -14,7 +14,8 @@ of ``qseries.log_product``.  ``lambert_sum_loop`` expands a Lambert sum
 by its double loop, and the ``typed_*`` continuations and the corner log
 take their q-Pochhammer symbols as typed by hand: the references of
 ``qseries.lambert_sum`` and of ``closedform``'s product forms, which read
-both off the Lambert lists.
+both off the Lambert lists.  ``potts_transfer_T1`` is the dense diagonal
+row factor whose product ``verify`` checks on the diagonal alone.
 """
 
 from __future__ import annotations
@@ -464,6 +465,11 @@ def dominant_eigenvalue(mat: np.ndarray) -> float:
     if abs(v.imag) > 1e-9 * max(1.0, abs(v.real)):
         raise ConvergenceError("dominant eigenvalue is not real")
     return float(v.real)
+
+
+def potts_transfer_T1(N: int, Q: int, eK1) -> np.ndarray:
+    """The dense K1 row factor: exp(K1 * equal horizontal pairs) on the diagonal."""
+    return np.diag(lattice._t1_diagonal(N, Q, eK1))
 
 
 def power_law_limit(rows) -> float:

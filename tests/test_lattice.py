@@ -31,7 +31,6 @@ from potts_sd.lattice import (
     extract_free_energies,
     extraction_table,
     max_eigenvalue,
-    potts_transfer_T1,
     potts_transfer_T2,
     potts_transfer_V,
     series_logZ,
@@ -496,7 +495,7 @@ def test_transfer_matrices_guard_the_spin_dimension():
     with pytest.raises(SizeGuardError):
         potts_transfer_V(8, 3, 1.8, 1.5)
     with pytest.raises(SizeGuardError):
-        potts_transfer_T1(8, 3, 1.8)
+        lattice._t1_diagonal(8, 3, 1.8)
 
 
 def test_max_eigenvalue_rejects_a_non_symmetric_matrix():

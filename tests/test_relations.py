@@ -5,12 +5,19 @@ import csv
 import functools
 import io
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import potts_sd
+from oracles import potts_transfer_T1
 from potts_sd import cli, closedform as cf
 from potts_sd import relations
-from potts_sd.lattice import extraction_table, max_eigenvalue, potts_transfer_V
+from potts_sd.lattice import extraction_table, max_eigenvalue, potts_transfer_T2, potts_transfer_V
 from potts_sd.params import couplings, rotation_image, solve_q_from_Q
 from potts_sd.qseries import TruncatedSeries
 
@@ -59,6 +66,8 @@ def test_numeric_grid_all_pass():
     for r in rows:
         assert r.passed, (r.identity, r.max_defect)
         assert r.max_defect <= 1e-11
+        # no grid point meets a pole, so none is skipped
+        assert r.points == relations.default_grid()
 
 
 def test_series_relations_all_pass():
@@ -86,8 +95,40 @@ def test_default_grid_shape():
     pts = relations.default_grid()
     assert len(pts) == 30
     assert all(0.05 <= q <= 0.35 and 0.1 <= f <= 0.45 for q, f in pts)
-    # deterministic under the fixed seed
-    assert relations.default_grid() == pts
+    # the 5x5 lattice, then the five points a generator seeded with 20160704
+    # draws, pinned as literals
+    rng = np.random.default_rng(20160704)
+    drawn = [(float(rng.uniform(0.05, 0.35)), float(rng.uniform(0.10, 0.45))) for _ in range(5)]
+    lattice = [(0.05 + 0.075 * i, 0.10 + 0.0875 * j) for i in range(5) for j in range(5)]
+    assert pts == lattice + drawn
+
+
+def test_verify_loads_no_numpy_random():
+    script = textwrap.dedent(
+        """
+        import sys
+        from potts_sd import cli
+
+        assert cli.main(["verify", "--order", "8"]) == 0
+        assert "numpy.random" not in sys.modules, "verify loaded numpy.random"
+        """
+    )
+    src = str(Path(potts_sd.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=src, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_transfer_inversion_equals_the_dense_t1_product():
+    # the row reads T1's diagonal; the dense product of the two T1s gives the same defect
+    N, Q, sp = 3, 5, SELF_DUAL[5]
+    cp = couplings(sp)
+    eK1i, eK2i, xival = relations._dual_values(Q, cp.eK1, cp.eK2)
+    d1 = np.abs(potts_transfer_T1(N, Q, cp.eK1) @ potts_transfer_T1(N, Q, eK1i) - np.eye(Q**N)).max()
+    prod = potts_transfer_T2(N, Q, cp.eK2) @ potts_transfer_T2(N, Q, eK2i)
+    d2 = np.abs(prod - xival**N * np.eye(Q**N)).max() / abs(xival) ** N
+    row = relations.run_rows(8)[0]
+    assert (row.identity, row.points) == ("transfer_inversion", [{"Q": Q, "eK1": cp.eK1, "eK2": cp.eK2}])
+    assert row.max_defect == max(d1, d2) > 0
 
 
 def test_identity_report_json():
@@ -107,6 +148,9 @@ def test_a_defect_passes_within_its_rows_tolerance():
     assert relations.Defect(*row, [], relations.NUMERIC_TOL).passed
     assert not relations.Defect(*row, [], 2 * relations.NUMERIC_TOL).passed
     assert not relations.Defect(*row, [], 0.0, side_ok=False).passed
+    # a non-finite defect fails, and prints as null to keep the JSON strict
+    inf = relations.Defect(*row, [], float("inf"))
+    assert not inf.passed and inf.to_json_dict()["max_defect"] is None
     # a series row tolerates no defect at all
     assert not relations.Defect("inversion_bulk", S, [], 1e-300).passed
     with pytest.raises(KeyError):
@@ -180,6 +224,22 @@ def _family(name, i, family):
     return patch
 
 
+def _nan_at(q):
+    """``cf.exp_minus_f_bulk`` NaN at the grid point(s) with this q, unchanged elsewhere."""
+
+    def patch(mp):
+        f = cf.exp_minus_f_bulk
+        mp.setattr(cf, "exp_minus_f_bulk", lambda q_, w2: float("nan") if q_ == q else f(q_, w2))
+
+    return patch
+
+
+def _nan_t2(mp):
+    """Every entry of T2 NaN in the matrix rows."""
+    t2 = relations.potts_transfer_T2
+    mp.setattr(relations, "potts_transfer_T2", lambda *a: np.full_like(t2(*a), np.nan))
+
+
 def _image_short_of_order(mp):
     """The product form of e^{-f_sp(lam-u)} exact only through t^(T-1)."""
     full = cf.exp_minus_f_surface_h_inverted_series
@@ -220,7 +280,11 @@ FAULTS = [
         lambda mp: mp.setattr(relations, "inversion_image", rotation_image),
         {("transfer_inversion", F), ("combined_transfer_inversion", F)},
     ),
+    # a NaN at any point fails its row, in the grid and in the matrices;
+    # the last grid point's q is on no other point
+    ("transfer-T2-nan", 8, _nan_t2, {("transfer_inversion", F)}),
     ("bulk-product-1e-9", 8, _scaled(cf, "exp_minus_f_bulk", 1 + 1e-9), {("inversion_bulk", F)}),
+    ("bulk-product-nan-at-one-point", 8, _nan_at(relations.default_grid()[-1][0]), {("inversion_bulk", F)}),
     ("surface-v-product-1e-9", 8, _scaled(cf, "exp_minus_f_surface_v", 1 + 1e-9), {("inversion_surface_v", F)}),
     # a constant factor in e^{-f_sp} cancels from its inversion row; Delta's does not
     ("delta-1e-9", 8, _scaled(relations, "delta", 1 + 1e-9), {("inversion_surface_h", F)}),
@@ -292,11 +356,15 @@ FAULTS = [
 ]
 
 
+def _not_strict(token):
+    raise AssertionError(f"non-finite {token} in verify's JSON")
+
+
 @pytest.mark.parametrize("order, perturb, failing", [f[1:] for f in FAULTS], ids=[f[0] for f in FAULTS])
 def test_a_fault_fails_exactly_its_rows(monkeypatch, capsys, order, perturb, failing):
     perturb(monkeypatch)
     assert cli.main(["verify", "--order", str(order)]) == 2
-    rows = json.loads(capsys.readouterr().out)["rows"]
+    rows = json.loads(capsys.readouterr().out, parse_constant=_not_strict)["rows"]
     assert {(r["identity"], r["ring"]) for r in rows if not r["passed"]} == failing
 
 
