@@ -314,12 +314,14 @@ def _with_config(parser, args, argv):
     the user's own flags, coming later, still win."""
     try:
         with open(args.config) as fh:
-            conf = json.load(fh).items()
-    except (OSError, ValueError, AttributeError) as e:
+            conf = json.load(fh)
+    except (OSError, ValueError) as e:
         raise DomainError(f"config {args.config}: {e}") from e
+    if not isinstance(conf, dict):
+        raise DomainError(f"config {args.config}: expected a JSON object")
     takes = SUBCOMMANDS[args.command][1] + ["--out", "--format"]
     tokens = []
-    for key, value in conf:
+    for key, value in conf.items():
         flag = "--" + key.replace("_", "-")
         if flag not in takes:
             raise DomainError(f"config {args.config}: {args.command} takes no {key}")

@@ -20,11 +20,12 @@ and the pair is cross-checked by the test suite; f_sp and f_c have one:
         = log prod_k (1-q^{4k-3})(1-q^{4k-2})^4 (1-q^{4k-1})
 
 Each sum is one Lambert list, giving the exact series and the float value
-with a rigorous geometric tail bound.  Each list is also a product, whose
-exp(-f) converges in an annulus that contains both u and lam-u, which is
-what the functional-relation checks evaluate.  f_c's product above is not
-typed: it is derived from ``CORNER_LAMBERT`` (``lambert_families``), and
-evaluated as such near Q -> 4+ (``fc_asymptote``).
+with a rigorous geometric tail bound.  Each list is also a product
+(``lambert_families``): its float value (``_exp_lambert``) continues exp of
+the sum to an annulus that holds both u and lam-u, and its families mapped
+by w^2 -> q^2/w^2 are the sum at lam-u; ``relations`` checks the inversion
+relations on both.  f_c's product above is not typed: it is derived from
+``CORNER_LAMBERT``, and evaluated as such near Q -> 4+ (``fc_asymptote``).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .qseries import (
     _Ratio,
     lambert_families,
     lambert_sum,
-    log_product,
 )
 
 _SUM_RTOL = 1e-16
@@ -141,7 +141,11 @@ def _symbols(families, q, w2=1):
 
 def _exp_lambert(lambert, q: float, w2: float) -> float:
     """exp of the Lambert list's sum as the product of its ``lambert_families``,
-    which share one ratio r: one ``_qprod``, so the product stays near 1."""
+    which share one ratio r: one ``_qprod``, so the product stays near 1.
+
+    The sum converges only for q < w^2 < 1; the product continues it to the
+    annulus q^2 < w^2 < 1/q (real, possibly negative), which holds the
+    lam - u images that ``relations``' inversion rows evaluate."""
     num, den = [], []
     for a, r, e in _symbols(lambert_families(*lambert), q, w2):
         (num if e > 0 else den).extend([a] * abs(e))
@@ -163,9 +167,10 @@ def _corner_log(q, tiny, what: str):
 #
 # Each sum is written once, as the arguments (numer, denom_tstep, denom_sign)
 # of ``lambert_sum``, which expands it exactly; ``_lambert_float`` evaluates
-# it, and ``_exp_lambert`` continues exp of it.  The f'_s and isotropic lists
-# are typed out, not derived from f_s or from s = 1, so the rotation and
-# isotropic checks compare independent lists.
+# it, ``_exp_lambert`` continues exp of it, and ``relations`` maps its
+# families to lam - u.  The f'_s and isotropic lists are typed out, not
+# derived from f_s or from s = 1, so the rotation and isotropic checks
+# compare independent lists.
 
 BULK_LAMBERT = (((1, 2, 1), (-1, 6, 1), (1, 2, -1), (-1, 6, -1)), 4, +1)
 BULK_COUPLING_LAMBERT = (((1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1)), 4, +1)  # S_b
@@ -175,9 +180,6 @@ SURFACE_H_LAMBERT = (((1, 2, -1), (-1, 6, 1), (-1, 6, -1), (1, 10, 1)), 8, +1)
 CORNER_LAMBERT = (((-1, 4, 0), (-4, 8, 0), (-1, 12, 0)), 16, -1)
 BULK_ISOTROPIC_LAMBERT = (((2, 2, 0), (-2, 6, 0)), 4, +1)
 SURFACE_ISOTROPIC_LAMBERT = (((1, 2, 0), (-2, 6, 0), (1, 10, 0)), 8, +1)
-
-# f_sp's lam - u image as families (sdeg, t0deg, tstep, expo) of ``log_product``
-SURFACE_H_IMAGE_PRODUCT = ((1, 14, 16, 1), (1, 10, 16, 1), (1, 2, 16, -1), (1, 6, 16, -1))  # exp(-B(w^2/q))
 
 
 # ----------------------------------------------------------------------------
@@ -251,31 +253,6 @@ def f_surface_isotropic_product(q: float) -> float:
     """exp(-f_s) = (1-h) [(h^7;h^8)/(h^3;h^8)]^2 with h = q^{1/2}."""
     h = math.sqrt(q)
     return -math.log((1 - h) * _qprod([h**7] * 2, [h**3] * 2, q**4, 1e-19, f"q = {q}"))
-
-
-# ----------------------------------------------------------------------------
-# exponentiated product forms, valid beyond the physical strip
-# ----------------------------------------------------------------------------
-#
-# The sums above converge only for q < w^2 < 1.  The functional relations
-# pair u with lam - u, whose w^2 lies in (q^2, q), so the identity checks
-# need evaluations there.  Each Lambert list is the log of a product, a ratio
-# of q-Pochhammer symbols (``_exp_lambert``), which continues exp of the sum
-# to the annulus q^2 < w^2 < 1/q (single-valued, real, possibly negative).
-
-def exp_minus_f_bulk(q: float, w2: float) -> float:
-    """exp(-f_b) as an analytic continuation; negative for w^2 in (q^2, q)."""
-    return _exp_K1(q, w2) * _exp_K2(q, w2) * (1 + q) / _exp_lambert(BULK_COUPLING_LAMBERT, q, w2)
-
-
-def exp_minus_f_surface_v(q: float, w2: float) -> float:
-    """exp(-f_s) continued to the annulus q^2 < w^2 < 1/q."""
-    return (1 - w2) / (1 - q * q / w2) * _exp_lambert(SURFACE_LOG_LAMBERT, q, w2)
-
-
-def exp_minus_f_surface_h(q: float, w2: float) -> float:
-    """exp(-f_sp) continued; real and negative once w^2 < q."""
-    return 1 / _exp_lambert(SURFACE_H_LAMBERT, q, w2)
 
 
 # ----------------------------------------------------------------------------
@@ -356,28 +333,6 @@ def series_bundle(order: int = DEFAULT_ORDER) -> FreeEnergyBundle:
         route="closedform",
         meta={"order": order},
     )
-
-
-# -- series used by the functional-relation checks -----------------------------
-#
-# The rational factors (xi, Delta, e^{K2}) are the ``params`` formulas run
-# through ``rational_series``, and the lam - u images of S_b and log G are
-# the Lambert lists above mapped by w^2 -> q^2/w^2 (``relations``).  Only
-# f_sp's image needs a form of its own: its mapped list has the term
-# (1, -2, 1), which does not truncate.
-
-def exp_minus_f_surface_h_inverted_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """exp(-f_sp(lam-u)) / (1 - w^2/q), a power series exact through t^order.
-
-    exp(-f_sp(lam-u)) = exp(B(q^3/w^2)) * exp(-B(w^2/q)), and the second
-    factor only exists as the product (x;q^4)(xq^3;q^4) / ((xq;q^4)(xq^2;q^4))
-    with x = w^2/q.  Its first factor 1 - w^2/q = 1 - s/t^2 does not
-    truncate, so it is left out of ``SURFACE_H_IMAGE_PRODUCT``; the
-    ``inversion_surface_h`` row moves it into its rational factor.  The two
-    factors' logarithms are summed and exponentiated once.
-    """
-    b_small = lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1, order)
-    return (b_small + log_product(SURFACE_H_IMAGE_PRODUCT, order)).exp()
 
 
 # ----------------------------------------------------------------------------

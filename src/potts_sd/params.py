@@ -120,10 +120,13 @@ def _exp_K2(q, w2):
 
 
 def _xi(q, w2):
+    """xi = exp(K2(u)) exp(K2(lam-u)) + Q - 1, negative throughout the strip,
+    with a double pole at u = lam/2 (w^2 = q)."""
     return -_Q(q) * (1 - w2) * (w2 - q * q) / (w2 - q) ** 2
 
 
 def _delta(q, w2):
+    """Delta = exp(K2) + Q - 1 = 2 cosh(lam) sinh(2lam-2u)/sinh(lam-2u)."""
     return _exp_K2(q, w2) + _Q(q) - 1
 
 
@@ -148,29 +151,6 @@ def couplings(sp: SpectralParams) -> CouplingParams:
         raise ArithmeticError("rational and hyperbolic coupling routes disagree")
     x = (w2 - q) / (math.sqrt(q) * (1 - w2))
     return CouplingParams(Q=sp.Q, x=x, eK1=eK1, eK2=eK2)
-
-
-def xi(sp: SpectralParams):
-    """xi = -Q (1-w^2)(w^2-q^2)/(w^2-q)^2, negative throughout the strip.
-
-    Equals exp(K2(u)) exp(K2(lam-u)) + Q - 1; the double pole sits at
-    u = lam/2 (w^2 = q).
-    """
-    q, w2 = sp.q, sp.w2
-    _check_pole(w2, q, "u=lam/2")
-    return _xi(q, w2)
-
-
-def delta(sp: SpectralParams):
-    """Delta = exp(K2) + Q - 1 = 2 cosh(lam) sinh(2lam-2u)/sinh(lam-2u)."""
-    q, w2 = sp.q, sp.w2
-    _check_pole(w2, q, "u=lam/2")
-    val = _delta(q, w2)
-    lam, u = sp.lam, sp.u
-    hyp = 2 * math.cosh(lam) * math.sinh(2 * lam - 2 * u) / math.sinh(lam - 2 * u)
-    if abs(hyp - val) > CROSS_CHECK_RTOL * max(1.0, abs(val)):
-        raise ArithmeticError("Delta routes disagree beyond 1e-12")
-    return val
 
 
 def inversion_image(sp: SpectralParams) -> SpectralParams:

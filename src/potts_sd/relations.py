@@ -25,14 +25,15 @@ e^{K2(lam-u)} = 2 - Q - e^{K2(u)} and xi = (e^{K2(u)}-1)(e^{K2(lam-u)}-1).
 They are checked in floats at a self-dual point with integer Q, where
 the inverted couplings must also equal the couplings at lam - u.
 
-Series mode asserts the relations as exact coefficient identities on the
-(t, s) grid, every row through t^T: rotation is the substitution s -> 1/s.
-For inversion, the rational factors are the ``params`` formulas, run
-exactly and divided once (``closedform.rational_series``), and the lam-u
-images of the Lambert sums S_b and log G are their numerator lists mapped
-by w^2 -> q^2/w^2.  f_sp's image, whose mapped list does not truncate, is
-its product continuation; that product's one non-truncating factor,
-1 - w^2/q, joins the row's rational factor.
+Each inversion relation is written once, in ``INVERSION``: a Lambert list
+S of ``closedform``, two signs and a rational factor R in (q, w^2), read
+as exp(sign_u S(u) + sign_i S(lam-u)) R = 1.  Both rings evaluate that
+entry.  Floats take S's product continuation (``closedform._exp_lambert``)
+at u and at lam - u.  Series mode derives S(lam-u) from S's
+``lambert_families``, mapped by w^2 -> q^2/w^2 (``_image_families``); the
+factors of the image that do not truncate join R, which runs exactly and
+is divided once (``closedform.rational_series``).  Every series row holds
+through t^T, and rotation is the substitution s -> 1/s.
 
 ``ROWS`` lists every row ``verify`` prints, with its ring and tolerance.
 The group functions below measure ``Defect``s, building their shared
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import closedform as cf
-from .errors import PoleError
 from .lattice import (
     _t1_diagonal,
     extract_free_energies,
@@ -58,10 +58,8 @@ from .lattice import (
     max_eigenvalue,
     series_logZ,  # noqa: F401  (an alias perfbench/selftest.py checks the tracer wraps)
 )
-from .params import (
-    SpectralParams, _delta, _exp_K2, _xi, couplings, delta, inversion_image, rotation_image, solve_q_from_Q, xi
-)
-from .qseries import lambert_sum
+from .params import SpectralParams, _delta, _exp_K2, _xi, couplings, inversion_image, rotation_image, solve_q_from_Q
+from .qseries import lambert_families, lambert_sum, log_product
 
 NUMERIC_TOL = 1e-11
 
@@ -225,99 +223,106 @@ def verify_VV(N: int, Q: int, sp: SpectralParams) -> Defect:
 
 
 # ----------------------------------------------------------------------------
-# free-energy relations, numeric
+# free-energy relations
 # ----------------------------------------------------------------------------
 
-def _numeric_defects(sp: SpectralParams) -> dict:
+# identity -> (closedform's Lambert list S, sign at u, sign at lam - u, R), read as
+# exp(sign_u S(u) + sign_i S(lam-u)) R(q, w^2) = 1; R is None where it is 1.
+# R uses ``params``' raw forms, so it runs on floats and on exact series alike.
+INVERSION = {
+    # exp(-f_b) = e^{K1} e^{K2} (1+q) exp(-S_b), e^{K1(u)} e^{K1(lam-u)} = 1, and
+    # exp(-f_b(u) - f_b(lam-u)) = xi
+    "inversion_bulk": (
+        "BULK_COUPLING_LAMBERT",
+        -1,
+        -1,
+        lambda q, w2: (1 + q) ** 2 * _exp_K2(q, w2) * _exp_K2(q, q * q / w2) / _xi(q, w2),
+    ),
+    # exp(-f_s) = G (1-w^2)/(1-q^2/w^2), and the prefactor times its image is 1
+    "inversion_surface_v": ("SURFACE_LOG_LAMBERT", +1, +1, None),
+    # exp(-f_sp(u)) Delta(u) = exp(-f_sp(lam-u)) Delta(lam-u), Delta(lam-u) = 1 - e^{K2(u)}
+    "inversion_surface_h": ("SURFACE_H_LAMBERT", -1, +1, lambda q, w2: _delta(q, w2) / (1 - _exp_K2(q, w2))),
+}
+
+
+def _image_families(lambert):
+    """The Lambert list's sum at lam - u, as ``log_product`` families and
+    split factors.
+
+    w^2 -> q^2/w^2 sends s^b t^a to s^-b t^(a+4b), so each family
+    (b, t0, tstep, e) of ``lambert_families`` becomes (-b, t0 + 4b, tstep, e).
+    Its factors of t-degree <= 0 do not truncate: each is split off as
+    (sdeg, tdeg, e), the factor (1 - s^sdeg t^tdeg)^e, and the family
+    starts at its first positive degree.
+    """
+    families, split = [], []
+    for b, t0, tstep, e in lambert_families(*lambert):
+        t0 += 4 * b
+        while t0 <= 0:
+            split.append((-b, t0, e))
+            t0 += tstep
+        families.append((-b, t0, tstep, e))
+    return families, split
+
+
+def _inversion_float(sp: SpectralParams) -> dict:
+    """identity -> |exp(sign_u S(u) + sign_i S(lam-u)) R - 1| at ``sp``."""
     q, w2 = sp.q, sp.w2
-    w2i = q * q / w2  # inversion image
     out = {}
-
-    xival = xi(sp)
-    lhs = cf.exp_minus_f_bulk(q, w2) * cf.exp_minus_f_bulk(q, w2i)
-    out["inversion_bulk"] = abs(lhs / xival - 1)
-
-    lhs = cf.exp_minus_f_surface_v(q, w2) * cf.exp_minus_f_surface_v(q, w2i)
-    out["inversion_surface_v"] = abs(lhs - 1)
-
-    dl = delta(sp)
-    dli = 1 - _exp_K2(q, w2)  # Delta(lam-u) = 1 - e^{K2(u)}
-    lhs = cf.exp_minus_f_surface_h(q, w2) * dl
-    rhs = cf.exp_minus_f_surface_h(q, w2i) * dli
-    out["inversion_surface_h"] = abs(lhs / rhs - 1)
-
-    rot = rotation_image(sp)
-    fb, fs, fsp = cf.f_bulk(sp), cf.f_surface_v(sp), cf.f_surface_h(sp)
-    out["rotation_bulk"] = abs(fb - cf.f_bulk(rot)) / max(abs(fb), 1e-300)
-    out["rotation_surface_sv"] = abs(fs - cf.f_surface_h(rot)) / max(abs(fs), 1e-300)
-    out["rotation_surface_hs"] = abs(fsp - cf.f_surface_v(rot)) / max(abs(fsp), 1e-300)
+    for identity, (name, sign_u, sign_i, R) in INVERSION.items():
+        lambert = getattr(cf, name)
+        lhs = cf._exp_lambert(lambert, q, w2) ** sign_u * cf._exp_lambert(lambert, q, q * q / w2) ** sign_i
+        out[identity] = abs(lhs * (1 if R is None else R(q, w2)) - 1)
     return out
 
 
+def _inversion_series(identity: str, order: int):
+    """exp(sign_u S(u) + sign_i S(lam-u)) R - 1 through t^order, with the
+    image's split factors (``_image_families``) moved into R."""
+    name, sign_u, sign_i, R = INVERSION[identity]
+    lambert = getattr(cf, name)
+    families, split = _image_families(lambert)
+    lhs = (sign_u * lambert_sum(*lambert, order) + sign_i * log_product(families, order)).exp()
+    if R is None and not split:
+        return lhs - 1
+
+    def rhs(q, w2):
+        out = 1 if R is None else R(q, w2)
+        for b, d, e in split:  # t^d s^b = q^((d - 2b)/4) w^(2b), exact for lists in (q, w^2)
+            out = out * (1 - q ** ((d - 2 * b) // 4) * w2**b) ** (sign_i * e)
+        return out
+
+    return lhs * cf.rational_series(rhs, order) - 1
+
+
 def verify_free_energy_relations_numeric() -> list[Defect]:
-    """All six relations on the ``default_grid`` of (q, u/lam) points, in
-    exponentiated forms; a point where any of them meets a pole is skipped."""
+    """All six relations at every ``default_grid`` point of (q, u/lam); the
+    inversions in exponentiated form, the rotations relative to f."""
     worst = {}
-    used = []
-    for (q, ufrac) in default_grid():
+    grid = default_grid()
+    for (q, ufrac) in grid:
         sp = _sp_from(q, ufrac)
-        try:
-            d = _numeric_defects(sp)
-        except PoleError:
-            continue
-        used.append((q, ufrac))
+        rot = rotation_image(sp)
+        fb, fs, fsp = cf.f_bulk(sp), cf.f_surface_v(sp), cf.f_surface_h(sp)
+        d = {
+            **_inversion_float(sp),
+            "rotation_bulk": abs(fb - cf.f_bulk(rot)) / max(abs(fb), 1e-300),
+            "rotation_surface_sv": abs(fs - cf.f_surface_h(rot)) / max(abs(fs), 1e-300),
+            "rotation_surface_hs": abs(fsp - cf.f_surface_v(rot)) / max(abs(fsp), 1e-300),
+        }
         for k, v in d.items():
             worst[k] = _worst(worst.get(k, 0.0), v)
-    return [Defect(k, "float", used, v) for k, v in worst.items()]
-
-
-# ----------------------------------------------------------------------------
-# free-energy relations, exact series
-# ----------------------------------------------------------------------------
-
-def _inversion_lambert(lambert):
-    """A Lambert list at lam - u: w^2 -> q^2/w^2 sends q^a w^{2b} to
-    q^{a+2b} w^{-2b}, i.e. (c, tstep, sstep) to (c, tstep + 4 sstep, -sstep)."""
-    numer, dstep, dsign = lambert
-    return [(c, tstep + 4 * sstep, -sstep) for c, tstep, sstep in numer], dstep, dsign
+    return [Defect(k, "float", grid, v) for k, v in worst.items()]
 
 
 def verify_free_energy_relations_series(order: int = 24) -> list[Defect]:
-    """The six relations as exact coefficient identities.
-
-    Rotation is s -> 1/s on the series; inversion identities are asserted
-    multiplicatively, with the rational factors built by the same ``params``
-    formulas the numeric rows use.  Every defect is an exact series that
-    must vanish through t^order.
-    """
-    rs = cf.rational_series
+    """The six relations as exact coefficient identities: the ``INVERSION``
+    entries, and rotation as s -> 1/s.  Every defect is an exact series
+    that must vanish through t^order."""
     fb = cf.f_bulk_series(order)
     fs = cf.f_surface_v_series(order)
     fsp = cf.f_surface_h_series(order)
-    diffs = {}
-
-    # inversion, bulk: F(u) F(lam-u) (xi - Q + 1) = xi, with
-    # F = exp(-f_b - K1 - K2) = (1+q) exp(-S_b) and xi - Q + 1 = e^{K2(u)} e^{K2(lam-u)}, so
-    # exp(-S_b(u) - S_b(lam-u)) = xi / ((1+q)^2 e^{K2(u)} e^{K2(lam-u)})
-    sb = cf.BULK_COUPLING_LAMBERT
-    lhs = (-lambert_sum(*sb, order) - lambert_sum(*_inversion_lambert(sb), order)).exp()
-    rhs = rs(lambda q, w2: _xi(q, w2) / ((1 + q) ** 2 * _exp_K2(q, w2) * _exp_K2(q, q * q / w2)), order)
-    diffs["inversion_bulk"] = lhs - rhs
-
-    # inversion, vertical surface: e^{-f_s(u)} e^{-f_s(lam-u)} = 1,
-    # with e^{-f_s} = (1-w^2) G /(1-q^2/w^2) and pref(u)*pref(lam-u) = 1
-    G = lambert_sum(*cf.SURFACE_LOG_LAMBERT, order).exp()
-    Gi = lambert_sum(*_inversion_lambert(cf.SURFACE_LOG_LAMBERT), order).exp()
-    diffs["inversion_surface_v"] = G * Gi - 1
-
-    # inversion, horizontal surface: e^{-f_sp(u)} Delta(u) = e^{-f_sp(lam-u)} Delta(lam-u),
-    # with Delta(lam-u) = 1 - e^{K2(u)} as in the numeric row and
-    # e^{-f_sp(lam-u)} = (1 - w^2/q) * exp_minus_f_surface_h_inverted_series
-    rhs = cf.exp_minus_f_surface_h_inverted_series(order) * rs(
-        lambda q, w2: (1 - w2 / q) * (1 - _exp_K2(q, w2)) / _delta(q, w2), order
-    )
-    diffs["inversion_surface_h"] = (-fsp).exp() - rhs
-
+    diffs = {identity: _inversion_series(identity, order) for identity in INVERSION}
     diffs["rotation_bulk"] = fb.series.subst_s_inv() - fb.series
     diffs["rotation_surface_sv"] = fsp.subst_s_inv() - fs
     diffs["rotation_surface_hs"] = fs.subst_s_inv() - fsp

@@ -11,11 +11,14 @@ de Neef-Enting sums in ``TruncatedSeries`` arithmetic: the references of its
 integer sums over one denominator.  ``expand_product`` multiplies an infinite
 product out factor by factor, with ``pow`` and ``reciprocal``: the reference
 of ``qseries.log_product``.  ``lambert_sum_loop`` expands a Lambert sum
-by its double loop, and the ``typed_*`` continuations and the corner log
-take their q-Pochhammer symbols as typed by hand: the references of
+by its double loop, and ``TYPED_EXP_LAMBERT`` and the corner log take
+their q-Pochhammer symbols as typed by hand: the references of
 ``qseries.lambert_sum`` and of ``closedform``'s product forms, which read
-both off the Lambert lists.  ``potts_transfer_T1`` is the dense diagonal
-row factor whose product ``verify`` checks on the diagonal alone.
+both off the Lambert lists.  ``inversion_lambert`` and
+``SURFACE_H_IMAGE_PRODUCT`` are lam - u images mapped and typed by hand:
+the references of the images ``relations`` derives.  ``potts_transfer_T1``
+is the dense diagonal row factor whose product ``verify`` checks on the
+diagonal alone.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from potts_sd.bundle import FreeEnergyBundle, LogSeries
 from potts_sd.closedform import _qprod
 from potts_sd.errors import ConvergenceError, DomainError, SizeGuardError, TruncationError
 from potts_sd.lattice import LatticeSpec
-from potts_sd.params import SpectralParams, _exp_K1, _exp_K2, couplings
+from potts_sd.params import SpectralParams, couplings
 from potts_sd.qseries import DEFAULT_ORDER, LaurentPolyS, TruncatedSeries, log_geometric_inverse
 
 BRUTE_FORCE_MAX_CONFIGS = 2_100_000
@@ -633,9 +636,9 @@ def lambert_sum_loop(numer, denom_tstep: int, denom_sign: int, order: int = DEFA
     return TruncatedSeries.from_terms(acc, order=order)
 
 
-# The continuations of exp(-f_b), exp(-f_s), exp(-f'_s) and the corner
+# The continuations of exp(S_b), G = exp(log G), exp(f'_s) and the corner
 # product with their q-Pochhammer symbols typed by hand: the references of
-# ``closedform``'s, which read the symbols off the Lambert lists.
+# ``closedform._exp_lambert``, which reads the symbols off the Lambert lists.
 
 def _expL(x: float, q: float) -> float:
     """exp(sum_n x^n (1-q^n)/(n(1+q^n))) = (xq;q^2)^2 / ((x;q^2)(xq^2;q^2))."""
@@ -652,16 +655,29 @@ def _expB(x: float, q: float) -> float:
     return _qprod([x * q, x * q * q], [x, x * q**3], q**4, 1e-19, f"q = {q}")
 
 
-def typed_exp_minus_f_bulk(q: float, w2: float) -> float:
-    return _exp_K1(q, w2) * _exp_K2(q, w2) * (1 + q) / (_expL(q * w2, q) * _expL(q * q / w2, q))
+# closedform's list name -> exp of its sum at (q, w^2), typed
+TYPED_EXP_LAMBERT = {
+    "BULK_COUPLING_LAMBERT": lambda q, w2: _expL(q * w2, q) * _expL(q * q / w2, q),
+    "SURFACE_LOG_LAMBERT": lambda q, w2: _expA(q * w2, q) / _expA(q**3 / w2, q),
+    "SURFACE_H_LAMBERT": lambda q, w2: _expB(q / w2, q) / _expB(q * w2, q),
+}
 
 
-def typed_exp_minus_f_surface_v(q: float, w2: float) -> float:
-    return (1 - w2) / (1 - q * q / w2) * _expA(q * w2, q) / _expA(q**3 / w2, q)
+def inversion_lambert(lambert):
+    """A Lambert list at lam - u: w^2 -> q^2/w^2 sends q^a w^{2b} to
+    q^{a+2b} w^{-2b}, i.e. (c, tstep, sstep) to (c, tstep + 4 sstep, -sstep).
+    The reference of ``relations._image_families`` for the lists whose image
+    truncates."""
+    numer, dstep, dsign = lambert
+    return [(c, tstep + 4 * sstep, -sstep) for c, tstep, sstep in numer], dstep, dsign
 
 
-def typed_exp_minus_f_surface_h(q: float, w2: float) -> float:
-    return _expB(q * w2, q) / _expB(q / w2, q)
+# f'_s's lam - u image, exp(-B(w^2/q)) with B = SURFACE_H_LAMBERT's sum, as typed
+# families (sdeg, t0deg, tstep, expo) of ``log_product``; its first factor,
+# 1 - w^2/q = 1 - s t^-2, does not truncate and is left out.  With
+# ``lambert_sum([(1, 10, -1), (-1, 14, -1)], 8, +1)`` it is the image that
+# ``relations._image_families`` derives.
+SURFACE_H_IMAGE_PRODUCT = ((1, 14, 16, 1), (1, 10, 16, 1), (1, 2, 16, -1), (1, 6, 16, -1))
 
 
 # VJ's corner product, exp(-f_c) = 1 / prod_k (1-q^{4k-3})(1-q^{4k-2})^4 (1-q^{4k-1}),

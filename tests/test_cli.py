@@ -248,6 +248,15 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert cli.main(["--config", str(cfgf), "eval"]) == 1
 
 
+@pytest.mark.parametrize("content", [[["q", 0.2]], 0.2, "q", None])
+def test_config_file_must_hold_an_object(tmp_path, capsys, content):
+    cfgf = tmp_path / "run.json"
+    cfgf.write_text(json.dumps(content))
+    assert cli.main(["--config", str(cfgf), "eval"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"config {cfgf}: expected a JSON object" in err and "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code = cli.main(["series", "--order", "4", "--out", str(target)])

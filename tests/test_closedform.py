@@ -12,7 +12,7 @@ import pytest
 import oracles
 from potts_sd import closedform as cf
 from potts_sd.errors import ConvergenceError, DomainError, TruncationError
-from potts_sd.params import SpectralParams, _Q, _delta, _exp_K2, _xi
+from potts_sd.params import SpectralParams, _Q, _delta, _exp_K2, _xi, couplings
 from potts_sd.relations import _sp_from, default_grid
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries, lambert_families, log_product
 
@@ -82,15 +82,18 @@ def test_rotation_exchanges_surfaces_numeric():
 
 @pytest.mark.parametrize("q,s", POINTS)
 def test_product_continuations_equal_the_sums(q, s):
-    # in the physical strip the continued products are exp(-f) of the certified sums
+    # in the physical strip the continued products give exp(-f) of the certified sums
     sp = SpectralParams.from_q_s(q, s)
-    w2 = sp.w2
-    assert cf.exp_minus_f_bulk(q, w2) == pytest.approx(math.exp(-cf.f_bulk(sp)), rel=1e-13)
-    assert cf.exp_minus_f_surface_v(q, w2) == pytest.approx(math.exp(-cf.f_surface_v(sp)), rel=1e-13)
-    assert cf.exp_minus_f_surface_h(q, w2) == pytest.approx(math.exp(-cf.f_surface_h(sp)), rel=1e-13)
+    w2, cp = sp.w2, couplings(sp)
+    exp_bulk = cp.eK1 * cp.eK2 * (1 + q) / cf._exp_lambert(cf.BULK_COUPLING_LAMBERT, q, w2)
+    assert exp_bulk == pytest.approx(math.exp(-cf.f_bulk(sp)), rel=1e-13)
+    exp_surface_v = cf._exp_lambert(cf.SURFACE_LOG_LAMBERT, q, w2) / cf._surface_prefactor(q, w2)
+    assert exp_surface_v == pytest.approx(math.exp(-cf.f_surface_v(sp)), rel=1e-13)
+    exp_surface_h = 1 / cf._exp_lambert(cf.SURFACE_H_LAMBERT, q, w2)
+    assert exp_surface_h == pytest.approx(math.exp(-cf.f_surface_h(sp)), rel=1e-13)
     # below the strip, q^2 < w^2 < q (the inversion image among them), exp(-f_sp) is negative
     for w2_below in (q * q / w2, q * q + 0.01 * (q - q * q), (q * q + q) / 2, q - 0.01 * (q - q * q)):
-        assert cf.exp_minus_f_surface_h(q, w2_below) < 0, w2_below
+        assert cf._exp_lambert(cf.SURFACE_H_LAMBERT, q, w2_below) < 0, w2_below
 
 
 def test_continuations_match_the_typed_products():
@@ -99,9 +102,9 @@ def test_continuations_match_the_typed_products():
     for q, f in default_grid():
         w2 = _sp_from(q, f).w2
         for x in (w2, q * q / w2):
-            for name in ("bulk", "surface_v", "surface_h"):
-                got = getattr(cf, "exp_minus_f_" + name)(q, x)
-                assert got == pytest.approx(getattr(oracles, "typed_exp_minus_f_" + name)(q, x), rel=1e-14), (name, q, x)
+            for name, typed in oracles.TYPED_EXP_LAMBERT.items():
+                got = cf._exp_lambert(getattr(cf, name), q, x)
+                assert got == pytest.approx(typed(q, x), rel=1e-14), (name, q, x)
 
 
 def test_corner_product_matches_the_typed_symbols():
@@ -243,21 +246,17 @@ def test_xi_series_consistency():
 
 
 def test_xi_series_matches_numeric():
-    from potts_sd.params import xi
-
     T = 40
     q, s = 0.05, 1.2
     sp = SpectralParams.from_q_s(q, s)
-    assert float(cf.rational_series(_xi, T).eval(q**0.25, s)) == pytest.approx(xi(sp), rel=1e-12)
+    assert float(cf.rational_series(_xi, T).eval(q**0.25, s)) == pytest.approx(_xi(q, sp.w2), rel=1e-12)
 
 
 def test_delta_series_matches_numeric():
-    from potts_sd.params import delta
-
     T = 40
     q, s = 0.05, 0.8
     sp = SpectralParams.from_q_s(q, s)
-    assert float(cf.rational_series(_delta, T).eval(q**0.25, s)) == pytest.approx(delta(sp), rel=1e-12)
+    assert float(cf.rational_series(_delta, T).eval(q**0.25, s)) == pytest.approx(_delta(q, sp.w2), rel=1e-12)
 
 
 def test_rational_series_refuses_a_denominator_it_cannot_divide_by():

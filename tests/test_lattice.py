@@ -35,7 +35,7 @@ from potts_sd.lattice import (
     potts_transfer_V,
     series_logZ,
 )
-from potts_sd.params import SpectralParams, couplings, delta
+from potts_sd.params import SpectralParams, _delta, couplings
 from potts_sd.qseries import TruncatedSeries
 
 GATE_ORDER = 16
@@ -440,10 +440,10 @@ def test_t2_eigenvector_all_ones():
     ones = np.ones(Q**N)
     out = t2 @ ones
     assert np.allclose(out, (eK2 + Q - 1) ** N * ones, rtol=1e-12)
-    # and delta() is that combination at a (q, w)-consistent Q
+    # and _delta is that combination at a (q, w)-consistent Q
     sp = SpectralParams(0.2, 0.6)
     cp = couplings(sp)
-    assert delta(sp) == pytest.approx(cp.eK2 + sp.Q - 1, rel=1e-12)
+    assert _delta(sp.q, sp.w2) == pytest.approx(cp.eK2 + sp.Q - 1, rel=1e-12)
 
 
 def test_transfer_V_N1_is_T2():

@@ -9,12 +9,13 @@ from oracles import RationalPoint, dual_couplings
 from potts_sd.errors import DomainError, PoleError
 from potts_sd.params import (
     SpectralParams,
+    _check_pole,
+    _delta,
+    _xi,
     couplings,
-    delta,
     inversion_image,
     rotation_image,
     solve_q_from_Q,
-    xi,
 )
 
 
@@ -123,6 +124,14 @@ def test_dual_couplings_domain():
         dual_couplings(-0.5, 1.0, 5.0)
 
 
+def xi(sp):
+    return _xi(sp.q, sp.w2)
+
+
+def delta(sp):
+    return _delta(sp.q, sp.w2)
+
+
 def test_xi_two_routes():
     sp = SpectralParams(0.2, math.exp(math.log(0.2) / 4))  # u = lam/4
     cp = couplings(sp)
@@ -132,9 +141,10 @@ def test_xi_two_routes():
 
 
 def test_xi_negative_and_symmetric():
-    sp = SpectralParams(0.2, 0.6)
-    assert xi(sp) < 0
-    assert xi(inversion_image(sp)) == pytest.approx(xi(sp), rel=1e-12)
+    for ufrac in (0.01, 0.1, 0.25, 0.4, 0.49):
+        sp = SpectralParams(0.2, 0.2 ** ufrac)  # w = q^{u/lam}
+        assert xi(sp) < 0, ufrac
+        assert xi(inversion_image(sp)) == pytest.approx(xi(sp), rel=1e-12)
 
 
 def test_xi_vanishes_as_u_to_zero():
@@ -143,8 +153,13 @@ def test_xi_vanishes_as_u_to_zero():
 
 
 def test_xi_pole_guard():
-    with pytest.raises(PoleError):
-        xi(SpectralParams(0.2, math.sqrt(0.2)))
+    # xi's and Delta's pole, u = lam/2, is the K2 pole that ``couplings`` names
+    sp = SpectralParams(0.2, math.sqrt(0.2))
+    with pytest.raises(PoleError, match="w2=q"):
+        couplings(sp)
+    with pytest.raises(PoleError, match="u=lam/2"):
+        _check_pole(sp.w2 * (1 + 1e-12), sp.q, "u=lam/2")
+    _check_pole(sp.w2 * (1 + 1e-9), sp.q, "u=lam/2")  # outside POLE_RTOL: no error
 
 
 def test_delta_at_u_zero_is_Q():
@@ -155,9 +170,12 @@ def test_delta_at_u_zero_is_Q():
 def test_delta_isotropic_and_generic():
     for (q, ufrac) in [(0.3, 0.25), (0.3, 0.1), (0.15, 0.35)]:
         lam = -math.log(q) / 2
-        sp = SpectralParams(math.exp(-2 * lam), math.exp(-2 * ufrac * lam))
+        u = ufrac * lam
+        sp = SpectralParams(math.exp(-2 * lam), math.exp(-2 * u))
         cp = couplings(sp)
         assert delta(sp) == pytest.approx(cp.eK2 + cp.Q - 1, rel=1e-12)
+        hyperbolic = 2 * math.cosh(lam) * math.sinh(2 * lam - 2 * u) / math.sinh(lam - 2 * u)
+        assert delta(sp) == pytest.approx(hyperbolic, rel=1e-12)
 
 
 def test_rotation_fixes_isotropic_point():

@@ -5,7 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import CORNER_PRODUCT, expand_product, geometric_inverse, lambert_sum_loop
+from oracles import (
+    CORNER_PRODUCT,
+    SURFACE_H_IMAGE_PRODUCT,
+    expand_product,
+    geometric_inverse,
+    inversion_lambert,
+    lambert_sum_loop,
+)
 from potts_sd import closedform as cf
 from potts_sd import relations
 from potts_sd.closedform import rational_series
@@ -217,17 +224,37 @@ def test_corner_product_log_equals_sum():
 
 
 def test_log_product_equals_the_log_of_the_expanded_product():
-    # both of closedform's product forms, coefficients and order, at every T
+    # both typed product forms, coefficients and order, at every T
     for T in range(1, 61):
-        for families in (CORNER_PRODUCT, cf.SURFACE_H_IMAGE_PRODUCT):
+        for families in (CORNER_PRODUCT, SURFACE_H_IMAGE_PRODUCT):
             prod = expand_product([(1, *f) for f in families], T)
             got = log_product(families, T)
             assert got.to_json_dict() == prod.log().to_json_dict(), (families, T)
             assert got.exp().to_json_dict() == prod.to_json_dict(), (families, T)
-        # the f_sp image as the parent builder multiplied it
+
+
+def test_inversion_images_are_the_mapped_lists():
+    # S_b's and log G's lam - u images truncate: nothing is split, and the
+    # derived families are the hand-mapped list's, through every T
+    for name in ("BULK_COUPLING_LAMBERT", "SURFACE_LOG_LAMBERT"):
+        lam = getattr(cf, name)
+        families, split = relations._image_families(lam)
+        assert split == [], name
+        assert families == lambert_families(*inversion_lambert(lam)), name
+        for T in range(1, 61):
+            ref = lambert_sum_loop(*inversion_lambert(lam), T)
+            assert log_product(families, T).to_json_dict() == ref.to_json_dict(), (name, T)
+
+
+def test_surface_h_image_splits_its_one_nontruncating_factor():
+    # f'_s's image splits exactly (1 - s t^-2)^-1, that is 1 - w^2/q, and the
+    # rest is the typed product times exp of the short list, through every T
+    families, split = relations._image_families(cf.SURFACE_H_LAMBERT)
+    assert split == [(1, -2, -1)]
+    for T in range(1, 61):
         b_small = lambert_sum_loop([(1, 10, -1), (-1, 14, -1)], 8, +1, T)
-        image = b_small.exp() * expand_product([(1, *f) for f in cf.SURFACE_H_IMAGE_PRODUCT], T)
-        assert cf.exp_minus_f_surface_h_inverted_series(T).to_json_dict() == image.to_json_dict(), T
+        typed = b_small + log_product(SURFACE_H_IMAGE_PRODUCT, T)
+        assert (-log_product(families, T)).to_json_dict() == typed.to_json_dict(), T
 
 
 @pytest.mark.parametrize("sdeg", [-1, 0, 1])
@@ -241,12 +268,12 @@ def test_log_product_is_a_lambert_sum(sdeg, expo):
             assert got.to_json_dict() == expected.to_json_dict(), (t0, tstep, T)
 
 
-# every Lambert list closedform and relations expand: the eight closedform
-# lists, the lam - u images of S_b and log G, and f_sp's image's b_small
+# the eight closedform lists, the lam - u images of S_b and log G, and the
+# short list of f_sp's typed image
 ALL_LAMBERT = [
     *(getattr(cf, name) for name in dir(cf) if name.endswith("_LAMBERT")),
-    relations._inversion_lambert(cf.BULK_COUPLING_LAMBERT),
-    relations._inversion_lambert(cf.SURFACE_LOG_LAMBERT),
+    inversion_lambert(cf.BULK_COUPLING_LAMBERT),
+    inversion_lambert(cf.SURFACE_LOG_LAMBERT),
     ([(1, 10, -1), (-1, 14, -1)], 8, +1),
 ]
 

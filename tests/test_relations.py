@@ -5,9 +5,11 @@ import csv
 import functools
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -213,25 +215,21 @@ def _extra_entry(name, tdeg):
     return patch
 
 
-def _family(name, i, family):
-    """closedform's product families ``name`` with entry ``i`` made ``family``."""
+def _exp_lambert_of(name, change):
+    """``cf._exp_lambert`` with its value v for closedform's list ``name``, at
+    u and at lam - u, made change(v, q)."""
 
     def patch(mp):
-        families = list(getattr(cf, name))
-        families[i] = family
-        mp.setattr(cf, name, tuple(families))
+        f, lam = cf._exp_lambert, getattr(cf, name)
+        mp.setattr(cf, "_exp_lambert", lambda L, q, w2: change(f(L, q, w2), q) if L is lam else f(L, q, w2))
 
     return patch
 
 
-def _nan_at(q):
-    """``cf.exp_minus_f_bulk`` NaN at the grid point(s) with this q, unchanged elsewhere."""
-
-    def patch(mp):
-        f = cf.exp_minus_f_bulk
-        mp.setattr(cf, "exp_minus_f_bulk", lambda q_, w2: float("nan") if q_ == q else f(q_, w2))
-
-    return patch
+def _bulk_R_cubed(mp):
+    """The table's bulk R with (1+q)^3 in place of (1+q)^2."""
+    name, sign_u, sign_i, R = relations.INVERSION["inversion_bulk"]
+    mp.setitem(relations.INVERSION, "inversion_bulk", (name, sign_u, sign_i, lambda q, w2: R(q, w2) * (1 + q)))
 
 
 def _nan_t2(mp):
@@ -241,9 +239,14 @@ def _nan_t2(mp):
 
 
 def _image_short_of_order(mp):
-    """The product form of e^{-f_sp(lam-u)} exact only through t^(T-1)."""
-    full = cf.exp_minus_f_surface_h_inverted_series
-    mp.setattr(cf, "exp_minus_f_surface_h_inverted_series", lambda order: full(order).truncate(order - 1))
+    """f_sp's derived lam - u image exact only through t^(T-1)."""
+    image, _ = relations._image_families(cf.SURFACE_H_LAMBERT)
+    full = relations.log_product
+
+    def log_product(families, order):
+        return full(families, order).truncate(order - 1) if families == image else full(families, order)
+
+    mp.setattr(relations, "log_product", log_product)
 
 
 @functools.cache
@@ -280,25 +283,39 @@ FAULTS = [
         lambda mp: mp.setattr(relations, "inversion_image", rotation_image),
         {("transfer_inversion", F), ("combined_transfer_inversion", F)},
     ),
-    # a NaN at any point fails its row, in the grid and in the matrices;
-    # the last grid point's q is on no other point
+    # a NaN at any point fails its row, in the matrices and in the grid,
+    # where the last grid point's q is on no other point
     ("transfer-T2-nan", 8, _nan_t2, {("transfer_inversion", F)}),
-    ("bulk-product-1e-9", 8, _scaled(cf, "exp_minus_f_bulk", 1 + 1e-9), {("inversion_bulk", F)}),
-    ("bulk-product-nan-at-one-point", 8, _nan_at(relations.default_grid()[-1][0]), {("inversion_bulk", F)}),
-    ("surface-v-product-1e-9", 8, _scaled(cf, "exp_minus_f_surface_v", 1 + 1e-9), {("inversion_surface_v", F)}),
-    # a constant factor in e^{-f_sp} cancels from its inversion row; Delta's does not
-    ("delta-1e-9", 8, _scaled(relations, "delta", 1 + 1e-9), {("inversion_surface_h", F)}),
-    # the image's product form is data too: a family moved from t^14 to
-    # t^30, which --order 12 cannot see
     (
-        "SURFACE_H_IMAGE_PRODUCT-t30",
-        24,
-        _family("SURFACE_H_IMAGE_PRODUCT", 0, (1, 30, 16, 1)),
-        {("inversion_surface_h", S)},
+        "bulk-product-1e-9",
+        8,
+        _exp_lambert_of("BULK_COUPLING_LAMBERT", lambda v, q: v * (1 + 1e-9)),
+        {("inversion_bulk", F)},
     ),
-    # the lam - u list is mapped from the forward one, so one wrong forward
-    # entry shows up in the product F(u) F(lam-u) (or G(u) G(lam-u)); the
-    # float continuation is the same list's product, so its row fails too
+    (
+        "bulk-product-nan-at-one-point",
+        8,
+        _exp_lambert_of("BULK_COUPLING_LAMBERT", lambda v, q: math.nan if q == relations.default_grid()[-1][0] else v),
+        {("inversion_bulk", F)},
+    ),
+    (
+        "surface-v-product-1e-9",
+        8,
+        _exp_lambert_of("SURFACE_LOG_LAMBERT", lambda v, q: v * (1 + 1e-9)),
+        {("inversion_surface_v", F)},
+    ),
+    # one table entry feeds both rings: a wrong R, or a wrong Delta in it,
+    # fails the float and the series row alike
+    ("inversion-bulk-R-cubed", 8, _bulk_R_cubed, {("inversion_bulk", F), ("inversion_bulk", S)}),
+    (
+        "delta-1e-9",
+        8,
+        _scaled(relations, "_delta", 1 + Fraction(1, 10**9)),
+        {("inversion_surface_h", F), ("inversion_surface_h", S)},
+    ),
+    # the lam - u image is derived from the forward list, so one wrong entry
+    # shows up in the product F(u) F(lam-u) (or G(u) G(lam-u)); the float
+    # continuation is the same list's product, so its row fails too
     (
         "BULK_COUPLING_LAMBERT",
         12,
@@ -325,15 +342,10 @@ FAULTS = [
         _extra_entry("BULK_COUPLING_LAMBERT", 48),
         {("inversion_bulk", F), ("inversion_bulk", S)},
     ),
-    # f_sp's image is a product form of its own, which a wrong f_sp list
-    # misses; the extra entry is s-free, so its float factor is the same at
-    # u and lam - u and cancels from the float row
-    (
-        "SURFACE_H_LAMBERT-t48",
-        48,
-        _extra_entry("SURFACE_H_LAMBERT", 48),
-        {("inversion_surface_h", S), *ROTATION_SURFACE},
-    ),
+    # f_sp's image is derived from its list, so an s-free extra entry is the
+    # same at u and lam - u and cancels from both inversion rows; rotation
+    # compares it with the separately typed f_s list
+    ("SURFACE_H_LAMBERT-t48", 48, _extra_entry("SURFACE_H_LAMBERT", 48), ROTATION_SURFACE),
     # a row whose two sides are exact only through t^(T-1) checks nothing at t^T
     ("surface-h-image-short", 12, _image_short_of_order, {("inversion_surface_h", S)}),
     # one list feeds the float sum, its float continuation and the exact
