@@ -3,28 +3,28 @@
 Sign convention: log Z = -M*N*f_b - M*f_s - N*f_sp - f_c, so the f's here
 are the quantities multiplying the lattice dimensions with a minus sign.
 
-f_b and f_s are implemented in both of their printed representations,
-and the pair is cross-checked by the test suite; f_sp and f_c have one:
+Each free energy has one representation, the Lambert sum that ``eval``
+and ``series`` print:
 
     f_b : log(q/(1+q)) - sum_n (1-q^n)(w^{2n}+q^n w^{-2n}) / (n(1+q^n))
-        = -K1 - K2 - log(1+q)
-          + sum_n q^n (1-q^n)(w^{2n}+q^n w^{-2n}) / (n(1+q^n))
 
     f_s : sum_n (1-q^n)(w^{2n}-q^{2n} w^{-2n}) / (n(1+q^{2n}))
-        = log((1-q^2/w^2)/(1-w^2))
-          - sum_n q^n (1+q^n)(w^{2n}-q^{2n} w^{-2n}) / (n(1+q^{2n}))
 
     f_sp: sum_n q^n (1-q^n)(w^{-2n}-w^{2n}) / (n(1+q^{2n}))   (= f_s at s->1/s)
 
     f_c : -sum_n (q^n + 4 q^{2n} + q^{3n}) / (n(1-q^{4n}))
         = log prod_k (1-q^{4k-3})(1-q^{4k-2})^4 (1-q^{4k-1})
 
+f_b's coupling form (``BULK_COUPLING_LAMBERT``) stays only for the
+benchmark's eval checker, as ``f_bulk(sp, form="coupling")``; f_s's log
+form is a test oracle.
+
 Each sum is one Lambert list, giving the exact series and the float value
 with a rigorous geometric tail bound.  Each list is also a product
 (``lambert_families``): its float value (``_exp_lambert``) continues exp of
 the sum to an annulus that holds both u and lam-u, and its families mapped
-by w^2 -> q^2/w^2 are the sum at lam-u; ``relations`` checks the inversion
-relations on both.  f_c's product above is not typed: it is derived from
+by w^2 -> q^2/w^2 are the sum at lam-u; ``relations`` checks the printed
+sums against them.  f_c's product above is not typed: it is derived from
 ``CORNER_LAMBERT``, and evaluated as such near Q -> 4+ (``fc_asymptote``).
 """
 
@@ -167,15 +167,14 @@ def _corner_log(q, tiny, what: str):
 #
 # Each sum is written once, as the arguments (numer, denom_tstep, denom_sign)
 # of ``lambert_sum``, which expands it exactly; ``_lambert_float`` evaluates
-# it, ``_exp_lambert`` continues exp of it, and ``relations`` maps its
-# families to lam - u.  The f'_s and isotropic lists are typed out, not
-# derived from f_s or from s = 1, so the rotation and isotropic checks
-# compare independent lists.
+# it, ``_exp_lambert`` continues exp of it, and ``relations`` maps the
+# families of the printed f_b, f_s and f'_s lists to lam - u.  The f'_s and
+# isotropic lists are typed out, not derived from f_s or from s = 1, so the
+# rotation and isotropic checks compare independent lists.
 
 BULK_LAMBERT = (((1, 2, 1), (-1, 6, 1), (1, 2, -1), (-1, 6, -1)), 4, +1)
 BULK_COUPLING_LAMBERT = (((1, 6, 1), (-1, 10, 1), (1, 6, -1), (-1, 10, -1)), 4, +1)  # S_b
 SURFACE_V_LAMBERT = (((1, 2, 1), (-1, 6, -1), (-1, 6, 1), (1, 10, -1)), 8, +1)
-SURFACE_LOG_LAMBERT = (((1, 6, 1), (1, 10, 1), (-1, 10, -1), (-1, 14, -1)), 8, +1)  # log G
 SURFACE_H_LAMBERT = (((1, 2, -1), (-1, 6, 1), (-1, 6, -1), (1, 10, 1)), 8, +1)
 CORNER_LAMBERT = (((-1, 4, 0), (-4, 8, 0), (-1, 12, 0)), 16, -1)
 BULK_ISOTROPIC_LAMBERT = (((2, 2, 0), (-2, 6, 0)), 4, +1)
@@ -187,7 +186,8 @@ SURFACE_ISOTROPIC_LAMBERT = (((1, 2, 0), (-2, 6, 0), (1, 10, 0)), 8, +1)
 # ----------------------------------------------------------------------------
 
 def f_bulk(sp: SpectralParams, form: str = "sum") -> float:
-    """Bulk free energy; ``form`` picks the representation ('sum'|'coupling')."""
+    """Bulk free energy; ``form="coupling"`` is the second form, which only
+    the benchmark's eval checker (``perfbench/workloads.py``) reads."""
     q, w2 = sp.q, sp.w2
     if form == "sum":
         return math.log(q / (1 + q)) - _lambert_float(BULK_LAMBERT, q, w2)
@@ -197,14 +197,9 @@ def f_bulk(sp: SpectralParams, form: str = "sum") -> float:
     raise ValueError(f"unknown form {form!r}")
 
 
-def f_surface_v(sp: SpectralParams, form: str = "sum") -> float:
-    """Vertical surface free energy ('sum' | 'log' representations)."""
-    q, w2 = sp.q, sp.w2
-    if form == "sum":
-        return _lambert_float(SURFACE_V_LAMBERT, q, w2)
-    if form == "log":
-        return math.log(_surface_prefactor(q, w2)) - _lambert_float(SURFACE_LOG_LAMBERT, q, w2)
-    raise ValueError(f"unknown form {form!r}")
+def f_surface_v(sp: SpectralParams) -> float:
+    """Vertical surface free energy."""
+    return _lambert_float(SURFACE_V_LAMBERT, sp.q, sp.w2)
 
 
 def f_surface_h(sp: SpectralParams) -> float:
@@ -288,22 +283,13 @@ def log1pq_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return rational_series(lambda q, w2: 1 + q, order).log()
 
 
-def f_bulk_series(order: int = DEFAULT_ORDER, form: str = "sum") -> LogSeries:
-    """f_b as log(q) + series; both representations agree exactly."""
-    if form == "sum":
-        return LogSeries(Fraction(1), -log1pq_series(order) - lambert_sum(*BULK_LAMBERT, order))
-    if form == "coupling":
-        s = lambert_sum(*BULK_COUPLING_LAMBERT, order)
-        return LogSeries(Fraction(1), s - rational_series(_bulk_prefactor, order).log())
-    raise ValueError(f"unknown form {form!r}")
+def f_bulk_series(order: int = DEFAULT_ORDER) -> LogSeries:
+    """f_b as log(q) + series."""
+    return LogSeries(Fraction(1), -log1pq_series(order) - lambert_sum(*BULK_LAMBERT, order))
 
 
-def f_surface_v_series(order: int = DEFAULT_ORDER, form: str = "sum") -> TruncatedSeries:
-    if form == "sum":
-        return lambert_sum(*SURFACE_V_LAMBERT, order)
-    if form == "log":
-        return rational_series(_surface_prefactor, order).log() - lambert_sum(*SURFACE_LOG_LAMBERT, order)
-    raise ValueError(f"unknown form {form!r}")
+def f_surface_v_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    return lambert_sum(*SURFACE_V_LAMBERT, order)
 
 
 def f_surface_h_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -443,7 +429,7 @@ def fs_continuation_check(lam: float, u: float) -> float:
     """Magnitude of the small-lam singular part of f_s.
 
     The regular part of the continuation is the closed-form Lambert sum
-    itself (``f_surface_v(sp, form="sum")``), so only the singular part is
+    itself (``f_surface_v``), so only the singular part is
     computed here.  It decays like exp(-pi^2/(2 lam)); its term-by-term
     magnitude uses |i + (-1)^((n-1)/2)| = sqrt(2).
     """

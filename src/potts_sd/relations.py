@@ -25,15 +25,17 @@ e^{K2(lam-u)} = 2 - Q - e^{K2(u)} and xi = (e^{K2(u)}-1)(e^{K2(lam-u)}-1).
 They are checked in floats at a self-dual point with integer Q, where
 the inverted couplings must also equal the couplings at lam - u.
 
-Each inversion relation is written once, in ``INVERSION``: a Lambert list
-S of ``closedform``, two signs and a rational factor R in (q, w^2), read
-as exp(sign_u S(u) + sign_i S(lam-u)) R = 1.  Both rings evaluate that
-entry.  Floats take S's product continuation (``closedform._exp_lambert``)
-at u and at lam - u.  Series mode derives S(lam-u) from S's
-``lambert_families``, mapped by w^2 -> q^2/w^2 (``_image_families``); the
-factors of the image that do not truncate join R, which runs exactly and
-is divided once (``closedform.rational_series``).  Every series row holds
-through t^T, and rotation is the substitution s -> 1/s.
+Each inversion relation is written once, in ``INVERSION``: the Lambert
+list S of the value ``eval`` prints, two signs and a rational factor R
+in (q, w^2), read as exp(sign_u S(u) + sign_i S(lam-u)) R = 1.  Both
+rings evaluate that entry.  Floats take S(u) from the printed value and
+S(lam-u) from S's product continuation (``closedform._exp_lambert``).
+Series mode derives S(lam-u) from S's ``lambert_families``, mapped by
+w^2 -> q^2/w^2 (``_image_families``); the factors of the image that do
+not truncate join R, which runs exactly and is divided once
+(``closedform.rational_series``).  Every series row holds through t^T,
+and rotation is the substitution s -> 1/s.  ``corner_float`` compares
+f_c's printed sum with its product.
 
 ``ROWS`` lists every row ``verify`` prints, with its ring and tolerance.
 The group functions below measure ``Defect``s, building their shared
@@ -61,6 +63,9 @@ from .lattice import (
 from .params import SpectralParams, _delta, _exp_K2, _xi, couplings, inversion_image, rotation_image, solve_q_from_Q
 from .qseries import lambert_families, lambert_sum, log_product
 
+# The float rows' worst defects are 6.4e-15 (corner_float) and 3.2e-15 or less.
+# 1e-11 stays far above rounding in any libm, and two orders below the
+# smallest fault the tests make, a 1e-9 scaling.
 NUMERIC_TOL = 1e-11
 
 # (identity, ring) -> tol, in the order ``verify`` prints the rows
@@ -73,6 +78,7 @@ ROWS = {
     ("rotation_bulk", "float"): NUMERIC_TOL,
     ("rotation_surface_sv", "float"): NUMERIC_TOL,
     ("rotation_surface_hs", "float"): NUMERIC_TOL,
+    ("corner_float", "float"): NUMERIC_TOL,
     ("inversion_bulk", "series"): 0.0,
     ("inversion_surface_v", "series"): 0.0,
     ("inversion_surface_h", "series"): 0.0,
@@ -230,16 +236,10 @@ def verify_VV(N: int, Q: int, sp: SpectralParams) -> Defect:
 # exp(sign_u S(u) + sign_i S(lam-u)) R(q, w^2) = 1; R is None where it is 1.
 # R uses ``params``' raw forms, so it runs on floats and on exact series alike.
 INVERSION = {
-    # exp(-f_b) = e^{K1} e^{K2} (1+q) exp(-S_b), e^{K1(u)} e^{K1(lam-u)} = 1, and
-    # exp(-f_b(u) - f_b(lam-u)) = xi
-    "inversion_bulk": (
-        "BULK_COUPLING_LAMBERT",
-        -1,
-        -1,
-        lambda q, w2: (1 + q) ** 2 * _exp_K2(q, w2) * _exp_K2(q, q * q / w2) / _xi(q, w2),
-    ),
-    # exp(-f_s) = G (1-w^2)/(1-q^2/w^2), and the prefactor times its image is 1
-    "inversion_surface_v": ("SURFACE_LOG_LAMBERT", +1, +1, None),
+    # exp(-f_b(u) - f_b(lam-u)) = xi, with exp(-f_b) = ((1+q)/q) exp(S)
+    "inversion_bulk": ("BULK_LAMBERT", +1, +1, lambda q, w2: (1 + q) ** 2 / (q * q * _xi(q, w2))),
+    # f_s(u) + f_s(lam-u) = 0
+    "inversion_surface_v": ("SURFACE_V_LAMBERT", +1, +1, None),
     # exp(-f_sp(u)) Delta(u) = exp(-f_sp(lam-u)) Delta(lam-u), Delta(lam-u) = 1 - e^{K2(u)}
     "inversion_surface_h": ("SURFACE_H_LAMBERT", -1, +1, lambda q, w2: _delta(q, w2) / (1 - _exp_K2(q, w2))),
 }
@@ -265,13 +265,13 @@ def _image_families(lambert):
     return families, split
 
 
-def _inversion_float(sp: SpectralParams) -> dict:
-    """identity -> |exp(sign_u S(u) + sign_i S(lam-u)) R - 1| at ``sp``."""
+def _inversion_float(sp: SpectralParams, at_u: dict) -> dict:
+    """identity -> |exp(sign_u S(u) + sign_i S(lam-u)) R - 1| at ``sp``, with
+    S(u) read from ``at_u`` (list name -> S(u)) and S(lam-u) the product."""
     q, w2 = sp.q, sp.w2
     out = {}
     for identity, (name, sign_u, sign_i, R) in INVERSION.items():
-        lambert = getattr(cf, name)
-        lhs = cf._exp_lambert(lambert, q, w2) ** sign_u * cf._exp_lambert(lambert, q, q * q / w2) ** sign_i
+        lhs = math.exp(sign_u * at_u[name]) * cf._exp_lambert(getattr(cf, name), q, q * q / w2) ** sign_i
         out[identity] = abs(lhs * (1 if R is None else R(q, w2)) - 1)
     return out
 
@@ -296,23 +296,26 @@ def _inversion_series(identity: str, order: int):
 
 
 def verify_free_energy_relations_numeric() -> list[Defect]:
-    """All six relations at every ``default_grid`` point of (q, u/lam); the
-    inversions in exponentiated form, the rotations relative to f."""
+    """All six relations at every ``default_grid`` point of (q, u/lam), the
+    inversions exponentiated, the rotations relative; f_c's sum against its product."""
     worst = {}
     grid = default_grid()
     for (q, ufrac) in grid:
         sp = _sp_from(q, ufrac)
         rot = rotation_image(sp)
         fb, fs, fsp = cf.f_bulk(sp), cf.f_surface_v(sp), cf.f_surface_h(sp)
+        at_u = {"BULK_LAMBERT": math.log(q / (1 + q)) - fb, "SURFACE_V_LAMBERT": fs, "SURFACE_H_LAMBERT": fsp}
         d = {
-            **_inversion_float(sp),
+            **_inversion_float(sp, at_u),
             "rotation_bulk": abs(fb - cf.f_bulk(rot)) / max(abs(fb), 1e-300),
             "rotation_surface_sv": abs(fs - cf.f_surface_h(rot)) / max(abs(fs), 1e-300),
             "rotation_surface_hs": abs(fsp - cf.f_surface_v(rot)) / max(abs(fsp), 1e-300),
         }
         for k, v in d.items():
             worst[k] = _worst(worst.get(k, 0.0), v)
-    return [Defect(k, "float", grid, v) for k, v in worst.items()]
+    qs = list(dict.fromkeys(q for q, _ in grid))
+    corner = _worst(*(abs(cf.f_corner(q) / cf._corner_log(q, 1e-19, f"q = {q}") - 1) for q in qs))
+    return [Defect(k, "float", grid, v) for k, v in worst.items()] + [Defect("corner_float", "float", qs, corner)]
 
 
 def verify_free_energy_relations_series(order: int = 24) -> list[Defect]:

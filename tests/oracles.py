@@ -14,9 +14,13 @@ of ``qseries.log_product``.  ``lambert_sum_loop`` expands a Lambert sum
 by its double loop, and ``TYPED_EXP_LAMBERT`` and the corner log take
 their q-Pochhammer symbols as typed by hand: the references of
 ``qseries.lambert_sum`` and of ``closedform``'s product forms, which read
-both off the Lambert lists.  ``inversion_lambert`` and
-``SURFACE_H_IMAGE_PRODUCT`` are lam - u images mapped and typed by hand:
-the references of the images ``relations`` derives.  ``potts_transfer_T1``
+both off the Lambert lists.  ``inversion_lambert``,
+``BULK_IMAGE_PRODUCT`` and ``SURFACE_H_IMAGE_PRODUCT`` are lam - u images
+mapped and typed by hand: the references of the images ``relations``
+derives.  ``f_bulk_series_coupling``, ``f_surface_v_log`` and
+``f_surface_v_series_log`` (with ``SURFACE_LOG_LAMBERT``) are the second
+representations of f_b and f_s: the references of the sums ``closedform``
+prints.  ``potts_transfer_T1``
 is the dense diagonal row factor whose product ``verify`` checks on the
 diagonal alone.
 """
@@ -29,13 +33,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from potts_sd import lattice
+from potts_sd import closedform as cf, lattice
 from potts_sd.bundle import FreeEnergyBundle, LogSeries
-from potts_sd.closedform import _qprod
 from potts_sd.errors import ConvergenceError, DomainError, SizeGuardError, TruncationError
 from potts_sd.lattice import LatticeSpec
 from potts_sd.params import SpectralParams, couplings
-from potts_sd.qseries import DEFAULT_ORDER, LaurentPolyS, TruncatedSeries, log_geometric_inverse
+from potts_sd.qseries import DEFAULT_ORDER, LaurentPolyS, TruncatedSeries, lambert_sum, log_geometric_inverse
 
 BRUTE_FORCE_MAX_CONFIGS = 2_100_000
 FK_MAX_EDGES = 24
@@ -636,31 +639,57 @@ def lambert_sum_loop(numer, denom_tstep: int, denom_sign: int, order: int = DEFA
     return TruncatedSeries.from_terms(acc, order=order)
 
 
-# The continuations of exp(S_b), G = exp(log G), exp(f'_s) and the corner
-# product with their q-Pochhammer symbols typed by hand: the references of
+# The continuations of exp of the Lambert sums and the corner product with
+# their q-Pochhammer symbols typed by hand: the references of
 # ``closedform._exp_lambert``, which reads the symbols off the Lambert lists.
 
 def _expL(x: float, q: float) -> float:
     """exp(sum_n x^n (1-q^n)/(n(1+q^n))) = (xq;q^2)^2 / ((x;q^2)(xq^2;q^2))."""
-    return _qprod([x * q, x * q], [x, x * q * q], q * q, 1e-19, f"q = {q}")
+    return cf._qprod([x * q, x * q], [x, x * q * q], q * q, 1e-19, f"q = {q}")
 
 
 def _expA(x: float, q: float) -> float:
     """exp(sum_n x^n (1+q^n)/(n(1+q^{2n}))) = (xq^2;q^4)(xq^3;q^4) / ((x;q^4)(xq;q^4))."""
-    return _qprod([x * q * q, x * q**3], [x, x * q], q**4, 1e-19, f"q = {q}")
+    return cf._qprod([x * q * q, x * q**3], [x, x * q], q**4, 1e-19, f"q = {q}")
 
 
 def _expB(x: float, q: float) -> float:
     """exp(sum_n x^n (1-q^n)/(n(1+q^{2n}))) = (xq;q^4)(xq^2;q^4) / ((x;q^4)(xq^3;q^4))."""
-    return _qprod([x * q, x * q * q], [x, x * q**3], q**4, 1e-19, f"q = {q}")
+    return cf._qprod([x * q, x * q * q], [x, x * q**3], q**4, 1e-19, f"q = {q}")
 
 
-# closedform's list name -> exp of its sum at (q, w^2), typed
+# f_s's log form, f_s = log((1-q^2/w^2)/(1-w^2)) - log G, with log G the sum
+# sum_n q^n (1+q^n)(w^{2n}-q^{2n} w^{-2n}) / (n(1+q^{2n}))
+SURFACE_LOG_LAMBERT = (((1, 6, 1), (1, 10, 1), (-1, 10, -1), (-1, 14, -1)), 8, +1)
+
+
+# list name -> (the Lambert list, exp of its sum at (q, w^2) typed)
 TYPED_EXP_LAMBERT = {
-    "BULK_COUPLING_LAMBERT": lambda q, w2: _expL(q * w2, q) * _expL(q * q / w2, q),
-    "SURFACE_LOG_LAMBERT": lambda q, w2: _expA(q * w2, q) / _expA(q**3 / w2, q),
-    "SURFACE_H_LAMBERT": lambda q, w2: _expB(q / w2, q) / _expB(q * w2, q),
+    "BULK_LAMBERT": (cf.BULK_LAMBERT, lambda q, w2: _expL(w2, q) * _expL(q / w2, q)),
+    "SURFACE_V_LAMBERT": (cf.SURFACE_V_LAMBERT, lambda q, w2: _expB(w2, q) / _expB(q * q / w2, q)),
+    "SURFACE_H_LAMBERT": (cf.SURFACE_H_LAMBERT, lambda q, w2: _expB(q / w2, q) / _expB(q * w2, q)),
+    "BULK_COUPLING_LAMBERT": (cf.BULK_COUPLING_LAMBERT, lambda q, w2: _expL(q * w2, q) * _expL(q * q / w2, q)),
+    "SURFACE_LOG_LAMBERT": (SURFACE_LOG_LAMBERT, lambda q, w2: _expA(q * w2, q) / _expA(q**3 / w2, q)),
 }
+
+
+def f_bulk_series_coupling(order: int = DEFAULT_ORDER) -> LogSeries:
+    """f_b = -K1 - K2 - log(1+q) + S_b as log(q) + series: the reference of
+    ``closedform.f_bulk_series``, the other sum."""
+    s = lambert_sum(*cf.BULK_COUPLING_LAMBERT, order)
+    return LogSeries(Fraction(1), s - cf.rational_series(cf._bulk_prefactor, order).log())
+
+
+def f_surface_v_log(sp: SpectralParams) -> float:
+    """f_s = log((1-q^2/w^2)/(1-w^2)) - log G: the reference of
+    ``closedform.f_surface_v``, the other sum."""
+    q, w2 = sp.q, sp.w2
+    return math.log(cf._surface_prefactor(q, w2)) - cf._lambert_float(SURFACE_LOG_LAMBERT, q, w2)
+
+
+def f_surface_v_series_log(order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """``f_surface_v_log`` as an exact series in t."""
+    return cf.rational_series(cf._surface_prefactor, order).log() - lambert_sum(*SURFACE_LOG_LAMBERT, order)
 
 
 def inversion_lambert(lambert):
@@ -680,6 +709,15 @@ def inversion_lambert(lambert):
 SURFACE_H_IMAGE_PRODUCT = ((1, 14, 16, 1), (1, 10, 16, 1), (1, 2, 16, -1), (1, 6, 16, -1))
 
 
+# f_b's sum S_b = L(w^2) + L(q/w^2), L(x) = sum_n x^n (1-q^n)/(n(1+q^n)), at
+# lam - u: L(q^2/w^2) is the list ``lambert_sum([(1, 6, -1), (-1, 10, -1)], 4, +1)``,
+# and L(w^2/q) = log[(xq;q^2)^2 / ((x;q^2)(xq^2;q^2))] at x = s t^-2 is these
+# typed families, less its first factor 1 - w^2/q = 1 - s t^-2, which does
+# not truncate.  Together they are the image ``relations._image_families``
+# derives.
+BULK_IMAGE_PRODUCT = ((1, 2, 8, 2), (1, 6, 8, -2))
+
+
 # VJ's corner product, exp(-f_c) = 1 / prod_k (1-q^{4k-3})(1-q^{4k-2})^4 (1-q^{4k-1}),
 # as the families (sdeg, t0deg, tstep, expo) of ``qseries.log_product``
 CORNER_PRODUCT = ((0, 4, 16, -1), (0, 8, 16, -4), (0, 12, 16, -1))
@@ -688,5 +726,5 @@ CORNER_PRODUCT = ((0, 4, 16, -1), (0, 8, 16, -4), (0, 12, 16, -1))
 def typed_corner_log(q, tiny, what: str):
     """f_c = log[(q;q^4)(q^2;q^4)^4(q^3;q^4)] for a float or an mpmath q."""
     log = getattr(q, "context", math).log
-    p = lambda a: log(_qprod([a], [], q**4, tiny, what))
+    p = lambda a: log(cf._qprod([a], [], q**4, tiny, what))
     return p(q) + 4 * p(q * q) + p(q**3)

@@ -33,6 +33,8 @@ from oracles import (
     dominant_eigenvalue,
     double_row_matrix,
     eval_s,
+    f_bulk_series_coupling,
+    f_surface_v_series_log,
     fk_partition,
     potts_bruteforce,
     power_law_limit,
@@ -84,9 +86,10 @@ def gate_bundle(gate_logz_table):
 
 def test_criterion_02_series_reproduction(gate_bundle):
     t0 = time.time()
-    assert gate_bundle.f_b == cf.f_bulk_series(GATE_ORDER, form="coupling")
-    assert gate_bundle.f_b == cf.f_bulk_series(GATE_ORDER, form="sum")
-    assert gate_bundle.f_s == cf.f_surface_v_series(GATE_ORDER, form="log")
+    assert gate_bundle.f_b == f_bulk_series_coupling(GATE_ORDER)
+    assert gate_bundle.f_b == cf.f_bulk_series(GATE_ORDER)
+    assert gate_bundle.f_s == f_surface_v_series_log(GATE_ORDER)
+    assert gate_bundle.f_s == cf.f_surface_v_series(GATE_ORDER)
     assert gate_bundle.f_sp == cf.f_surface_h_series(GATE_ORDER)
     assert gate_bundle.f_c == cf.f_corner_series(GATE_ORDER)
     report(2, f"lattice == closed forms exactly through t^{GATE_ORDER}, checked in {time.time()-t0:.1f}s")

@@ -29,7 +29,7 @@ def test_bulk_two_representations(q, s):
 @pytest.mark.parametrize("q,s", POINTS)
 def test_surface_two_representations(q, s):
     sp = SpectralParams.from_q_s(q, s)
-    a, b = cf.f_surface_v(sp), cf.f_surface_v(sp, form="log")
+    a, b = cf.f_surface_v(sp), oracles.f_surface_v_log(sp)
     assert b == pytest.approx(a, rel=1e-13, abs=1e-15)
 
 
@@ -85,9 +85,13 @@ def test_product_continuations_equal_the_sums(q, s):
     # in the physical strip the continued products give exp(-f) of the certified sums
     sp = SpectralParams.from_q_s(q, s)
     w2, cp = sp.w2, couplings(sp)
+    exp_bulk = (1 + q) / q * cf._exp_lambert(cf.BULK_LAMBERT, q, w2)
+    assert exp_bulk == pytest.approx(math.exp(-cf.f_bulk(sp)), rel=1e-13)
     exp_bulk = cp.eK1 * cp.eK2 * (1 + q) / cf._exp_lambert(cf.BULK_COUPLING_LAMBERT, q, w2)
     assert exp_bulk == pytest.approx(math.exp(-cf.f_bulk(sp)), rel=1e-13)
-    exp_surface_v = cf._exp_lambert(cf.SURFACE_LOG_LAMBERT, q, w2) / cf._surface_prefactor(q, w2)
+    exp_surface_v = 1 / cf._exp_lambert(cf.SURFACE_V_LAMBERT, q, w2)
+    assert exp_surface_v == pytest.approx(math.exp(-cf.f_surface_v(sp)), rel=1e-13)
+    exp_surface_v = cf._exp_lambert(oracles.SURFACE_LOG_LAMBERT, q, w2) / cf._surface_prefactor(q, w2)
     assert exp_surface_v == pytest.approx(math.exp(-cf.f_surface_v(sp)), rel=1e-13)
     exp_surface_h = 1 / cf._exp_lambert(cf.SURFACE_H_LAMBERT, q, w2)
     assert exp_surface_h == pytest.approx(math.exp(-cf.f_surface_h(sp)), rel=1e-13)
@@ -102,8 +106,8 @@ def test_continuations_match_the_typed_products():
     for q, f in default_grid():
         w2 = _sp_from(q, f).w2
         for x in (w2, q * q / w2):
-            for name, typed in oracles.TYPED_EXP_LAMBERT.items():
-                got = cf._exp_lambert(getattr(cf, name), q, x)
+            for name, (lambert, typed) in oracles.TYPED_EXP_LAMBERT.items():
+                got = cf._exp_lambert(lambert, q, x)
                 assert got == pytest.approx(typed(q, x), rel=1e-14), (name, q, x)
 
 
@@ -154,8 +158,8 @@ def test_convergence_domain_guard():
 
 def test_series_two_representations():
     for T in (12, 20):
-        assert cf.f_bulk_series(T) == cf.f_bulk_series(T, form="coupling")
-        assert cf.f_surface_v_series(T) == cf.f_surface_v_series(T, form="log")
+        assert cf.f_bulk_series(T) == oracles.f_bulk_series_coupling(T)
+        assert cf.f_surface_v_series(T) == oracles.f_surface_v_series_log(T)
 
 
 def test_corner_list_is_vjs_product():

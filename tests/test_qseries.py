@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    BULK_IMAGE_PRODUCT,
     CORNER_PRODUCT,
     SURFACE_H_IMAGE_PRODUCT,
+    SURFACE_LOG_LAMBERT,
     expand_product,
     geometric_inverse,
     inversion_lambert,
@@ -226,7 +228,7 @@ def test_corner_product_log_equals_sum():
 def test_log_product_equals_the_log_of_the_expanded_product():
     # both typed product forms, coefficients and order, at every T
     for T in range(1, 61):
-        for families in (CORNER_PRODUCT, SURFACE_H_IMAGE_PRODUCT):
+        for families in (CORNER_PRODUCT, SURFACE_H_IMAGE_PRODUCT, BULK_IMAGE_PRODUCT):
             prod = expand_product([(1, *f) for f in families], T)
             got = log_product(families, T)
             assert got.to_json_dict() == prod.log().to_json_dict(), (families, T)
@@ -234,16 +236,30 @@ def test_log_product_equals_the_log_of_the_expanded_product():
 
 
 def test_inversion_images_are_the_mapped_lists():
-    # S_b's and log G's lam - u images truncate: nothing is split, and the
-    # derived families are the hand-mapped list's, through every T
-    for name in ("BULK_COUPLING_LAMBERT", "SURFACE_LOG_LAMBERT"):
-        lam = getattr(cf, name)
+    # f_s's, S_b's and log G's lam - u images truncate: nothing is split, and
+    # the derived families are the hand-mapped list's, through every T
+    lists = {
+        "SURFACE_V_LAMBERT": cf.SURFACE_V_LAMBERT,
+        "BULK_COUPLING_LAMBERT": cf.BULK_COUPLING_LAMBERT,
+        "SURFACE_LOG_LAMBERT": SURFACE_LOG_LAMBERT,
+    }
+    for name, lam in lists.items():
         families, split = relations._image_families(lam)
         assert split == [], name
         assert families == lambert_families(*inversion_lambert(lam)), name
         for T in range(1, 61):
             ref = lambert_sum_loop(*inversion_lambert(lam), T)
             assert log_product(families, T).to_json_dict() == ref.to_json_dict(), (name, T)
+
+
+def test_bulk_image_splits_its_one_nontruncating_factor():
+    # f_b's image splits exactly (1 - s t^-2)^-1, that is 1 - w^2/q, and the
+    # rest is the mapped list's truncating half plus the typed product, through every T
+    families, split = relations._image_families(cf.BULK_LAMBERT)
+    assert split == [(1, -2, -1)]
+    for T in range(1, 61):
+        typed = lambert_sum_loop([(1, 6, -1), (-1, 10, -1)], 4, +1, T) + log_product(BULK_IMAGE_PRODUCT, T)
+        assert log_product(families, T).to_json_dict() == typed.to_json_dict(), T
 
 
 def test_surface_h_image_splits_its_one_nontruncating_factor():
@@ -268,12 +284,13 @@ def test_log_product_is_a_lambert_sum(sdeg, expo):
             assert got.to_json_dict() == expected.to_json_dict(), (t0, tstep, T)
 
 
-# the eight closedform lists, the lam - u images of S_b and log G, and the
-# short list of f_sp's typed image
+# the seven closedform lists, log G, the lam - u images of S_b and log G, and
+# the short list of f_sp's typed image
 ALL_LAMBERT = [
     *(getattr(cf, name) for name in dir(cf) if name.endswith("_LAMBERT")),
+    SURFACE_LOG_LAMBERT,
     inversion_lambert(cf.BULK_COUPLING_LAMBERT),
-    inversion_lambert(cf.SURFACE_LOG_LAMBERT),
+    inversion_lambert(SURFACE_LOG_LAMBERT),
     ([(1, 10, -1), (-1, 14, -1)], 8, +1),
 ]
 

@@ -1,6 +1,8 @@
 """Functional-identity verifiers: matrix level, numeric grid, exact series,
-and the fault table that makes every row of ``verify`` fail."""
+the fault table that makes every row of ``verify`` fail, and the mutants
+``verify`` still passes."""
 
+import contextlib
 import csv
 import functools
 import io
@@ -63,13 +65,16 @@ def test_vv_eigenvalue_pairing_detail():
 
 
 def test_numeric_grid_all_pass():
-    rows = relations.verify_free_energy_relations_numeric()
+    *rows, corner = relations.verify_free_energy_relations_numeric()
     assert len(rows) == 6
-    for r in rows:
+    for r in (*rows, corner):
         assert r.passed, (r.identity, r.max_defect)
         assert r.max_defect <= 1e-11
-        # no grid point meets a pole, so none is skipped
-        assert r.points == relations.default_grid()
+    # no grid point meets a pole, so none is skipped
+    assert all(r.points == relations.default_grid() for r in rows)
+    # f_c is checked once at each of the grid's 10 distinct q
+    assert corner.identity == "corner_float"
+    assert len(corner.points) == 10 and set(corner.points) == {q for q, _ in relations.default_grid()}
 
 
 def test_series_relations_all_pass():
@@ -163,7 +168,7 @@ def test_verify_csv_parses(capsys):
     assert cli.main(["verify", "--order", "8", "--format", "csv"]) == 0
     reader = csv.DictReader(io.StringIO(capsys.readouterr().out))
     rows = list(reader)
-    assert len(rows) == len(relations.ROWS) == 15
+    assert len(rows) == len(relations.ROWS) == 16
     assert sorted(reader.fieldnames) == ["details", "identity", "max_defect", "passed", "points", "ring", "tol"]
     assert all(list(row) == reader.fieldnames and None not in row.values() for row in rows)
     assert all(row["passed"] == "True" for row in rows)
@@ -173,14 +178,19 @@ def test_verify_csv_parses(capsys):
 # faults: each perturbs one input and must fail exactly its declared rows
 # ----------------------------------------------------------------------------
 
-def _scaled(obj, name, factor):
-    """``obj.name`` with its value multiplied by ``factor``."""
+def _changed(obj, name, change):
+    """``obj.name`` with its value v made change(v)."""
 
     def patch(mp):
         f = getattr(obj, name)
-        mp.setattr(obj, name, lambda *a: f(*a) * factor)
+        mp.setattr(obj, name, lambda *a: change(f(*a)))
 
     return patch
+
+
+def _scaled(obj, name, factor):
+    """``obj.name`` with its value multiplied by ``factor``."""
+    return _changed(obj, name, lambda v: v * factor)
 
 
 def _xi_off(mp):
@@ -194,30 +204,38 @@ def _xi_off(mp):
     mp.setattr(relations, "_dual_values", off)
 
 
-def _bump_first_entry(name):
-    """closedform's Lambert list ``name`` with its first c made c + 1."""
+def _entry_changed(name, k, change):
+    """closedform's Lambert list ``name`` with numerator k made
+    change(numerator, denom_tstep)."""
 
     def patch(mp):
-        ((c, tstep, sstep), *rest), dstep, dsign = getattr(cf, name)
-        mp.setattr(cf, name, (((c + 1, tstep, sstep), *rest), dstep, dsign))
+        entries, dstep, dsign = getattr(cf, name)
+        entries = list(entries)
+        entries[k] = change(entries[k], dstep)
+        mp.setattr(cf, name, (tuple(entries), dstep, dsign))
 
     return patch
 
 
-def _extra_entry(name, tdeg):
-    """closedform's Lambert list ``name`` with an extra entry (1, tdeg, 0),
-    which adds t^tdeg at n = 1 and nothing else through t^48."""
+def _bump_entry(name, k):
+    """closedform's Lambert list ``name`` with numerator k's c made c + 1."""
+    return _entry_changed(name, k, lambda e, D: (e[0] + 1, *e[1:]))
+
+
+def _extra_entry(name, tdeg, sdeg=0):
+    """closedform's Lambert list ``name`` with an extra entry (1, tdeg, sdeg),
+    which adds s^sdeg t^tdeg at n = 1 and nothing else through t^48 when tdeg > 24."""
 
     def patch(mp):
         entries, dstep, dsign = getattr(cf, name)
-        mp.setattr(cf, name, ((*entries, (1, tdeg, 0)), dstep, dsign))
+        mp.setattr(cf, name, ((*entries, (1, tdeg, sdeg)), dstep, dsign))
 
     return patch
 
 
 def _exp_lambert_of(name, change):
-    """``cf._exp_lambert`` with its value v for closedform's list ``name``, at
-    u and at lam - u, made change(v, q)."""
+    """``cf._exp_lambert`` with its value v for closedform's list ``name``
+    made change(v, q); the float inversion rows evaluate it at lam - u."""
 
     def patch(mp):
         f, lam = cf._exp_lambert, getattr(cf, name)
@@ -286,24 +304,32 @@ FAULTS = [
     # a NaN at any point fails its row, in the matrices and in the grid,
     # where the last grid point's q is on no other point
     ("transfer-T2-nan", 8, _nan_t2, {("transfer_inversion", F)}),
+    # the float inversion rows take S(lam - u) from the list's product, so a
+    # wrong product fails them
     (
         "bulk-product-1e-9",
         8,
-        _exp_lambert_of("BULK_COUPLING_LAMBERT", lambda v, q: v * (1 + 1e-9)),
+        _exp_lambert_of("BULK_LAMBERT", lambda v, q: v * (1 + 1e-9)),
         {("inversion_bulk", F)},
     ),
     (
         "bulk-product-nan-at-one-point",
         8,
-        _exp_lambert_of("BULK_COUPLING_LAMBERT", lambda v, q: math.nan if q == relations.default_grid()[-1][0] else v),
+        _exp_lambert_of("BULK_LAMBERT", lambda v, q: math.nan if q == relations.default_grid()[-1][0] else v),
         {("inversion_bulk", F)},
     ),
     (
         "surface-v-product-1e-9",
         8,
-        _exp_lambert_of("SURFACE_LOG_LAMBERT", lambda v, q: v * (1 + 1e-9)),
+        _exp_lambert_of("SURFACE_V_LAMBERT", lambda v, q: v * (1 + 1e-9)),
         {("inversion_surface_v", F)},
     ),
+    # and S(u) from the value eval prints, so a common scale, which the
+    # rotation rows cannot see, or a wrong u-free constant fails them too
+    ("bulk-value-1e-6", 8, _scaled(cf, "f_bulk", 1 + 1e-6), {("inversion_bulk", F)}),
+    ("bulk-value-plus-1e-9", 8, _changed(cf, "f_bulk", lambda v: v + 1e-9), {("inversion_bulk", F)}),
+    # f_c's printed sum against the product critical evaluates
+    ("corner-value-1e-6", 8, _scaled(cf, "f_corner", 1 + 1e-6), {("corner_float", F)}),
     # one table entry feeds both rings: a wrong R, or a wrong Delta in it,
     # fails the float and the series row alike
     ("inversion-bulk-R-cubed", 8, _bulk_R_cubed, {("inversion_bulk", F), ("inversion_bulk", S)}),
@@ -313,57 +339,37 @@ FAULTS = [
         _scaled(relations, "_delta", 1 + Fraction(1, 10**9)),
         {("inversion_surface_h", F), ("inversion_surface_h", S)},
     ),
-    # the lam - u image is derived from the forward list, so one wrong entry
-    # shows up in the product F(u) F(lam-u) (or G(u) G(lam-u)); the float
-    # continuation is the same list's product, so its row fails too
-    (
-        "BULK_COUPLING_LAMBERT",
-        12,
-        _bump_first_entry("BULK_COUPLING_LAMBERT"),
-        {("inversion_bulk", F), ("inversion_bulk", S)},
-    ),
-    (
-        "SURFACE_LOG_LAMBERT",
-        12,
-        _bump_first_entry("SURFACE_LOG_LAMBERT"),
-        {("inversion_surface_v", F), ("inversion_surface_v", S)},
-    ),
-    # a row compares its top degrees too; in floats the extra q^(47/4) or
-    # q^12 term is far above the tolerance
-    (
-        "BULK_COUPLING_LAMBERT-t47",
-        48,
-        _extra_entry("BULK_COUPLING_LAMBERT", 47),
-        {("inversion_bulk", F), ("inversion_bulk", S)},
-    ),
-    (
-        "BULK_COUPLING_LAMBERT-t48",
-        48,
-        _extra_entry("BULK_COUPLING_LAMBERT", 48),
-        {("inversion_bulk", F), ("inversion_bulk", S)},
-    ),
+    # a row compares its top degrees too; in floats the extra q^10, q^(47/4)
+    # or q^12 term is far above the tolerance.  An s-free entry is its own
+    # rotation image, so only the inversion rows see it
+    *[
+        (f"BULK_LAMBERT-t{tdeg}", 48, _extra_entry("BULK_LAMBERT", tdeg), {("inversion_bulk", F), ("inversion_bulk", S)})
+        for tdeg in (40, 47, 48)
+    ],
     # f_sp's image is derived from its list, so an s-free extra entry is the
     # same at u and lam - u and cancels from both inversion rows; rotation
     # compares it with the separately typed f_s list
     ("SURFACE_H_LAMBERT-t48", 48, _extra_entry("SURFACE_H_LAMBERT", 48), ROTATION_SURFACE),
     # a row whose two sides are exact only through t^(T-1) checks nothing at t^T
     ("surface-h-image-short", 12, _image_short_of_order, {("inversion_surface_h", S)}),
-    # one list feeds the float sum, its float continuation and the exact
-    # series alike
-    (
-        "BULK_LAMBERT",
-        12,
-        _bump_first_entry("BULK_LAMBERT"),
-        {("rotation_bulk", F), ("rotation_bulk", S), ("corner_constant", S)},
-    ),
-    ("SURFACE_V_LAMBERT", 12, _bump_first_entry("SURFACE_V_LAMBERT"), {*ROTATION_SURFACE, ("corner_constant", S)}),
+    # one list feeds the float sum, its float continuation, the exact series
+    # and the derived lam - u image alike, so one wrong entry fails the
+    # inversion rows in both rings, the rotation rows and the lattice comparison
+    *[
+        (f"{name}{tag}", 12, _bump_entry(name, k), {*rows, ("corner_constant", S)})
+        for name, rows in (
+            ("BULK_LAMBERT", {("inversion_bulk", F), ("inversion_bulk", S), ("rotation_bulk", F), ("rotation_bulk", S)}),
+            ("SURFACE_V_LAMBERT", {("inversion_surface_v", F), ("inversion_surface_v", S), *ROTATION_SURFACE}),
+        )
+        for tag, k in (("", 0), ("-last", -1))
+    ],
     (
         "SURFACE_H_LAMBERT",
         12,
-        _bump_first_entry("SURFACE_H_LAMBERT"),
+        _bump_entry("SURFACE_H_LAMBERT", 0),
         {("inversion_surface_h", F), ("inversion_surface_h", S), *ROTATION_SURFACE, ("corner_constant", S)},
     ),
-    ("CORNER_LAMBERT", 12, _bump_first_entry("CORNER_LAMBERT"), {("corner_constant", S)}),
+    ("CORNER_LAMBERT", 12, _bump_entry("CORNER_LAMBERT", 0), {("corner_constant", S)}),
     *[(f"lattice-{e}", 12, _lattice_shift(e), {("corner_constant", S)}) for e in ("f_b", "f_s", "f_sp", "f_c")],
 ]
 
@@ -382,3 +388,44 @@ def test_a_fault_fails_exactly_its_rows(monkeypatch, capsys, order, perturb, fai
 
 def test_every_row_is_a_fault_target():
     assert set().union(*(f[3] for f in FAULTS)) == set(relations.ROWS)
+
+
+# ----------------------------------------------------------------------------
+# mutation score: every entry of the four printed lists, and every printed value
+# ----------------------------------------------------------------------------
+
+# the mutants that ``verify --order 48`` passes, with the reason it cannot see each
+SURVIVORS = {
+    f"CORNER_LAMBERT+(1,{tdeg},{sdeg})": (
+        "f_c's list reaches a series row only through the lattice comparison, at "
+        "t^min(T, 12); corner_float compares its sum with its own product"
+    )
+    for tdeg, sdeg in ((40, 0), (44, 1), (44, -1))
+}
+
+
+def _mutants():
+    """(name, perturbation): c + 1 and a + D on every numerator (c, a, b) of
+    the four printed lists, three extra entries beyond t^T - 8 per list, and
+    each printed float value scaled by 1 + 1e-6."""
+    for name in ("BULK_LAMBERT", "SURFACE_V_LAMBERT", "SURFACE_H_LAMBERT", "CORNER_LAMBERT"):
+        for k in range(len(getattr(cf, name)[0])):
+            yield f"{name}[{k}].c+1", _bump_entry(name, k)
+            yield f"{name}[{k}].a+D", _entry_changed(name, k, lambda e, D: (e[0], e[1] + D, e[2]))
+        for tdeg, sdeg in ((40, 0), (44, 1), (44, -1)):
+            yield f"{name}+(1,{tdeg},{sdeg})", _extra_entry(name, tdeg, sdeg)
+    for f in ("f_bulk", "f_surface_v", "f_surface_h", "f_corner"):
+        yield f"{f}*(1+1e-6)", _scaled(cf, f, 1 + 1e-6)
+
+
+@pytest.mark.slow
+def test_mutants_that_verify_passes_are_documented():
+    mutants = list(_mutants())
+    assert len(mutants) == 46
+    survivors = []
+    for name, perturb in mutants:
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+            perturb(mp)
+            if cli.main(["verify", "--order", "48"]) == 0:
+                survivors.append(name)
+    assert set(survivors) <= set(SURVIVORS), survivors
