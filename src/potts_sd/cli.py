@@ -4,8 +4,8 @@ Subcommands: eval | series | lattice | bethe | verify | critical.
 JSON is the machine format (exact rationals as decimal strings inside the
 series payloads); CSV is a lossy convenience view.  Exit codes: 0 success,
 1 domain/config/usage error or a closed stdout, 2 identity-check failure
-(including a nonzero extraction residual), 3 numeric non-convergence or
-disagreeing numeric routes.
+(including a nonzero extraction residual, or an extraction that misses
+the closed forms), 3 numeric non-convergence or disagreeing numeric routes.
 """
 
 from __future__ import annotations
@@ -156,6 +156,7 @@ def cmd_lattice(args) -> int:
         with ThreadPoolExecutor(args.threads) as pool:
             table = lattice.extraction_table(order, map=pool.map)
         bundle = lattice.extract_free_energies(table, order)
+        matches = relations.closed_form_matches(bundle, order)
         payload = {
             "command": "lattice",
             "order": order,
@@ -164,10 +165,10 @@ def cmd_lattice(args) -> int:
             "f_s": _series_payload(bundle.f_s),
             "f_sp": _series_payload(bundle.f_sp),
             "f_c": _series_payload(bundle.f_c),
-            "matches_closed_form": relations.closed_form_matches(bundle, order),
+            "matches_closed_form": matches,
         }
         _emit(payload, args)
-        return EXIT_OK
+        return EXIT_OK if all(matches.values()) else EXIT_IDENTITY
     M, N = args.M, args.N
     spec = lattice.LatticeSpec(M, N)
     t0 = time.perf_counter()

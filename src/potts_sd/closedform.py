@@ -254,18 +254,27 @@ def f_surface_isotropic_product(q: float) -> float:
 # exact series
 # ----------------------------------------------------------------------------
 
-def rational_series(f, order: int) -> TruncatedSeries:
-    """f(q, w^2) at q = t^4, w^2 = s t^2 as a series exact through t^order.
+def rational(f) -> _Ratio:
+    """f(q, w^2) at q = t^4, w^2 = s t^2, with no truncation.
 
     ``f`` is a rational formula in (q, w^2), such as the raw coupling forms
     of ``params``.  It runs exactly, on a numerator/denominator pair of
-    Laurent polynomials in (t, s), and the pair is divided once, at the end
-    (``qseries._Ratio``); a zero denominator, or one whose lowest
-    coefficient is not a monomial in s, raises a TruncationError.
+    Laurent polynomials in (t, s) (``qseries._Ratio``), so f vanishes
+    identically exactly when the numerator is the zero polynomial.
     """
     q = _Ratio(TruncatedSeries.term(1, 4, 0, order=_INF))
     w2 = _Ratio(TruncatedSeries.term(1, 2, 1, order=_INF))
-    return _Ratio.of(f(q, w2)).series(order)
+    return _Ratio.of(f(q, w2))
+
+
+def rational_series(f, order: int) -> TruncatedSeries:
+    """f(q, w^2) at q = t^4, w^2 = s t^2 as a series exact through t^order.
+
+    ``rational(f)``'s pair is divided once, at the end; a zero denominator,
+    or one whose lowest coefficient is not a monomial in s, raises a
+    TruncationError.
+    """
+    return rational(f).series(order)
 
 
 def _bulk_prefactor(q, w2):

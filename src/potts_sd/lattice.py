@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bundle import FreeEnergyBundle, LogSeries
-from .errors import ConvergenceError, DomainError, ExtractionError, SizeGuardError
+from .errors import DomainError, ExtractionError, SizeGuardError
 from .qseries import LaurentPolyS, TruncatedSeries, log_geometric_inverse
 
 
@@ -435,87 +435,3 @@ def extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
         route="lattice",
         meta={"rectangles": rectangles, "spare_diagonal": spare, "order": order},
     )
-
-
-# ----------------------------------------------------------------------------
-# spin-basis transfer matrices (the combined operator route)
-# ----------------------------------------------------------------------------
-
-TRANSFER_MAX_DIM = 4096
-
-
-def _spin_dim(N: int, Q: int) -> int:
-    """Q^N, the size of the spin-row space, guarded before any allocation."""
-    dim = Q**N
-    if dim > TRANSFER_MAX_DIM:
-        raise SizeGuardError(f"Q^N = {dim} exceeds the dense transfer-matrix guard {TRANSFER_MAX_DIM}")
-    return dim
-
-
-def _t1_diagonal(N: int, Q: int, eK1: float) -> np.ndarray:
-    """The diagonal of the K1 row factor T1: exp(K1 * equal horizontal pairs)."""
-    states = np.arange(_spin_dim(N, Q))
-    digits = (states[:, None] // (Q ** np.arange(N))[None, :]) % Q
-    eq = (digits[:, :-1] == digits[:, 1:]).sum(axis=1)
-    return np.asarray(eK1, dtype=float) ** eq if eK1 > 0 else (eK1 + 0j) ** eq
-
-
-def _kron_power(site: np.ndarray, N: int) -> np.ndarray:
-    """site (x) ... (x) site, N factors: a site-local map on every spin of the row."""
-    _spin_dim(N, len(site))
-    out = site
-    for _ in range(N - 1):
-        out = np.kron(out, site)
-    return out
-
-
-def _site_matrix(Q: int, eK2) -> np.ndarray:
-    b = np.ones((Q, Q), dtype=float)
-    np.fill_diagonal(b, eK2)
-    return b
-
-
-def _site_sqrt(Q: int, eK2, allow_complex: bool = False) -> np.ndarray:
-    """Analytic square root of the site matrix a*I + b*J.
-
-    Eigenvalues eK2 - 1 (multiplicity Q-1) and eK2 + Q - 1 (the all-ones
-    direction).  Real only when both are positive.
-    """
-    lam1 = eK2 - 1.0
-    lam2 = eK2 + Q - 1.0
-    if (lam1 < 0 or lam2 < 0) and not allow_complex:
-        raise DomainError("site matrix not positive semidefinite; square root undefined over reals")
-    import cmath
-
-    s1 = cmath.sqrt(lam1) if lam1 < 0 else math.sqrt(lam1)
-    s2 = cmath.sqrt(lam2) if lam2 < 0 else math.sqrt(lam2)
-    dtype = complex if (isinstance(s1, complex) or isinstance(s2, complex)) else float
-    J = np.ones((Q, Q), dtype=dtype) / Q
-    I = np.eye(Q, dtype=dtype)
-    return s1 * (I - J) + s2 * J
-
-
-def potts_transfer_V(N: int, Q: int, eK1, eK2, *, allow_complex: bool = False) -> np.ndarray:
-    """V = T2^{1/2} T1 T2^{1/2} on the Q^N spin rows.
-
-    Complex entries appear only at coupling-inverted points, where
-    exp(K2) < 0 (pass ``allow_complex``).
-    """
-    S = _kron_power(_site_sqrt(Q, eK2, allow_complex), N)
-    return S @ (_t1_diagonal(N, Q, eK1)[:, None] * S)
-
-
-def potts_transfer_T2(N: int, Q: int, eK2) -> np.ndarray:
-    """The K2 row factor: the site matrix (exp(K2) on the diagonal, 1 off it) on every spin."""
-    return _kron_power(_site_matrix(Q, eK2), N)
-
-
-def max_eigenvalue(mat: np.ndarray):
-    """Dominant eigenpair of a real symmetric transfer matrix."""
-    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
-    k = int(np.argmax(vals))
-    val, vec = vals[k], vecs[:, k]
-    resid = np.linalg.norm(mat @ vec - val * vec) / max(abs(val), 1e-300)
-    if resid > 1e-10:
-        raise ConvergenceError(f"dense eigenpair residual {resid}")
-    return val, vec

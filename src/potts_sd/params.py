@@ -9,9 +9,9 @@ exp(K2) = 1 + sqrt(Q)/x with Q = q + 2 + 1/q and
 x = sinh(lam - 2u)/sinh(2u).  All hyperbolic forms are derived views; the
 rational forms in (q, w**2) are the ones actually computed, and the
 hyperbolic route is used as a cross-check.  The raw rational forms
-(``_Q``, ``_exp_K1``, ``_exp_K2``, ``_xi``, ``_delta``) use only + - * / and
-integer powers, so they run unchanged over exact series in t as well
-(``closedform.rational_series``).
+(``_Q``, ``_exp_K1``, ``_exp_K2``, ``_xi``, ``_inversion_w2``, ``_delta``) use
+only + - * / and integer powers, so they run unchanged over exact series in t
+as well (``closedform.rational``).
 
 The physical (ferromagnetic) strip is q < w**2 < 1, i.e. 0 < u < lam/2.
 Operations are defined by their formulas outside that strip too, but such
@@ -123,6 +123,11 @@ def _xi(q, w2):
     """xi = exp(K2(u)) exp(K2(lam-u)) + Q - 1, negative throughout the strip,
     with a double pole at u = lam/2 (w^2 = q)."""
     return -_Q(q) * (1 - w2) * (w2 - q * q) / (w2 - q) ** 2
+
+
+def _inversion_w2(q, w2):
+    """w^2 at lam - u: the inversion u -> lam - u sends w^2 to q^2/w^2."""
+    return q * q / w2
 
 
 def _delta(q, w2):

@@ -20,9 +20,12 @@ mapped and typed by hand: the references of the images ``relations``
 derives.  ``f_bulk_series_coupling``, ``f_surface_v_log`` and
 ``f_surface_v_series_log`` (with ``SURFACE_LOG_LAMBERT``) are the second
 representations of f_b and f_s: the references of the sums ``closedform``
-prints.  ``potts_transfer_T1``
-is the dense diagonal row factor whose product ``verify`` checks on the
-diagonal alone.
+prints.  The dense spin-basis transfer matrices
+(``potts_transfer_T1``, ``potts_transfer_T2``, ``potts_transfer_V``) and
+``max_eigenvalue`` carry the matrix-level inversion identities, whose
+scalar parents in (q, w^2) ``verify`` checks exactly.
+``table_with_shifted_energy`` is not an oracle but a fault: the lattice
+table of a route that misses one free energy.
 """
 
 from __future__ import annotations
@@ -438,6 +441,15 @@ def fraction_extract_free_energies(table: dict, order: int) -> FreeEnergyBundle:
     )
 
 
+def table_with_shifted_energy(table: dict, energy: str, delta: TruncatedSeries) -> dict:
+    """``table`` with one free energy ("f_b", "f_s", "f_sp" or "f_c") moved
+    by ``delta`` in every G(m, n) = -mn f_b - m f_s - n f'_s - f_c.  The
+    spare diagonal still vanishes, so only a comparison with the closed
+    forms sees it."""
+    weight = {"f_b": lambda m, n: m * n, "f_s": lambda m, n: m, "f_sp": lambda m, n: n, "f_c": lambda m, n: 1}[energy]
+    return {(m, n): g - weight(m, n) * delta for (m, n), g in table.items()}
+
+
 # ----------------------------------------------------------------------------
 # homogeneous double-row arrow operator (the Bethe cross-check target)
 # ----------------------------------------------------------------------------
@@ -473,16 +485,116 @@ def dominant_eigenvalue(mat: np.ndarray) -> float:
     return float(v.real)
 
 
-def potts_transfer_T1(N: int, Q: int, eK1) -> np.ndarray:
-    """The dense K1 row factor: exp(K1 * equal horizontal pairs) on the diagonal."""
-    return np.diag(lattice._t1_diagonal(N, Q, eK1))
-
-
 def power_law_limit(rows) -> float:
     """The f of f_N = f + b/N^2 + c/N^3 solved on the last three of the
     ``bethe.surface_convergence`` rows: a Richardson extrapolation."""
     m = np.array([[1.0, r.N**-2.0, r.N**-3.0] for r in rows[-3:]])
     return float(np.linalg.solve(m, np.array([r.f_s_N for r in rows[-3:]]))[0])
+
+
+# ----------------------------------------------------------------------------
+# dense spin-basis transfer matrices: the matrix-level inversion identities
+# ----------------------------------------------------------------------------
+
+TRANSFER_MAX_DIM = 4096
+
+
+def _spin_dim(N: int, Q: int) -> int:
+    """Q^N, the size of the spin-row space, guarded before any allocation."""
+    dim = Q**N
+    if dim > TRANSFER_MAX_DIM:
+        raise SizeGuardError(f"Q^N = {dim} exceeds the dense transfer-matrix guard {TRANSFER_MAX_DIM}")
+    return dim
+
+
+def _t1_diagonal(N: int, Q: int, eK1: float) -> np.ndarray:
+    """The diagonal of the K1 row factor T1: exp(K1 * equal horizontal pairs)."""
+    states = np.arange(_spin_dim(N, Q))
+    digits = (states[:, None] // (Q ** np.arange(N))[None, :]) % Q
+    eq = (digits[:, :-1] == digits[:, 1:]).sum(axis=1)
+    return np.asarray(eK1, dtype=float) ** eq if eK1 > 0 else (eK1 + 0j) ** eq
+
+
+def _kron_power(site: np.ndarray, N: int) -> np.ndarray:
+    """site (x) ... (x) site, N factors: a site-local map on every spin of the row."""
+    _spin_dim(N, len(site))
+    out = site
+    for _ in range(N - 1):
+        out = np.kron(out, site)
+    return out
+
+
+def _site_matrix(Q: int, eK2) -> np.ndarray:
+    b = np.ones((Q, Q), dtype=float)
+    np.fill_diagonal(b, eK2)
+    return b
+
+
+def _site_sqrt(Q: int, eK2, allow_complex: bool = False) -> np.ndarray:
+    """Analytic square root of the site matrix a*I + b*J.
+
+    Eigenvalues eK2 - 1 (multiplicity Q-1) and eK2 + Q - 1 (the all-ones
+    direction).  Real only when both are positive.
+    """
+    lam1 = eK2 - 1.0
+    lam2 = eK2 + Q - 1.0
+    if (lam1 < 0 or lam2 < 0) and not allow_complex:
+        raise DomainError("site matrix not positive semidefinite; square root undefined over reals")
+    import cmath
+
+    s1 = cmath.sqrt(lam1) if lam1 < 0 else math.sqrt(lam1)
+    s2 = cmath.sqrt(lam2) if lam2 < 0 else math.sqrt(lam2)
+    dtype = complex if (isinstance(s1, complex) or isinstance(s2, complex)) else float
+    J = np.ones((Q, Q), dtype=dtype) / Q
+    I = np.eye(Q, dtype=dtype)
+    return s1 * (I - J) + s2 * J
+
+
+def potts_transfer_V(N: int, Q: int, eK1, eK2, *, allow_complex: bool = False) -> np.ndarray:
+    """V = T2^{1/2} T1 T2^{1/2} on the Q^N spin rows.
+
+    Complex entries appear only at coupling-inverted points, where
+    exp(K2) < 0 (pass ``allow_complex``).
+    """
+    S = _kron_power(_site_sqrt(Q, eK2, allow_complex), N)
+    return S @ (_t1_diagonal(N, Q, eK1)[:, None] * S)
+
+
+def potts_transfer_T1(N: int, Q: int, eK1) -> np.ndarray:
+    """The dense K1 row factor: exp(K1 * equal horizontal pairs) on the diagonal."""
+    return np.diag(_t1_diagonal(N, Q, eK1))
+
+
+def potts_transfer_T2(N: int, Q: int, eK2) -> np.ndarray:
+    """The K2 row factor: the site matrix (exp(K2) on the diagonal, 1 off it) on every spin."""
+    return _kron_power(_site_matrix(Q, eK2), N)
+
+
+def max_eigenvalue(mat: np.ndarray):
+    """Dominant eigenpair of a real symmetric transfer matrix."""
+    vals, vecs = np.linalg.eigh((mat + mat.T) / 2)
+    k = int(np.argmax(vals))
+    val, vec = vals[k], vecs[:, k]
+    resid = np.linalg.norm(mat @ vec - val * vec) / max(abs(val), 1e-300)
+    if resid > 1e-10:
+        raise ConvergenceError(f"dense eigenpair residual {resid}")
+    return val, vec
+
+
+def transfer_inversion_defects(N: int, Q: int, cp, cpi, xi) -> dict:
+    """The dense products T1(u)T1(lam-u), T2(u)T2(lam-u) and V(u)V(lam-u),
+    with the couplings ``cp`` at u and ``cpi`` at lam - u, against 1,
+    xi^N 1 and xi^N 1: the largest entry of each difference, relative."""
+    one = np.eye(Q**N)
+    target = xi**N
+    t1 = potts_transfer_T1(N, Q, cp.eK1) @ potts_transfer_T1(N, Q, cpi.eK1)
+    t2 = potts_transfer_T2(N, Q, cp.eK2) @ potts_transfer_T2(N, Q, cpi.eK2)
+    v = potts_transfer_V(N, Q, cp.eK1, cp.eK2) @ potts_transfer_V(N, Q, cpi.eK1, cpi.eK2, allow_complex=True)
+    return {
+        "T1": float(np.abs(t1 - one).max()),
+        "T2": float(np.abs(t2 - target * one).max() / abs(target)),
+        "V": float(np.abs(v - target * one).max() / abs(target)),
+    }
 
 
 # ----------------------------------------------------------------------------

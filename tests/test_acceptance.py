@@ -40,10 +40,11 @@ from oracles import (
     power_law_limit,
     sector_states,
     sixvertex_partition,
+    transfer_inversion_defects,
 )
 from potts_sd import bethe, closedform as cf, relations
 from potts_sd.lattice import LatticeSpec, extract_free_energies, extraction_table
-from potts_sd.params import SpectralParams, solve_q_from_Q
+from potts_sd.params import SpectralParams, _xi, couplings, inversion_image, solve_q_from_Q
 from potts_sd.qseries import LaurentPolyS, TruncatedSeries
 
 GATE_ORDER = 16
@@ -207,13 +208,16 @@ def test_criterion_07_identity_suite():
         assert r.passed, r.identity
     for r in relations.verify_free_energy_relations_numeric():
         assert r.passed and r.max_defect <= 1e-11, (r.identity, r.max_defect)
-    # the matrix identities at self-dual points with integer Q, the couplings checked at lam - u
+    # the matrix identities' scalar parents, exactly in (q, w^2) ...
+    for r in (relations.verify_matrix_inversion(), relations.verify_VV()):
+        assert r.passed and r.ring == "exact", r.identity
+    # ... and the dense T1, T2 and V products at self-dual points with integer
+    # Q, with the couplings at lam - u taken from the point's inversion image
     for Q in (5, 6, 7):
         sp = relations._sp_from(solve_q_from_Q(Q), 0.3)
-        for r in (relations.verify_matrix_inversion(3, Q, sp), relations.verify_VV(2, Q, sp)):
-            assert r.passed and r.max_defect <= 1e-11, (Q, r.identity, r.max_defect)
-            assert r.details["inversion_image_defect"] <= 1e-11
-    report(7, "6 relations exact-series + 1e-11 numeric; matrix identities at self-dual Q = 5, 6, 7 to 1e-11")
+        d = transfer_inversion_defects(3, Q, couplings(sp), couplings(inversion_image(sp)), _xi(sp.q, sp.w2))
+        assert max(d.values()) <= 1e-11, (Q, d)
+    report(7, "6 relations exact-series + 1e-11 numeric; coupling maps exact; dense T1, T2, V at Q = 5, 6, 7 to 1e-11")
 
 
 # -- 8: inversion-derived coefficients ------------------------------------------

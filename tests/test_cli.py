@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import potts_sd
-
+from oracles import table_with_shifted_energy
 from potts_sd import bethe, cli, closedform, lattice
 from potts_sd.qseries import TruncatedSeries
 
@@ -80,6 +80,16 @@ def test_lattice_extract(capsys):
         d = json.loads(out)
         assert len(d["matches_closed_form"]) == 4
         assert all(d["matches_closed_form"].values())
+
+
+@pytest.mark.parametrize("energy", ["f_b", "f_s", "f_sp", "f_c"])
+def test_lattice_extract_exits_two_when_a_free_energy_misses_the_closed_form(monkeypatch, capsys, energy):
+    # the JSON is still printed, with the one free energy the extraction missed flagged
+    table = table_with_shifted_energy(lattice.extraction_table(12), energy, TruncatedSeries.term(1, 10, 1, order=12))
+    monkeypatch.setattr(lattice, "extraction_table", lambda order, map=map: table)
+    code, out = run(capsys, "lattice", "--order", "12", "--extract")
+    assert code == 2
+    assert json.loads(out)["matches_closed_form"] == {k: k != energy for k in ("f_b", "f_s", "f_sp", "f_c")}
 
 
 def test_lattice_single(capsys):

@@ -16,13 +16,17 @@ from oracles import (
     _apply_t1,
     _apply_t2,
     _apply_vertex_poly as oracle_apply_vertex_poly,
+    _t1_diagonal,
     dict_z_normalized,
     dominant_eigenvalue,
     double_row_matrix,
     fk_partition,
     fraction_extract_free_energies,
     fraction_series_logZ,
+    max_eigenvalue,
     potts_bruteforce,
+    potts_transfer_T2,
+    potts_transfer_V,
     sector_states,
     sixvertex_equivalent_potts,
 )
@@ -30,9 +34,6 @@ from potts_sd.lattice import (
     LatticeSpec,
     extract_free_energies,
     extraction_table,
-    max_eigenvalue,
-    potts_transfer_T2,
-    potts_transfer_V,
     series_logZ,
 )
 from potts_sd.params import SpectralParams, _delta, couplings
@@ -495,7 +496,7 @@ def test_transfer_matrices_guard_the_spin_dimension():
     with pytest.raises(SizeGuardError):
         potts_transfer_V(8, 3, 1.8, 1.5)
     with pytest.raises(SizeGuardError):
-        lattice._t1_diagonal(8, 3, 1.8)
+        _t1_diagonal(8, 3, 1.8)
 
 
 def test_max_eigenvalue_rejects_a_non_symmetric_matrix():

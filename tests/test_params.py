@@ -11,6 +11,7 @@ from potts_sd.params import (
     SpectralParams,
     _check_pole,
     _delta,
+    _inversion_w2,
     _xi,
     couplings,
     inversion_image,
@@ -199,7 +200,7 @@ def test_inversion_image_numeric():
     sp = SpectralParams(math.exp(-2 * lam), math.exp(-0.2 * lam))
     inv = inversion_image(sp)
     assert inv.u == pytest.approx(0.9 * lam, rel=1e-12)
-    assert inv.w2 == pytest.approx(q * q / sp.w2, rel=1e-12)
+    assert inv.w2 == pytest.approx(_inversion_w2(q, sp.w2), rel=1e-12)  # the raw map verify reads
     assert inv.s * sp.s == pytest.approx(q, rel=1e-12)  # s -> q/s
     # involution
     assert inversion_image(inv).w == pytest.approx(sp.w, rel=1e-13)

@@ -18,14 +18,20 @@ import numpy as np
 import pytest
 
 import potts_sd
-from oracles import potts_transfer_T1
+from oracles import (
+    max_eigenvalue,
+    potts_transfer_T1,
+    potts_transfer_V,
+    table_with_shifted_energy,
+    transfer_inversion_defects,
+)
 from potts_sd import cli, closedform as cf
 from potts_sd import relations
-from potts_sd.lattice import extraction_table, max_eigenvalue, potts_transfer_T2, potts_transfer_V
-from potts_sd.params import couplings, rotation_image, solve_q_from_Q
+from potts_sd.lattice import extraction_table
+from potts_sd.params import _Q, _exp_K1, _exp_K2, _inversion_w2, _xi, couplings, inversion_image, solve_q_from_Q
 from potts_sd.qseries import TruncatedSeries
 
-F, S = "float", "series"
+F, S, E = "float", "series", "exact"
 
 
 # self-dual points at integer Q = 5, 6, 7, where sp and the spin matrices agree
@@ -33,35 +39,52 @@ SELF_DUAL = {Q: relations._sp_from(solve_q_from_Q(Q), f) for Q, f in ((5, 0.3), 
 
 
 def test_matrix_inversion_float_with_consistent_sp():
+    # the raw forms the exact rows read, in floats at each self-dual point,
+    # meet the couplings at lam - u and make the dense products hold
     for Q, sp in SELF_DUAL.items():
-        r = relations.verify_matrix_inversion(3, Q, sp)
-        assert r.passed and r.max_defect <= 1e-11, (Q, r)
-        assert r.details["inversion_image_defect"] <= 1e-11
+        q, w2i = sp.q, _inversion_w2(sp.q, sp.w2)
+        cpi = couplings(inversion_image(sp))
+        assert _exp_K1(q, w2i) == pytest.approx(cpi.eK1, rel=1e-13)
+        assert _exp_K2(q, w2i) == pytest.approx(cpi.eK2, rel=1e-13)
+        d = transfer_inversion_defects(3, Q, couplings(sp), cpi, _xi(q, sp.w2))
+        assert max(d.values()) <= 1e-11, (Q, d)
+    for r in (relations.verify_matrix_inversion(), relations.verify_VV()):
+        assert r.passed and r.ring == E and all(r.details.values()), r
 
 
-def test_matrix_inversion_rejects_inconsistent_sp():
-    # Q = 6 at the Q = 5 point: e^{K2(lam-u)} = 2 - Q - e^{K2(u)} misses the couplings at lam - u
-    for r in (relations.verify_matrix_inversion(2, 6, SELF_DUAL[5]), relations.verify_VV(2, 6, SELF_DUAL[5])):
-        assert not r.passed and r.details["inversion_image_defect"] > 1e-3, r
+def test_matrix_inversion_rejects_inconsistent_sp(monkeypatch):
+    # Q = 6 at the Q = 5 point: e^{K2(lam-u)} misses 2 - Q - e^{K2(u)}, so the dense T2 and V products fail
+    sp = SELF_DUAL[5]
+    d = transfer_inversion_defects(2, 6, couplings(sp), couplings(inversion_image(sp)), _xi(sp.q, sp.w2))
+    assert d["T1"] <= 1e-13 and d["T2"] > 1e-3 and d["V"] > 1e-3, d
+    # and a Q off by one fails the exact row's K2 map alone
+    monkeypatch.setattr(relations, "_Q", lambda q: _Q(q) + 1)
+    r = relations.verify_matrix_inversion()
+    assert not r.passed and r.details == {"K1": True, "K2": False}, r
 
 
 def test_vv_float_and_eigen_corollary():
+    # V(u)V(lam-u) = xi^N 1 pairs V(u)'s top eigenvalue with an eigenvalue of
+    # V(lam-u); xi < 0, so its sign alternates with N
     for Q, sp in SELF_DUAL.items():
-        r = relations.verify_VV(2, Q, sp)
-        assert r.passed and r.max_defect <= 1e-11, (Q, r)
-        assert r.details["eigen_corollary_defect"] <= 1e-10
-        assert r.details["xi_sign_alternates"]
+        cp, cpi, xi = couplings(sp), couplings(inversion_image(sp)), _xi(sp.q, sp.w2)
+        assert xi < 0
+        for N in (1, 2):
+            val, vec = max_eigenvalue(potts_transfer_V(N, Q, cp.eK1, cp.eK2))
+            vi = potts_transfer_V(N, Q, cpi.eK1, cpi.eK2, allow_complex=True)
+            paired = val * (vec @ (vi @ vec)) / (vec @ vec)
+            assert abs(paired - xi**N) <= 1e-10 * abs(xi) ** N, (Q, N)
 
 
 def test_vv_eigenvalue_pairing_detail():
-    # L(u)^2 L(lam-u)^2 = xi^N via the maximal eigenvector explicitly
-    N, Q = 2, 5
-    cp = couplings(SELF_DUAL[Q])
-    eK1i, eK2i, xival = relations._dual_values(Q, cp.eK1, cp.eK2)
-    val, vec = max_eigenvalue(potts_transfer_V(N, Q, cp.eK1, cp.eK2))
-    vi = potts_transfer_V(N, Q, eK1i, eK2i, allow_complex=True)
-    lam_i = (vec @ (vi @ vec)) / (vec @ vec)
-    assert val * lam_i == pytest.approx(xival**N, rel=1e-10)
+    # V(lam-u) = xi^N V(u)^-1, so V(u)'s maximal eigenvector is an eigenvector
+    # of V(lam-u) too, with the eigenvalue xi^N / L(u)
+    N, sp = 2, SELF_DUAL[5]
+    cp, cpi = couplings(sp), couplings(inversion_image(sp))
+    val, vec = max_eigenvalue(potts_transfer_V(N, 5, cp.eK1, cp.eK2))
+    vi = potts_transfer_V(N, 5, cpi.eK1, cpi.eK2, allow_complex=True)
+    lam_i = _xi(sp.q, sp.w2) ** N / val
+    assert np.abs(vi @ vec - lam_i * vec).max() <= 1e-10 * abs(lam_i)
 
 
 def test_numeric_grid_all_pass():
@@ -125,24 +148,41 @@ def test_verify_loads_no_numpy_random():
     assert done.returncode == 0, done.stderr
 
 
-def test_transfer_inversion_equals_the_dense_t1_product():
-    # the row reads T1's diagonal; the dense product of the two T1s gives the same defect
+def test_transfer_inversion_equals_the_dense_t1_product(monkeypatch):
+    # the row's K1 identity is T1's product, which is diagonal: an e^{K1} off
+    # by 1 + 1e-9 fails the exact row and the dense product alike
     N, Q, sp = 3, 5, SELF_DUAL[5]
-    cp = couplings(sp)
-    eK1i, eK2i, xival = relations._dual_values(Q, cp.eK1, cp.eK2)
-    d1 = np.abs(potts_transfer_T1(N, Q, cp.eK1) @ potts_transfer_T1(N, Q, eK1i) - np.eye(Q**N)).max()
-    prod = potts_transfer_T2(N, Q, cp.eK2) @ potts_transfer_T2(N, Q, eK2i)
-    d2 = np.abs(prod - xival**N * np.eye(Q**N)).max() / abs(xival) ** N
-    row = relations.run_rows(8)[0]
-    assert (row.identity, row.points) == ("transfer_inversion", [{"Q": Q, "eK1": cp.eK1, "eK2": cp.eK2}])
-    assert row.max_defect == max(d1, d2) > 0
+
+    def dense(exp_K1):
+        at_u, at_image = exp_K1(sp.q, sp.w2), exp_K1(sp.q, _inversion_w2(sp.q, sp.w2))
+        return np.abs(potts_transfer_T1(N, Q, at_u) @ potts_transfer_T1(N, Q, at_image) - np.eye(Q**N)).max()
+
+    def off(q, w2):
+        return _exp_K1(q, w2) * (1 + Fraction(1, 10**9))
+
+    assert relations.verify_matrix_inversion().details["K1"] and dense(_exp_K1) <= 1e-13
+    monkeypatch.setattr(relations, "_exp_K1", off)
+    assert not relations.verify_matrix_inversion().details["K1"] and dense(off) > 1e-9
+
+
+def test_verify_runs_no_dense_linear_algebra(monkeypatch):
+    # every numpy.linalg routine raises, and verify still passes every row
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called numpy.linalg")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError):
+        np.linalg.eigh(np.eye(2))
+    assert cli.main(["verify", "--order", "8"]) == 0
 
 
 def test_identity_report_json():
-    d = relations.verify_matrix_inversion(2, 5, SELF_DUAL[5]).to_json_dict()
+    d = relations.verify_matrix_inversion().to_json_dict()
     assert list(d) == ["identity", "points", "max_defect", "tol", "passed", "ring", "details"]
-    assert d["identity"] == "transfer_inversion" and d["ring"] == F
-    assert d["tol"] == relations.NUMERIC_TOL and d["passed"] is True
+    assert d["identity"] == "transfer_inversion" and d["ring"] == E
+    assert d["tol"] == 0.0 and d["passed"] is True
     # every row reads its tolerance from ROWS and prints the same keys
     rows = relations.run_rows(8)
     assert [(r.identity, r.ring) for r in rows] == list(relations.ROWS)
@@ -154,7 +194,6 @@ def test_a_defect_passes_within_its_rows_tolerance():
     row = ("inversion_bulk", F)
     assert relations.Defect(*row, [], relations.NUMERIC_TOL).passed
     assert not relations.Defect(*row, [], 2 * relations.NUMERIC_TOL).passed
-    assert not relations.Defect(*row, [], 0.0, side_ok=False).passed
     # a non-finite defect fails, and prints as null to keep the JSON strict
     inf = relations.Defect(*row, [], float("inf"))
     assert not inf.passed and inf.to_json_dict()["max_defect"] is None
@@ -191,17 +230,6 @@ def _changed(obj, name, change):
 def _scaled(obj, name, factor):
     """``obj.name`` with its value multiplied by ``factor``."""
     return _changed(obj, name, lambda v: v * factor)
-
-
-def _xi_off(mp):
-    """xi off by a factor 1 + 1e-9 in the matrix rows."""
-    dual = relations._dual_values
-
-    def off(Q, eK1, eK2):
-        eK1i, eK2i, x = dual(Q, eK1, eK2)
-        return eK1i, eK2i, x * (1 + 1e-9)
-
-    mp.setattr(relations, "_dual_values", off)
 
 
 def _entry_changed(name, k, change):
@@ -250,12 +278,6 @@ def _bulk_R_cubed(mp):
     mp.setitem(relations.INVERSION, "inversion_bulk", (name, sign_u, sign_i, lambda q, w2: R(q, w2) * (1 + q)))
 
 
-def _nan_t2(mp):
-    """Every entry of T2 NaN in the matrix rows."""
-    t2 = relations.potts_transfer_T2
-    mp.setattr(relations, "potts_transfer_T2", lambda *a: np.full_like(t2(*a), np.nan))
-
-
 def _image_short_of_order(mp):
     """f_sp's derived lam - u image exact only through t^(T-1)."""
     image, _ = relations._image_families(cf.SURFACE_H_LAMBERT)
@@ -273,14 +295,10 @@ def _table12():
 
 
 def _lattice_shift(energy):
-    """One extracted free energy shifted by t^10 s in every
-    G(m, n) = -mn f_b - m f_s - n f'_s - f_c; the spare diagonal still
-    vanishes, so only the closed-form comparison sees it."""
-    weight = {"f_b": lambda m, n: m * n, "f_s": lambda m, n: m, "f_sp": lambda m, n: n, "f_c": lambda m, n: 1}[energy]
+    """One extracted free energy shifted by t^10 s in the t^12 table."""
 
     def patch(mp):
-        delta = TruncatedSeries.term(1, 10, 1, order=12)
-        table = {(m, n): g - weight(m, n) * delta for (m, n), g in _table12().items()}
+        table = table_with_shifted_energy(_table12(), energy, TruncatedSeries.term(1, 10, 1, order=12))
         mp.setattr(relations, "extraction_table", lambda order: table)
 
     return patch
@@ -291,19 +309,23 @@ ROTATION_SURFACE = {(k, ring) for k in ("rotation_surface_sv", "rotation_surface
 
 # (fault id, verify --order, the perturbation, the rows it must fail)
 FAULTS = [
-    # the T2 and V products are compared with xi^N, so a wrong xi fails them
-    ("float-xi", 8, _xi_off, {("transfer_inversion", F), ("combined_transfer_inversion", F)}),
-    # e^{K1(lam-u)} = 1/e^{K1(u)} by construction, so only the comparison with
-    # the couplings at lam - u can catch a wrong image
+    # the xi that V's row compares with also feeds the bulk inversion's R
+    (
+        "xi-1e-9",
+        8,
+        _scaled(relations, "_xi", 1 + Fraction(1, 10**9)),
+        {("combined_transfer_inversion", E), ("inversion_bulk", F), ("inversion_bulk", S)},
+    ),
+    # the K1 map feeds the transfer row alone
+    ("exp-K1-1e-9", 8, _scaled(relations, "_exp_K1", 1 + Fraction(1, 10**9)), {("transfer_inversion", E)}),
+    # the exact rows and the float inversion rows read one lam - u map; the
+    # series rows derive their images from the lists
     (
         "inversion-image-is-rotation",
         8,
-        lambda mp: mp.setattr(relations, "inversion_image", rotation_image),
-        {("transfer_inversion", F), ("combined_transfer_inversion", F)},
+        lambda mp: mp.setattr(relations, "_inversion_w2", lambda q, w2: q / w2),
+        {("transfer_inversion", E), ("combined_transfer_inversion", E), *((k, F) for k in relations.INVERSION)},
     ),
-    # a NaN at any point fails its row, in the matrices and in the grid,
-    # where the last grid point's q is on no other point
-    ("transfer-T2-nan", 8, _nan_t2, {("transfer_inversion", F)}),
     # the float inversion rows take S(lam - u) from the list's product, so a
     # wrong product fails them
     (
@@ -312,6 +334,7 @@ FAULTS = [
         _exp_lambert_of("BULK_LAMBERT", lambda v, q: v * (1 + 1e-9)),
         {("inversion_bulk", F)},
     ),
+    # a NaN at one grid point fails its row; the last grid point's q is on no other point
     (
         "bulk-product-nan-at-one-point",
         8,
